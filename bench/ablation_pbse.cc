@@ -140,6 +140,7 @@ int ablation_subsumption(const BenchConfig& config) {
            driver.run(config.hour10 - driver.clock().now());
            out.covered = driver.executor().num_covered();
            out.ticks = driver.clock().now();
+           out.bugs = driver.executor().bugs().size();
            out.stats = driver.stats();
            return out;
          }});
@@ -162,6 +163,7 @@ int ablation_subsumption(const BenchConfig& config) {
            core::CampaignOutcome out;
            out.covered = run.executor().num_covered();
            out.ticks = run.clock().now();
+           out.bugs = run.executor().bugs().size();
            out.stats = run.stats();
            return out;
          }});

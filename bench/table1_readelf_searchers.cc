@@ -61,6 +61,7 @@ int main(int argc, char** argv) {
         core::CampaignOutcome out;
         out.covered = run.executor().num_covered();
         out.ticks = run.clock().now();
+        out.bugs = run.executor().bugs().size();
         out.stats = run.stats();
         out.rows = {{std::to_string(h1), std::to_string(out.covered)}};
         return out;
@@ -85,6 +86,7 @@ int main(int argc, char** argv) {
       driver.run(config.hour10 - driver.clock().now());
       out.covered = driver.executor().num_covered();
       out.ticks = driver.clock().now();
+      out.bugs = driver.executor().bugs().size();
       out.stats = driver.stats();
       out.rows = {{"seed(" + std::to_string(seed.size()) + ")",
                    std::to_string(driver.c_time_ticks()) + "t",

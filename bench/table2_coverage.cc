@@ -64,6 +64,7 @@ int main(int argc, char** argv) {
           core::CampaignOutcome out;
           out.covered = run.executor().num_covered();
           out.ticks = run.clock().now();
+          out.bugs = run.executor().bugs().size();
           out.stats = run.stats();
           out.rows = {{std::to_string(h1), std::to_string(out.covered)}};
           return out;
@@ -89,6 +90,7 @@ int main(int argc, char** argv) {
       pbse_driver.run(config.hour10 - pbse_driver.clock().now());
       out.covered = pbse_driver.executor().num_covered();
       out.ticks = pbse_driver.clock().now();
+      out.bugs = pbse_driver.executor().bugs().size();
       out.stats = pbse_driver.stats();
       out.rows = {{std::to_string(h1), std::to_string(out.covered)}};
       return out;
