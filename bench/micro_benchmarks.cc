@@ -16,6 +16,8 @@
 #include "server/job.h"
 #include "serialize/state_codec.h"
 #include "solver/interpolant.h"
+#include "solver/interval.h"
+#include "solver/search_solver.h"
 #include "solver/solver.h"
 #include "targets/targets.h"
 #include "vm/executor.h"
@@ -224,6 +226,65 @@ void BM_SolverDomainPropagation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolverDomainPropagation)->Arg(0)->Arg(1);
+
+// Stage: backtracking search, the evaluation kernel itself. The sliced
+// query has readelf's section-table shape: e_shnum (u16 at 10) and e_shoff
+// (u32 at 16) under the loop-bound and table-fits-the-file guards of three
+// section-header iterations, plus an alignment test that intervals cannot
+// decide. All-low, all-high and zero probes fail and propagation pins
+// nothing, so every call runs the DFS with interval forward-checks.
+// `evals_per_s` is constraint-evaluation work per second, in the expr_cost
+// units the search charges to the virtual clock.
+void BM_SearchKernel(benchmark::State& state) {
+  auto file = std::make_shared<Array>("file", 1000);
+  auto u16 = [&](std::uint32_t at) {
+    return mk_or(mk_zext(mk_read(file, at), 32),
+                 mk_shl(mk_zext(mk_read(file, at + 1), 32), mk_const(8, 32)));
+  };
+  auto u32 = [&](std::uint32_t at) {
+    return mk_or(u16(at), mk_shl(u16(at + 2), mk_const(16, 32)));
+  };
+  const ExprRef shnum = u16(10);
+  const ExprRef shoff = u32(16);
+  const ExprRef size = mk_const(1000, 32);
+  std::vector<ExprRef> constraints{
+      mk_ult(mk_const(0, 32), shnum),
+      mk_ule(mk_add(shoff, mk_mul(shnum, mk_const(16, 32))), size)};
+  for (std::uint32_t i = 1; i < 3; ++i) {
+    constraints.push_back(mk_ult(mk_const(i, 32), shnum));
+    constraints.push_back(mk_ule(
+        mk_add(mk_add(shoff, mk_const(16 * i, 32)), mk_const(16, 32)), size));
+  }
+  constraints.push_back(mk_eq(mk_and(shoff, mk_const(0xff, 32)),
+                              mk_const(0x48, 32)));
+  DomainMap domains;
+  std::uint64_t propagation = 0;
+  if (!propagate_domains(constraints, domains, propagation))
+    state.SkipWithError("propagation refuted the query");
+  std::uint64_t probe_cost = 0;
+  for (const auto& c : constraints) probe_cost += 3 * expr_cost(c);
+
+  std::uint64_t evals = 0;
+  for (auto _ : state) {
+    std::uint64_t cost = 0;
+    Assignment model;
+    const SolverResult result = backtracking_search(
+        constraints, domains, /*hint=*/nullptr, /*hint_first=*/true,
+        /*candidate_cap=*/0, /*max_nodes=*/40000, /*max_evals=*/1'000'000,
+        cost, model);
+    if (result != SolverResult::kSat || cost <= probe_cost)
+      state.SkipWithError("the query no longer reaches a satisfying DFS");
+    evals += cost;
+    benchmark::DoNotOptimize(result);
+    benchmark::DoNotOptimize(model);
+  }
+  state.counters["evals_per_s"] =
+      benchmark::Counter(static_cast<double>(evals),
+                         benchmark::Counter::kIsRate);
+  state.counters["evals_per_call"] = benchmark::Counter(
+      static_cast<double>(evals), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SearchKernel);
 
 // --- Subsumption-layer micro-benchmarks (DESIGN.md §10) ---------------------
 

@@ -1,7 +1,9 @@
 #include "expr/evaluator.h"
 
 #include <cassert>
-#include <unordered_map>
+
+#include "expr/node_map.h"
+#include "expr/semantics.h"
 
 namespace pbse {
 
@@ -9,105 +11,45 @@ namespace {
 
 /// Computes one node's value assuming every kid is already in `memo`.
 std::uint64_t eval_node(const Expr* e, const Assignment& a,
-                        const std::unordered_map<const Expr*, std::uint64_t>& memo) {
-  auto kid = [&memo, e](std::size_t i) { return memo.at(e->kid(i).get()); };
-  std::uint64_t r = 0;
-  switch (e->kind()) {
-    case ExprKind::kConstant:
-      r = e->constant_value();
-      break;
-    case ExprKind::kRead:
-      r = a.byte(e->array().get(), e->read_index());
-      break;
-    case ExprKind::kSelect:
-      r = kid(0) != 0 ? kid(1) : kid(2);
-      break;
-    case ExprKind::kConcat:
-      r = (kid(0) << e->kid(1)->width()) | kid(1);
-      break;
-    case ExprKind::kExtract:
-      r = kid(0) >> e->extract_offset();
-      break;
-    case ExprKind::kZExt:
-      r = kid(0);
-      break;
-    case ExprKind::kSExt:
-      r = static_cast<std::uint64_t>(sign_extend(kid(0), e->kid(0)->width()));
-      break;
-    case ExprKind::kNot:
-      r = ~kid(0);
-      break;
-    default: {
-      const std::uint64_t x = kid(0);
-      const std::uint64_t y = kid(1);
-      const unsigned ow = e->kid(0)->width();
-      const std::int64_t sx = sign_extend(x, ow);
-      const std::int64_t sy = sign_extend(y, ow);
-      switch (e->kind()) {
-        case ExprKind::kAdd: r = x + y; break;
-        case ExprKind::kSub: r = x - y; break;
-        case ExprKind::kMul: r = x * y; break;
-        case ExprKind::kUDiv: r = (y == 0) ? 0 : x / y; break;
-        case ExprKind::kSDiv:
-          r = (sy == 0) ? 0 : static_cast<std::uint64_t>(sx / sy);
-          break;
-        case ExprKind::kURem: r = (y == 0) ? 0 : x % y; break;
-        case ExprKind::kSRem:
-          r = (sy == 0) ? 0 : static_cast<std::uint64_t>(sx % sy);
-          break;
-        case ExprKind::kAnd: r = x & y; break;
-        case ExprKind::kOr: r = x | y; break;
-        case ExprKind::kXor: r = x ^ y; break;
-        case ExprKind::kShl: r = (y >= ow) ? 0 : x << y; break;
-        case ExprKind::kLShr: r = (y >= ow) ? 0 : x >> y; break;
-        case ExprKind::kAShr:
-          r = (y >= ow) ? static_cast<std::uint64_t>(sx < 0 ? -1 : 0)
-                        : static_cast<std::uint64_t>(sx >> y);
-          break;
-        case ExprKind::kEq: r = (x == y); break;
-        case ExprKind::kUlt: r = (x < y); break;
-        case ExprKind::kUle: r = (x <= y); break;
-        case ExprKind::kSlt: r = (sx < sy); break;
-        case ExprKind::kSle: r = (sx <= sy); break;
-        default: assert(false && "unhandled expr kind");
-      }
-      break;
-    }
+                        const NodeMap<std::uint64_t>& memo) {
+  std::uint64_t k[3] = {0, 0, 0};
+  if (e->kind() == ExprKind::kRead) {
+    k[0] = a.byte(e->array().get(), e->read_index());
+  } else {
+    for (std::size_t i = 0; i < e->num_kids(); ++i)
+      k[i] = *memo.find(e->kid(i).get());
   }
-  return truncate_to_width(r, e->width());
+  return op_value(node_op(*e), k[0], k[1], k[2]);
 }
 
 /// Iterative post-order evaluation: expression chains (loop accumulators,
 /// checksums) reach depths far beyond the C++ stack, so no recursion.
 std::uint64_t eval_impl(const Expr* root, const Assignment& a,
-                        std::unordered_map<const Expr*, std::uint64_t>& memo) {
-  {
-    auto it = memo.find(root);
-    if (it != memo.end()) return it->second;
-  }
+                        NodeMap<std::uint64_t>& memo) {
+  if (const std::uint64_t* hit = memo.find(root)) return *hit;
   std::vector<std::pair<const Expr*, bool>> stack;
   stack.emplace_back(root, false);
   while (!stack.empty()) {
     auto [e, expanded] = stack.back();
     stack.pop_back();
-    if (memo.count(e) != 0) continue;
+    if (memo.contains(e)) continue;
     if (expanded) {
-      memo.emplace(e, eval_node(e, a, memo));
+      memo.insert(e, eval_node(e, a, memo));
       continue;
     }
     stack.emplace_back(e, true);
     for (std::size_t i = 0; i < e->num_kids(); ++i) {
       const Expr* k = e->kid(i).get();
-      if (memo.count(k) == 0) stack.emplace_back(k, false);
+      if (!memo.contains(k)) stack.emplace_back(k, false);
     }
   }
-  return memo.at(root);
+  return *memo.find(root);
 }
 
 }  // namespace
 
 std::uint64_t evaluate(const ExprRef& e, const Assignment& assignment) {
-  std::unordered_map<const Expr*, std::uint64_t> memo;
+  NodeMap<std::uint64_t> memo;
   return eval_impl(e.get(), assignment, memo);
 }
 
@@ -123,11 +65,10 @@ std::uint64_t CachingEvaluator::evaluate(const ExprRef& e) {
 std::size_t expr_cost(const ExprRef& e) {
   // Hash-consing keeps nodes alive for the thread, so a thread-local memo
   // keyed by node pointer is stable (the interner is thread-local too).
-  thread_local auto* memo = new std::unordered_map<const Expr*, std::size_t>();
-  auto it = memo->find(e.get());
-  if (it != memo->end()) return it->second;
+  thread_local auto* memo = new NodeMap<std::size_t>();
+  if (const std::size_t* hit = memo->find(e.get())) return *hit;
   const std::size_t cost = expr_dag_size(e);
-  memo->emplace(e.get(), cost);
+  memo->insert(e.get(), cost);
   return cost;
 }
 

@@ -1,7 +1,8 @@
 // Concrete evaluation of symbolic expressions under a byte assignment.
 //
 // Used by: the concolic executor (concrete half of the lockstep), the
-// solver's backtracking search (candidate checking), and test-case replay.
+// solver's model replay and validation, and test-case replay. The
+// backtracking search's candidate checks run on a Tape (expr/tape.h).
 #pragma once
 
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "expr/expr.h"
+#include "expr/node_map.h"
 
 namespace pbse {
 
@@ -74,7 +76,7 @@ class CachingEvaluator {
 
  private:
   std::shared_ptr<const Assignment> assignment_;
-  std::unordered_map<const Expr*, std::uint64_t> memo_;
+  NodeMap<std::uint64_t> memo_;
 };
 
 /// Deterministic work measure of an expression: its DAG node count,

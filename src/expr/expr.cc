@@ -6,31 +6,18 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "expr/node_map.h"
+#include "expr/semantics.h"
+
 namespace pbse {
 
 namespace {
-
-std::uint64_t width_mask(unsigned width) {
-  return width >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-}
 
 std::size_t hash_combine(std::size_t seed, std::size_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
 }  // namespace
-
-std::uint64_t truncate_to_width(std::uint64_t v, unsigned width) {
-  return v & width_mask(width);
-}
-
-std::int64_t sign_extend(std::uint64_t v, unsigned width) {
-  assert(width >= 1 && width <= 64);
-  if (width == 64) return static_cast<std::int64_t>(v);
-  const std::uint64_t sign_bit = std::uint64_t{1} << (width - 1);
-  v &= width_mask(width);
-  return static_cast<std::int64_t>((v ^ sign_bit) - sign_bit);
-}
 
 const char* expr_kind_name(ExprKind kind) {
   switch (kind) {
@@ -237,45 +224,6 @@ ExprRef mk_not(ExprRef e) {
 
 namespace {
 
-bool fold_binop(ExprKind kind, const ExprRef& a, const ExprRef& b,
-                std::uint64_t& out) {
-  if (!a->is_constant() || !b->is_constant()) return false;
-  const unsigned w = a->width();
-  const std::uint64_t x = a->constant_value();
-  const std::uint64_t y = b->constant_value();
-  const std::int64_t sx = sign_extend(x, w);
-  const std::int64_t sy = sign_extend(y, w);
-  switch (kind) {
-    case ExprKind::kAdd: out = x + y; break;
-    case ExprKind::kSub: out = x - y; break;
-    case ExprKind::kMul: out = x * y; break;
-    case ExprKind::kUDiv: out = (y == 0) ? 0 : x / y; break;
-    case ExprKind::kSDiv:
-      out = (sy == 0) ? 0 : static_cast<std::uint64_t>(sx / sy);
-      break;
-    case ExprKind::kURem: out = (y == 0) ? 0 : x % y; break;
-    case ExprKind::kSRem:
-      out = (sy == 0) ? 0 : static_cast<std::uint64_t>(sx % sy);
-      break;
-    case ExprKind::kAnd: out = x & y; break;
-    case ExprKind::kOr: out = x | y; break;
-    case ExprKind::kXor: out = x ^ y; break;
-    case ExprKind::kShl: out = (y >= w) ? 0 : x << y; break;
-    case ExprKind::kLShr: out = (y >= w) ? 0 : x >> y; break;
-    case ExprKind::kAShr:
-      out = (y >= w) ? static_cast<std::uint64_t>(sx < 0 ? -1 : 0)
-                     : static_cast<std::uint64_t>(sx >> y);
-      break;
-    case ExprKind::kEq: out = (x == y); break;
-    case ExprKind::kUlt: out = (x < y); break;
-    case ExprKind::kUle: out = (x <= y); break;
-    case ExprKind::kSlt: out = (sx < sy); break;
-    case ExprKind::kSle: out = (sx <= sy); break;
-    default: return false;
-  }
-  return true;
-}
-
 bool is_commutative(ExprKind kind) {
   switch (kind) {
     case ExprKind::kAdd:
@@ -297,9 +245,14 @@ ExprRef mk_binop(ExprKind kind, ExprRef a, ExprRef b) {
                       kind == ExprKind::kUle || kind == ExprKind::kSlt ||
                       kind == ExprKind::kSle;
   const unsigned result_w = is_cmp ? 1 : operand_w;
-  std::uint64_t folded;
-  if (fold_binop(kind, a, b, folded))
-    return mk_const(truncate_to_width(folded, result_w), result_w);
+  if (a->is_constant() && b->is_constant()) {
+    NodeOp op;
+    op.kind = kind;
+    op.width = static_cast<std::uint8_t>(result_w);
+    op.param = static_cast<std::uint8_t>(operand_w);
+    return mk_const(
+        op_value(op, a->constant_value(), b->constant_value(), 0), result_w);
+  }
   // Canonicalize commutative operators: constant operand on the right,
   // otherwise order by hash so (a op b) and (b op a) intern identically.
   if (is_commutative(kind)) {
@@ -468,12 +421,12 @@ ExprRef mk_lor(ExprRef a, ExprRef b) {
 
 void collect_reads(const ExprRef& e, std::vector<ReadSite>& out) {
   // Iterative: chains can be deeper than the C++ stack allows.
-  std::unordered_set<const Expr*> seen;
+  NodeMap<bool> seen;
   std::vector<const Expr*> stack{e.get()};
   while (!stack.empty()) {
     const Expr* node = stack.back();
     stack.pop_back();
-    if (!seen.insert(node).second) continue;
+    if (!seen.insert(node, true)) continue;
     if (node->kind() == ExprKind::kRead) {
       out.push_back(ReadSite{node->array(), node->read_index()});
       continue;
@@ -496,12 +449,12 @@ const std::vector<ReadSite>& cached_reads(const ExprRef& e) {
 }
 
 std::size_t expr_dag_size(const ExprRef& e) {
-  std::unordered_set<const Expr*> seen;
+  NodeMap<bool> seen;
   std::vector<const Expr*> stack{e.get()};
   while (!stack.empty()) {
     const Expr* node = stack.back();
     stack.pop_back();
-    if (!seen.insert(node).second) continue;
+    if (!seen.insert(node, true)) continue;
     for (std::size_t i = 0; i < node->num_kids(); ++i)
       stack.push_back(node->kid(i).get());
   }

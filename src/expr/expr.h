@@ -15,6 +15,7 @@
 // pointer) must stay on one thread.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -125,9 +126,17 @@ bool expr_equal(const ExprRef& a, const ExprRef& b);
 // --- Width arithmetic helpers -------------------------------------------
 
 /// Masks `v` down to `width` bits.
-std::uint64_t truncate_to_width(std::uint64_t v, unsigned width);
+inline std::uint64_t truncate_to_width(std::uint64_t v, unsigned width) {
+  return width >= 64 ? v : v & ((std::uint64_t{1} << width) - 1);
+}
 /// Interprets the low `width` bits of `v` as signed and sign-extends to 64.
-std::int64_t sign_extend(std::uint64_t v, unsigned width);
+inline std::int64_t sign_extend(std::uint64_t v, unsigned width) {
+  assert(width >= 1 && width <= 64);
+  if (width == 64) return static_cast<std::int64_t>(v);
+  const std::uint64_t sign_bit = std::uint64_t{1} << (width - 1);
+  return static_cast<std::int64_t>((truncate_to_width(v, width) ^ sign_bit) -
+                                   sign_bit);
+}
 
 // --- Builders ------------------------------------------------------------
 // All builders constant-fold when possible and apply local rewrites.

@@ -1,14 +1,21 @@
 #include "solver/interval.h"
 
+#include <algorithm>
+
 #include "expr/evaluator.h"
+#include "expr/node_map.h"
+#include "expr/tape.h"
 
 namespace pbse {
 
 std::vector<std::uint8_t> ByteDomain::values() const {
   std::vector<std::uint8_t> out;
-  out.reserve(allowed_.count());
-  for (unsigned v = 0; v < 256; ++v)
-    if (allowed_[v]) out.push_back(static_cast<std::uint8_t>(v));
+  out.reserve(size());
+  for (unsigned w = 0; w < 4; ++w) {
+    for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+      out.push_back(
+          static_cast<std::uint8_t>(64 * w + std::countr_zero(bits)));
+  }
   return out;
 }
 
@@ -191,149 +198,42 @@ bool pin_equality(const ExprRef& e, std::uint64_t value, DomainMap& domains,
   }
 }
 
-namespace {
-
-/// Computes one node's range assuming kid ranges are memoized (iterative
-/// post-order driver below; chains outgrow the C++ stack).
-URange interval_node(const ExprRef& e, const DomainMap& domains,
-                     std::unordered_map<const Expr*, URange>& memo) {
-  auto interval_of_memo = [&memo](const ExprRef& kid,
-                                  const DomainMap&) -> URange {
-    return memo.at(kid.get());
-  };
-  (void)interval_of_memo;
-  const std::uint64_t full =
-      truncate_to_width(~std::uint64_t{0}, e->width());
-  const URange top{0, full};
-  switch (e->kind()) {
-    case ExprKind::kConstant:
-      return {e->constant_value(), e->constant_value()};
-    case ExprKind::kRead: {
-      const ByteDomain* d = domains.find(e->array().get(), e->read_index());
-      if (d == nullptr || d->empty()) return {0, 255};
-      const auto values = d->values();
-      return {values.front(), values.back()};
-    }
-    case ExprKind::kZExt:
-      return memo.at(e->kid(0).get());
-    case ExprKind::kConcat: {
-      const URange hi = memo.at(e->kid(0).get());
-      const URange lo = memo.at(e->kid(1).get());
-      const unsigned w = e->kid(1)->width();
-      return {(hi.lo << w) | lo.lo, (hi.hi << w) | lo.hi};
-    }
-    case ExprKind::kAdd: {
-      const URange a = memo.at(e->kid(0).get());
-      const URange b = memo.at(e->kid(1).get());
-      // Overflow at width w -> widen to full range.
-      if (a.hi > full - b.hi) return top;
-      return {a.lo + b.lo, a.hi + b.hi};
-    }
-    case ExprKind::kMul: {
-      const URange a = memo.at(e->kid(0).get());
-      const URange b = memo.at(e->kid(1).get());
-      if (b.hi != 0 && a.hi > full / b.hi) return top;
-      return {a.lo * b.lo, a.hi * b.hi};
-    }
-    case ExprKind::kShl: {
-      if (!e->kid(1)->is_constant()) return top;
-      const unsigned k = static_cast<unsigned>(e->kid(1)->constant_value());
-      const URange a = memo.at(e->kid(0).get());
-      if (k >= e->width() || a.hi > (full >> k)) return top;
-      return {a.lo << k, a.hi << k};
-    }
-    case ExprKind::kLShr: {
-      if (!e->kid(1)->is_constant()) return top;
-      const unsigned k = static_cast<unsigned>(e->kid(1)->constant_value());
-      const URange a = memo.at(e->kid(0).get());
-      if (k >= e->width()) return {0, 0};
-      return {a.lo >> k, a.hi >> k};
-    }
-    case ExprKind::kOr: {
-      // Disjoint-lane Or is bounded by the sum; generic Or by bitwise max.
-      const URange a = memo.at(e->kid(0).get());
-      const URange b = memo.at(e->kid(1).get());
-      const std::uint64_t hi =
-          (a.hi > full - b.hi) ? full : a.hi + b.hi;
-      return {std::max(a.lo, b.lo), hi};
-    }
-    case ExprKind::kAnd: {
-      const URange a = memo.at(e->kid(0).get());
-      const URange b = memo.at(e->kid(1).get());
-      return {0, std::min(a.hi, b.hi)};
-    }
-    case ExprKind::kUDiv: {
-      if (!e->kid(1)->is_constant() || e->kid(1)->constant_value() == 0)
-        return top;
-      const URange a = memo.at(e->kid(0).get());
-      const std::uint64_t d = e->kid(1)->constant_value();
-      return {a.lo / d, a.hi / d};
-    }
-    case ExprKind::kEq: {
-      const URange a = memo.at(e->kid(0).get());
-      const URange b = memo.at(e->kid(1).get());
-      if (a.hi < b.lo || b.hi < a.lo) return {0, 0};  // disjoint: never equal
-      if (a.lo == a.hi && b.lo == b.hi && a.lo == b.lo) return {1, 1};
-      return {0, 1};
-    }
-    case ExprKind::kUlt: {
-      const URange a = memo.at(e->kid(0).get());
-      const URange b = memo.at(e->kid(1).get());
-      if (a.hi < b.lo) return {1, 1};
-      if (a.lo >= b.hi) return {0, 0};
-      return {0, 1};
-    }
-    case ExprKind::kUle: {
-      const URange a = memo.at(e->kid(0).get());
-      const URange b = memo.at(e->kid(1).get());
-      if (a.hi <= b.lo) return {1, 1};
-      if (a.lo > b.hi) return {0, 0};
-      return {0, 1};
-    }
-    case ExprKind::kXor: {
-      // Xor with constant true is logical not (the common width-1 case).
-      if (e->width() == 1) {
-        const URange a = memo.at(e->kid(0).get());
-        if (e->kid(1)->is_true()) {
-          if (a.lo == a.hi) return {1 - a.lo, 1 - a.lo};
-          return {0, 1};
-        }
-      }
-      return top;
-    }
-    default:
-      return top;
-  }
+URange read_range(const DomainMap& domains, const Array* array,
+                  std::uint32_t index) {
+  const ByteDomain* d = domains.find(array, index);
+  if (d == nullptr || d->empty()) return {0, 255};
+  return {d->min(), d->max()};
 }
-
-}  // namespace
 
 URange interval_of(const ExprRef& e, const DomainMap& domains) {
   // Iterative post-order with a per-call memo: the memo makes shared DAG
   // nodes linear (rotate patterns would otherwise be exponential), and the
   // explicit stack keeps kilonode-deep chains off the C++ stack.
-  std::unordered_map<const Expr*, URange> memo;
+  NodeMap<URange> memo;
   std::vector<std::pair<const Expr*, bool>> stack;
   stack.emplace_back(e.get(), false);
   while (!stack.empty()) {
     auto [node, expanded] = stack.back();
     stack.pop_back();
-    if (memo.count(node) != 0) continue;
-    // Re-wrap in a shared_ptr-compatible handle for interval_node: node
-    // pointers come from interned ExprRefs, which stay alive.
+    if (memo.contains(node)) continue;
     if (expanded) {
-      // interval_node only consults memo for kids; give it a borrowed ref.
-      const ExprRef borrowed(std::shared_ptr<const Expr>(), node);
-      memo.emplace(node, interval_node(borrowed, domains, memo));
+      URange k[2];
+      if (node->kind() == ExprKind::kRead) {
+        k[0] = read_range(domains, node->array().get(), node->read_index());
+      } else {
+        for (std::size_t i = 0; i < node->num_kids() && i < 2; ++i)
+          k[i] = *memo.find(node->kid(i).get());
+      }
+      memo.insert(node, op_interval(node_op(*node), k[0], k[1]));
       continue;
     }
     stack.emplace_back(node, true);
     for (std::size_t i = 0; i < node->num_kids(); ++i) {
       const Expr* kid = node->kid(i).get();
-      if (memo.count(kid) == 0) stack.emplace_back(kid, false);
+      if (!memo.contains(kid)) stack.emplace_back(kid, false);
     }
   }
-  return memo.at(e.get());
+  return *memo.find(e.get());
 }
 
 void prune_ule_assembly(const ExprRef& assembly, std::uint64_t bound,
@@ -343,10 +243,8 @@ void prune_ule_assembly(const ExprRef& assembly, std::uint64_t bound,
   for (const auto& lane : lanes) {
     const std::uint64_t lane_max = bound >> lane.bit_offset;
     if (lane_max >= 255) continue;
-    ByteDomain& d = domains.domain(lane.array, lane.index);
-    std::bitset<256> keep;
-    for (unsigned v = 0; v <= lane_max; ++v) keep.set(v);
-    d.intersect(keep);
+    domains.domain(lane.array, lane.index)
+        .remove_above(static_cast<std::uint8_t>(lane_max));
   }
 }
 
@@ -375,6 +273,7 @@ bool propagate_domains(const std::vector<ExprRef>& constraints,
     }
     if (domains.any_empty()) return false;
   }
+  std::vector<std::uint64_t> slots;
   for (const auto& c : constraints) {
     std::vector<ReadSite> reads;
     collect_reads(c, reads);
@@ -402,20 +301,20 @@ bool propagate_domains(const std::vector<ExprRef>& constraints,
       }
     }
 
-    // Propagator 1: single-byte constraints enumerated exactly.
+    // Propagator 1: single-byte constraints enumerated exactly, on one
+    // tape whose every Read is that byte (variable 0).
     if (reads.size() == 1) {
       const ReadSite& site = reads[0];
       ByteDomain& d = domains.domain(site.array, site.index);
-      Assignment probe;
-      auto& bytes = probe.mutable_bytes(site.array);
-      std::bitset<256> feasible;
+      const Tape tape(c, [](const Expr&) { return 0u; });
+      slots.resize(std::max(slots.size(), tape.size()));
       cost_out += 256;
       for (unsigned v = 0; v < 256; ++v) {
-        if (!d.allows(static_cast<std::uint8_t>(v))) continue;
-        bytes[site.index] = static_cast<std::uint8_t>(v);
-        if (evaluate_bool(c, probe)) feasible.set(v);
+        const auto byte = static_cast<std::uint8_t>(v);
+        const std::uint64_t var = byte;
+        if (d.allows(byte) && tape.value(&var, slots.data()) == 0)
+          d.remove(byte);
       }
-      d.intersect(feasible);
       if (d.empty()) return false;
     }
   }

@@ -9,51 +9,73 @@
 #pragma once
 
 #include <array>
-#include <bitset>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "expr/expr.h"
+#include "expr/semantics.h"
 
 namespace pbse {
 
-/// The feasible value set of one symbolic input byte.
+/// The feasible value set of one symbolic input byte: a 256-bit set held
+/// as 4 little-endian u64 words (word w holds values [64w, 64w+64)).
 class ByteDomain {
  public:
-  ByteDomain() { allowed_.set(); }
+  ByteDomain() { words_.fill(~std::uint64_t{0}); }
 
-  bool allows(std::uint8_t v) const { return allowed_[v]; }
-  void remove(std::uint8_t v) { allowed_.reset(v); }
+  bool allows(std::uint8_t v) const { return (words_[v >> 6] & bit(v)) != 0; }
+  void remove(std::uint8_t v) { words_[v >> 6] &= ~bit(v); }
   /// Restricts the domain to exactly {v}.
   void pin(std::uint8_t v) {
-    allowed_.reset();
-    allowed_.set(v);
+    words_.fill(0);
+    words_[v >> 6] = bit(v);
   }
-  void intersect(const std::bitset<256>& other) { allowed_ &= other; }
+  /// Removes every value greater than `v`.
+  void remove_above(std::uint8_t v) {
+    for (unsigned w = 0; w < 4; ++w) {
+      const unsigned lo = 64 * w;
+      if (lo > v) words_[w] = 0;
+      else if (v - lo < 63) words_[w] &= (std::uint64_t{2} << (v - lo)) - 1;
+    }
+  }
 
-  std::size_t size() const { return allowed_.count(); }
-  bool empty() const { return allowed_.none(); }
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const std::uint64_t w : words_) n += std::popcount(w);
+    return n;
+  }
+  bool empty() const {
+    return (words_[0] | words_[1] | words_[2] | words_[3]) == 0;
+  }
+  /// Smallest and largest allowed value. The domain must not be empty.
+  std::uint8_t min() const {
+    assert(!empty());
+    unsigned w = 0;
+    while (words_[w] == 0) ++w;
+    return static_cast<std::uint8_t>(64 * w + std::countr_zero(words_[w]));
+  }
+  std::uint8_t max() const {
+    assert(!empty());
+    unsigned w = 3;
+    while (words_[w] == 0) --w;
+    return static_cast<std::uint8_t>(64 * w + 63 - std::countl_zero(words_[w]));
+  }
 
   /// Values in ascending order.
   std::vector<std::uint8_t> values() const;
 
-  /// Word-level access for snapshot/restore (src/serialize): the 256-bit
-  /// set as 4 little-endian u64 words (word w holds values [64w, 64w+64)).
-  std::array<std::uint64_t, 4> words() const {
-    std::array<std::uint64_t, 4> w{};
-    for (unsigned v = 0; v < 256; ++v)
-      if (allowed_[v]) w[v / 64] |= std::uint64_t{1} << (v % 64);
-    return w;
-  }
-  void set_words(const std::array<std::uint64_t, 4>& w) {
-    allowed_.reset();
-    for (unsigned v = 0; v < 256; ++v)
-      if ((w[v / 64] >> (v % 64)) & 1) allowed_.set(v);
-  }
+  /// Word-level access for snapshot/restore (src/serialize).
+  const std::array<std::uint64_t, 4>& words() const { return words_; }
+  void set_words(const std::array<std::uint64_t, 4>& w) { words_ = w; }
 
  private:
-  std::bitset<256> allowed_;
+  static std::uint64_t bit(std::uint8_t v) {
+    return std::uint64_t{1} << (v & 63);
+  }
+  std::array<std::uint64_t, 4> words_;
 };
 
 /// Domains for all bytes touched by a query, keyed by (array, index).
@@ -147,14 +169,15 @@ bool match_byte_assembly(const ExprRef& e, std::vector<ByteLane>& lanes);
 bool pin_equality(const ExprRef& e, std::uint64_t value, DomainMap& domains,
                   bool& unsat, unsigned depth = 0);
 
-/// Conservative unsigned range of `e` under the current byte domains.
-/// Guaranteed to contain every value `e` can take; overflowing operations
-/// widen to the full width range. Used to refute infeasible inequality
-/// guards (e.g. loop bounds) without search.
-struct URange {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = ~std::uint64_t{0};
-};
+/// Range of the byte `array[index]` under `domains`: its domain's
+/// [min, max], or [0, 255] when it has no domain or an empty one.
+URange read_range(const DomainMap& domains, const Array* array,
+                  std::uint32_t index);
+
+/// Conservative unsigned range of `e` under the current byte domains
+/// (op_interval's transfer at every node, read_range() at every Read).
+/// Used to refute infeasible inequality guards (e.g. loop bounds) without
+/// search.
 URange interval_of(const ExprRef& e, const DomainMap& domains);
 
 /// Prunes the domains of assembly lanes under `assembly <= bound`

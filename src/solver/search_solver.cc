@@ -4,6 +4,8 @@
 #include <cassert>
 #include <unordered_map>
 
+#include "expr/tape.h"
+
 namespace pbse {
 
 namespace {
@@ -23,8 +25,9 @@ std::uint64_t site_key(const Array* array, std::uint32_t index) {
 }  // namespace
 
 SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
-                                 DomainMap& domains, const Assignment* hint,
-                                 bool hint_first, std::size_t candidate_cap,
+                                 const DomainMap& domains,
+                                 const Assignment* hint, bool hint_first,
+                                 std::size_t candidate_cap,
                                  std::uint64_t max_nodes,
                                  std::uint64_t max_evals,
                                  std::uint64_t& cost_out,
@@ -32,7 +35,7 @@ SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
   const std::uint64_t eval_limit = cost_out + max_evals;
   // Collect distinct variables (read sites) across all constraints.
   std::vector<Var> vars;
-  std::unordered_map<std::uint64_t, std::size_t> var_of_site;
+  std::unordered_map<std::uint64_t, std::uint32_t> var_of_site;
   std::vector<std::vector<std::size_t>> constraint_vars(constraints.size());
   for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
     std::vector<ReadSite> reads;
@@ -42,7 +45,9 @@ SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
       const std::uint64_t key = site_key(r.array.get(), r.index);
       auto it = var_of_site.find(key);
       if (it == var_of_site.end()) {
-        it = var_of_site.emplace(key, vars.size()).first;
+        it = var_of_site
+                 .emplace(key, static_cast<std::uint32_t>(vars.size()))
+                 .first;
         vars.push_back(Var{r.array, r.index, {}, {}, {}});
       }
       constraint_vars[ci].push_back(it->second);
@@ -118,23 +123,50 @@ SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
     v.candidates = std::move(cand);
   }
 
+  // Compile every constraint once for this call. Each Read indexes the
+  // per-variable arrays below, so a check is one pass over a flat tape.
+  std::vector<Tape> tapes;
+  tapes.reserve(constraints.size());
+  std::size_t longest = 0;
+  for (const auto& c : constraints) {
+    tapes.emplace_back(c, [&](const Expr& read) {
+      return var_of_site.at(site_key(read.array().get(), read.read_index()));
+    });
+    longest = std::max(longest, tapes.back().size());
+  }
+  // bytes[vi]: variable vi's value under the current probe or DFS path.
+  // ranges[vi]: its interval — a pinned point once the DFS assigns it.
+  std::vector<std::uint64_t> bytes(vars.size(), 0), slots(longest, 0);
+  std::vector<URange> ranges(vars.size()), range_slots(longest);
+  for (std::size_t vi = 0; vi < vars.size(); ++vi)
+    ranges[vi] = read_range(domains, vars[vi].array.get(), vars[vi].index);
+  const std::vector<URange> domain_ranges = ranges;
+  // Each check is charged its tape length, which is expr_cost().
+  auto holds = [&](std::size_t ci) {
+    cost_out += tapes[ci].size();
+    return tapes[ci].value(bytes.data(), slots.data()) != 0;
+  };
+  auto refuted = [&](std::size_t ci) {
+    cost_out += tapes[ci].size();
+    return tapes[ci].interval(ranges.data(), range_slots.data()).hi == 0;
+  };
+  auto write_model = [&] {
+    for (std::size_t vi = 0; vi < vars.size(); ++vi)
+      model_out.mutable_bytes(vars[vi].array)[vars[vi].index] =
+          static_cast<std::uint8_t>(bytes[vi]);
+  };
+
   // Whole-assignment probes before the exponential search: for each probe
   // pattern, give every variable its pinned / boundary value and test all
   // constraints at once. Catches "make it huge" (overflow) and "make it
   // tiny" queries in O(#constraints).
   {
-    Assignment probe;
-    for (const auto& v : vars) probe.mutable_bytes(v.array);
     auto try_probe = [&](auto pick) -> bool {
-      for (const auto& v : vars)
-        probe.mutable_bytes(v.array)[v.index] = pick(v);
-      for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
-        cost_out += expr_cost(constraints[ci]);
-        if (!evaluate_bool(constraints[ci], probe)) return false;
-      }
-      for (const auto& v : vars)
-        model_out.mutable_bytes(v.array)[v.index] =
-            probe.byte(v.array.get(), v.index);
+      for (std::size_t vi = 0; vi < vars.size(); ++vi)
+        bytes[vi] = pick(vars[vi]);
+      for (std::size_t ci = 0; ci < constraints.size(); ++ci)
+        if (!holds(ci)) return false;
+      write_model();
       return true;
     };
     auto low = [](const Var& v) { return v.candidates.front(); };
@@ -154,55 +186,35 @@ SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
       return SolverResult::kSat;
   }
 
-  // The working assignment; bytes are written in place as the DFS descends.
-  Assignment work;
-  for (const auto& v : vars) work.mutable_bytes(v.array);
-
-  // Forward checking: each assignment pins the variable's domain so that
+  // Forward checking: each assignment pins the variable's range so that
   // interval evaluation of any involved constraint can refute a bad
-  // SHALLOW value immediately instead of at the deepest variable.
-  std::vector<ByteDomain> saved_domain(order.size());
-  auto restore_path = [&](std::size_t up_to_depth) {
-    for (std::size_t d = 0; d <= up_to_depth && d < order.size(); ++d) {
-      Var& pv = vars[order[d]];
-      domains.domain(pv.array, pv.index) = saved_domain[d];
-    }
-  };
-
+  // SHALLOW value immediately instead of at the deepest variable. A
+  // variable's range is only ever changed at its own depth, so leaving
+  // that depth restores its domain's range.
   std::uint64_t nodes = 0;
   // Iterative DFS with an explicit choice stack.
   std::vector<std::size_t> choice(order.size(), 0);
   std::size_t depth = 0;
-  saved_domain[0] = domains.domain(vars[order[0]].array,
-                                   vars[order[0]].index);
   while (true) {
     if (depth == order.size()) {
       // Full assignment found and verified incrementally.
-      for (const auto& v : vars) {
-        // Copy assigned bytes into the output model.
-        model_out.mutable_bytes(v.array)[v.index] =
-            work.byte(v.array.get(), v.index);
-      }
-      restore_path(order.size() - 1);
+      write_model();
       return SolverResult::kSat;
     }
-    Var& v = vars[order[depth]];
-    ByteDomain& dom = domains.domain(v.array, v.index);
+    const std::size_t vi = order[depth];
+    const Var& v = vars[vi];
     bool advanced = false;
     while (choice[depth] < v.candidates.size()) {
-      if (++nodes > max_nodes || cost_out > eval_limit) {
-        restore_path(depth);
+      if (++nodes > max_nodes || cost_out > eval_limit)
         return SolverResult::kUnknown;
-      }
       const std::uint8_t val = v.candidates[choice[depth]];
       ++choice[depth];
-      work.mutable_bytes(v.array)[v.index] = val;
-      dom.pin(val);
+      bytes[vi] = val;
+      ranges[vi] = URange{val, val};
       bool ok = true;
       // Exact check of constraints whose variables are all assigned.
       for (std::size_t ci : v.closing) {
-        cost_out += expr_cost(constraints[ci]);
-        if (!evaluate_bool(constraints[ci], work)) {
+        if (!holds(ci)) {
           ok = false;
           break;
         }
@@ -210,8 +222,7 @@ SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
       // Interval forward-check of the other constraints this var touches.
       if (ok) {
         for (std::size_t ci : v.involved) {
-          cost_out += expr_cost(constraints[ci]);
-          if (interval_of(constraints[ci], domains).hi == 0) {
+          if (refuted(ci)) {
             ok = false;
             break;
           }
@@ -219,18 +230,14 @@ SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
       }
       if (ok) {
         ++depth;
-        if (depth < choice.size()) {
-          choice[depth] = 0;
-          Var& nv = vars[order[depth]];
-          saved_domain[depth] = domains.domain(nv.array, nv.index);
-        }
+        if (depth < choice.size()) choice[depth] = 0;
         advanced = true;
         break;
       }
     }
     if (advanced) continue;
-    // Exhausted this variable: restore its domain and backtrack.
-    dom = saved_domain[depth];
+    // Exhausted this variable: restore its range and backtrack.
+    ranges[vi] = domain_ranges[vi];
     if (depth == 0) return SolverResult::kUnsat;
     --depth;
   }

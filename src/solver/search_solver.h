@@ -36,8 +36,9 @@ namespace pbse {
 ///                explores the "interesting corners" tree exhaustively and
 ///                cheaply before any full-domain pass runs.
 SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
-                                 DomainMap& domains, const Assignment* hint,
-                                 bool hint_first, std::size_t candidate_cap,
+                                 const DomainMap& domains,
+                                 const Assignment* hint, bool hint_first,
+                                 std::size_t candidate_cap,
                                  std::uint64_t max_nodes,
                                  std::uint64_t max_evals,
                                  std::uint64_t& cost_out,

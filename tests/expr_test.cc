@@ -4,6 +4,7 @@
 
 #include "expr/evaluator.h"
 #include "expr/expr.h"
+#include "expr/node_map.h"
 #include "support/rng.h"
 
 namespace pbse {
@@ -191,6 +192,28 @@ TEST(Expr, DagSizeCountsSharedNodesOnce) {
   const ExprRef e = mk_add(mk_mul(x, x), x);
   // nodes: read, zext, mul, add = 4 (x shared).
   EXPECT_EQ(expr_dag_size(e), 4u);
+}
+
+TEST(Expr, NodeMapKeepsEveryEntryAcrossGrowth) {
+  auto array = make_array(4096);
+  std::vector<ExprRef> nodes;
+  for (std::uint32_t i = 0; i < 3000; ++i) nodes.push_back(mk_read(array, i));
+  NodeMap<std::uint32_t> map;
+  for (std::uint32_t i = 0; i < 2000; ++i)
+    ASSERT_TRUE(map.insert(nodes[i].get(), i));
+  EXPECT_EQ(map.size(), 2000u);
+  // A second insert of a stored node changes nothing.
+  EXPECT_FALSE(map.insert(nodes[7].get(), 99));
+  EXPECT_EQ(map.size(), 2000u);
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    const std::uint32_t* v = map.find(nodes[i].get());
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(*v, i);
+  }
+  for (std::uint32_t i = 2000; i < 3000; ++i) {
+    EXPECT_EQ(map.find(nodes[i].get()), nullptr);
+    EXPECT_FALSE(map.contains(nodes[i].get()));
+  }
 }
 
 }  // namespace

@@ -7,9 +7,14 @@
 // --no-subsumption path must be bit-identical to the pre-change engine.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+
 #include "core/driver.h"
 #include "expr/evaluator.h"
+#include "expr/tape.h"
 #include "solver/interpolant.h"
+#include "solver/interval.h"
 #include "solver/solver.h"
 #include "support/rng.h"
 #include "targets/targets.h"
@@ -54,6 +59,90 @@ ExprRef random_constraint(const ArrayRef& array, Rng& rng) {
   return random_constraint_on(array, 0, 1, rng);
 }
 
+/// A width-`width` constant, most often at a boundary: 0, 1, all ones, the
+/// sign bit or just below it — the values that make divisors zero, shift
+/// amounts reach the width and signed operands negative.
+std::uint64_t random_boundary(unsigned width, Rng& rng) {
+  const std::uint64_t sign = std::uint64_t{1} << (width - 1);
+  switch (rng.below(6)) {
+    case 0: return 0;
+    case 1: return 1;
+    case 2: return truncate_to_width(~std::uint64_t{0}, width);
+    case 3: return sign;
+    case 4: return sign - 1;
+    default: return truncate_to_width(rng(), width);
+  }
+}
+
+/// The full-grammar mode of the generator: a random DAG of exactly `width`
+/// bits (1..64) over the bytes of `array`, reaching every ExprKind. The
+/// builders fold constant operands away, so leaves are mostly byte reads
+/// (truncated or extended to the width) and constants mostly boundaries.
+/// Reads of the few bytes repeat, so subterms are shared.
+ExprRef random_term(const ArrayRef& array, unsigned width, unsigned depth,
+                    Rng& rng) {
+  auto leaf = [&]() -> ExprRef {
+    if (rng.below(4) == 0) return mk_const(random_boundary(width, rng), width);
+    const ExprRef byte =
+        mk_read(array, static_cast<std::uint32_t>(rng.below(array->size())));
+    if (width == 8) return byte;
+    if (width < 8)
+      return mk_extract(byte, static_cast<unsigned>(rng.below(9 - width)),
+                        width);
+    return rng.below(2) == 0 ? mk_zext(byte, width) : mk_sext(byte, width);
+  };
+  if (depth == 0) return leaf();
+  auto sub = [&](unsigned w) { return random_term(array, w, depth - 1, rng); };
+  switch (rng.below(width == 1 ? 10 : 8)) {
+    case 0:
+      return leaf();
+    case 1:
+      return mk_select(sub(1), sub(width), sub(width));
+    case 2: {
+      if (width == 1) return leaf();
+      const auto low = static_cast<unsigned>(1 + rng.below(width - 1));
+      return mk_concat(sub(width - low), sub(low));
+    }
+    case 3: {
+      const auto src = static_cast<unsigned>(width + rng.below(65 - width));
+      return mk_extract(sub(src),
+                        static_cast<unsigned>(rng.below(src - width + 1)),
+                        width);
+    }
+    case 4: {
+      if (width == 1) return leaf();
+      const ExprRef narrow =
+          sub(static_cast<unsigned>(1 + rng.below(width - 1)));
+      return rng.below(2) == 0 ? mk_zext(narrow, width)
+                               : mk_sext(narrow, width);
+    }
+    case 5:
+      return mk_not(sub(width));
+    case 6:
+    case 7: {
+      using Builder = ExprRef (*)(ExprRef, ExprRef);
+      static constexpr Builder kBinops[] = {
+          mk_add, mk_sub, mk_mul, mk_udiv, mk_sdiv, mk_urem, mk_srem, mk_and,
+          mk_or,  mk_xor, mk_shl, mk_lshr, mk_ashr};
+      const std::size_t pick = rng.below(std::size(kBinops));
+      // Half the right operands are boundary constants: zero divisors,
+      // shift amounts at or past the width.
+      ExprRef rhs = rng.below(2) == 0
+                        ? mk_const(random_boundary(width, rng), width)
+                        : sub(width);
+      return kBinops[pick](sub(width), std::move(rhs));
+    }
+    default: {
+      using Builder = ExprRef (*)(ExprRef, ExprRef);
+      static constexpr Builder kCompares[] = {mk_eq, mk_ult, mk_ule, mk_slt,
+                                              mk_sle};
+      const auto operand = static_cast<unsigned>(1 + rng.below(64));
+      return kCompares[rng.below(std::size(kCompares))](sub(operand),
+                                                        sub(operand));
+    }
+  }
+}
+
 /// Ground truth by brute force over a 2-byte domain.
 bool exhaustively_satisfiable_on(const ArrayRef& array, std::uint32_t i0,
                                  std::uint32_t i1,
@@ -81,6 +170,100 @@ bool exhaustively_satisfiable(const ArrayRef& array,
                               const std::vector<ExprRef>& constraints) {
   return exhaustively_satisfiable_on(array, 0, 1, constraints);
 }
+
+// --- Evaluation tape ----------------------------------------------------------
+
+std::uint8_t random_byte(Rng& rng) {
+  static constexpr std::uint8_t kEdges[] = {0, 1, 0x7f, 0x80, 0xff};
+  return rng.below(2) == 0 ? kEdges[rng.below(std::size(kEdges))]
+                           : static_cast<std::uint8_t>(rng.below(256));
+}
+
+void collect_kinds(const Expr* e, std::set<ExprKind>& kinds) {
+  kinds.insert(e->kind());
+  for (std::size_t i = 0; i < e->num_kids(); ++i)
+    collect_kinds(e->kid(i).get(), kinds);
+}
+
+class TapeEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+// The tape must be a faithful compilation of the DAG: its exact value
+// equals evaluate()'s under any assignment, its interval equals
+// interval_of()'s under any domains, and its length is the expr_cost()
+// the solver charges per check. Random DAGs of every kind at widths 1..64
+// exercise the slot wiring, shared subterms and Read binding; the
+// reference paths walk the DAG with their own memo, so a miscompiled
+// tape cannot agree with them by construction.
+TEST_P(TapeEquivalence, MatchesEvaluatorAndIntervalOf) {
+  Rng rng(GetParam());
+  auto array = std::make_shared<Array>("tape" + std::to_string(GetParam()), 6);
+  const std::uint32_t n = array->size();
+  std::set<ExprKind> kinds;
+  for (int trial = 0; trial < 400; ++trial) {
+    // Every fourth DAG is a constraint of the small grammar the soundness
+    // tests below draw from; the rest use the full grammar.
+    const auto width = static_cast<unsigned>(1 + rng.below(64));
+    const ExprRef e =
+        trial % 4 == 0
+            ? random_constraint(array, rng)
+            : random_term(array, width,
+                          static_cast<unsigned>(1 + rng.below(5)), rng);
+    collect_kinds(e.get(), kinds);
+    // Byte i of the array is variable i.
+    const Tape tape(e, [](const Expr& read) { return read.read_index(); });
+    ASSERT_EQ(tape.size(), expr_cost(e)) << e->to_string();
+    std::vector<std::uint64_t> slots(tape.size());
+    std::vector<URange> range_slots(tape.size());
+
+    auto check_interval = [&](const DomainMap& domains, const char* what) {
+      std::vector<URange> ranges(n);
+      for (std::uint32_t i = 0; i < n; ++i)
+        ranges[i] = read_range(domains, array.get(), i);
+      const URange got = tape.interval(ranges.data(), range_slots.data());
+      const URange want = interval_of(e, domains);
+      EXPECT_EQ(got.lo, want.lo) << what << ": " << e->to_string();
+      EXPECT_EQ(got.hi, want.hi) << what << ": " << e->to_string();
+      return got;
+    };
+
+    for (int a = 0; a < 6; ++a) {
+      Assignment assignment;
+      auto& bytes = assignment.mutable_bytes(array);
+      std::vector<std::uint64_t> vars(n);
+      for (std::uint32_t i = 0; i < n; ++i) vars[i] = bytes[i] = random_byte(rng);
+      const std::uint64_t value = tape.value(vars.data(), slots.data());
+      EXPECT_EQ(value, evaluate(e, assignment)) << e->to_string();
+
+      // Pinned domains: the interval must also contain the exact value.
+      DomainMap pinned;
+      for (std::uint32_t i = 0; i < n; ++i)
+        pinned.domain(array, i).pin(bytes[i]);
+      const URange r = check_interval(pinned, "pinned");
+      EXPECT_LE(r.lo, value) << e->to_string();
+      EXPECT_GE(r.hi, value) << e->to_string();
+    }
+
+    check_interval(DomainMap{}, "full");
+    DomainMap ranged;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ByteDomain& d = ranged.domain(array, i);
+      const auto lo = static_cast<std::uint8_t>(rng.below(256));
+      const auto hi = static_cast<std::uint8_t>(lo + rng.below(256 - lo));
+      d.remove_above(hi);
+      for (unsigned v = 0; v < lo; ++v) d.remove(static_cast<std::uint8_t>(v));
+    }
+    check_interval(ranged, "ranged");
+    ByteDomain& emptied =
+        ranged.domain(array, static_cast<std::uint32_t>(rng.below(n)));
+    for (unsigned v = 0; v < 256; ++v) emptied.remove(static_cast<std::uint8_t>(v));
+    check_interval(ranged, "empty");
+  }
+  // Non-vacuity: the generator reached all 26 kinds.
+  EXPECT_EQ(kinds.size(), 26u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TapeEquivalence,
+                         ::testing::Values(5ull, 15ull, 25ull, 35ull));
 
 class SolverSoundness : public ::testing::TestWithParam<std::uint64_t> {};
 

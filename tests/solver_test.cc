@@ -395,6 +395,80 @@ TEST(PinEquality, UncoveredBitsMakeUnsat) {
   EXPECT_TRUE(unsat);
 }
 
+// --- Byte domains ----------------------------------------------------------------
+
+// The domain is four u64 words; these values sit on and beside each word
+// boundary, where a word-level min()/max() or the words() layout (word w
+// holds values [64w, 64w+64), pbss encodes it verbatim) would go wrong.
+TEST(ByteDomain, WordBoundaryValues) {
+  const std::uint8_t edges[] = {0, 63, 64, 127, 128, 191, 192, 255};
+  for (const std::uint8_t v : edges) {
+    SCOPED_TRACE(static_cast<int>(v));
+    ByteDomain pinned;
+    pinned.pin(v);
+    EXPECT_EQ(pinned.size(), 1u);
+    EXPECT_EQ(pinned.min(), v);
+    EXPECT_EQ(pinned.max(), v);
+    EXPECT_EQ(pinned.values(), std::vector<std::uint8_t>{v});
+    std::array<std::uint64_t, 4> expected{};
+    expected[v / 64] = std::uint64_t{1} << (v % 64);
+    EXPECT_EQ(pinned.words(), expected);
+
+    // Everything but v: the extremes move off v exactly when v is one.
+    ByteDomain holed;
+    holed.remove(v);
+    EXPECT_EQ(holed.size(), 255u);
+    EXPECT_FALSE(holed.allows(v));
+    EXPECT_EQ(holed.min(), v == 0 ? 1 : 0);
+    EXPECT_EQ(holed.max(), v == 255 ? 254 : 255);
+    EXPECT_EQ(holed.values().size(), 255u);
+
+    // [0, v] via remove_above, and the words() round trip.
+    ByteDomain capped;
+    capped.remove_above(v);
+    EXPECT_EQ(capped.size(), v + 1u);
+    EXPECT_EQ(capped.min(), 0);
+    EXPECT_EQ(capped.max(), v);
+    ByteDomain restored;
+    restored.set_words(capped.words());
+    EXPECT_EQ(restored.values(), capped.values());
+    EXPECT_EQ(restored.words(), capped.words());
+  }
+  // Two values in different words: min and max come from different words.
+  ByteDomain pair;
+  pair.pin(63);
+  ByteDomain other;
+  other.pin(192);
+  std::array<std::uint64_t, 4> both = pair.words();
+  both[3] |= other.words()[3];
+  pair.set_words(both);
+  EXPECT_EQ(pair.min(), 63);
+  EXPECT_EQ(pair.max(), 192);
+  EXPECT_EQ(pair.values(), (std::vector<std::uint8_t>{63, 192}));
+}
+
+TEST(ByteDomain, EmptyDomain) {
+  ByteDomain d;
+  EXPECT_EQ(d.size(), 256u);
+  for (unsigned v = 0; v < 256; ++v) d.remove(static_cast<std::uint8_t>(v));
+  EXPECT_TRUE(d.empty());
+  EXPECT_EQ(d.size(), 0u);
+  EXPECT_TRUE(d.values().empty());
+  EXPECT_EQ(d.words(), (std::array<std::uint64_t, 4>{}));
+  ByteDomain restored;
+  restored.set_words(d.words());
+  EXPECT_TRUE(restored.empty());
+  // An empty domain reads as the full byte range (the query is UNSAT and
+  // propagation reports it; intervals stay conservative meanwhile).
+  auto array = make_array();
+  DomainMap domains;
+  domains.domain(array, 0) = d;
+  const URange r = read_range(domains, array.get(), 0);
+  EXPECT_EQ(r.lo, 0u);
+  EXPECT_EQ(r.hi, 255u);
+  EXPECT_EQ(interval_of(mk_read(array, 0), domains).hi, 255u);
+}
+
 // --- Interval arithmetic -------------------------------------------------------
 
 TEST(Interval, RangesOfAssembliesAndArithmetic) {
