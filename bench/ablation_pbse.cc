@@ -5,8 +5,8 @@
 //   3. phase scheduling TimePeriod: coverage after a fixed budget for
 //      several period settings;
 //   4. seed scale: phase count and coverage as the seed grows.
-//   5. interpolant subsumption + fingerprint dedup (DESIGN.md §10): pbSE
-//      with pruning on vs off; fails (exit 1) if pruning loses coverage.
+//   5. interpolant subsumption (DESIGN.md §10): pbSE and KLEE with
+//      pruning on vs off; fails (exit 1) if pruning loses coverage.
 //      Writes BENCH_ablation_subsumption.json so check.sh can pin both
 //      modes against a committed golden. --only=subsumption runs just
 //      this section.
@@ -112,10 +112,10 @@ void ablation_seed_scale(const BenchConfig& config) {
 }
 
 int ablation_subsumption(const BenchConfig& config) {
-  print_header("Ablation 5: interpolant subsumption + fingerprint dedup");
+  print_header("Ablation 5: interpolant subsumption");
   // (pbSE, KLEE-default) campaign pairs on readelf, pruning on vs off. An
-  // off campaign IS the pre-subsumption engine (no probes, no fingerprint
-  // maintenance, zero tick deltas), so pinning its covered/ticks numbers
+  // off campaign IS the pre-subsumption engine (no probes, zero tick
+  // deltas), so pinning its covered/ticks numbers
   // against a committed golden proves the off path didn't drift; each on
   // campaign must cover at least as much as its off twin — pruning may
   // trade explored states for ticks but never covered blocks.
@@ -130,10 +130,6 @@ int ablation_subsumption(const BenchConfig& config) {
            core::PbseOptions options;
            options.solver.shared_cache = ctx.shared_cache;
            options.executor.use_subsumption = pruning && config.subsumption;
-           options.executor.use_fingerprint_dedup =
-               pruning && config.fingerprint_dedup;
-           options.executor.campaign_index =
-               static_cast<std::uint32_t>(ctx.index);
            core::PbseDriver driver(module, "main", options);
            core::CampaignOutcome out;
            if (!driver.prepare(seed)) return out;
@@ -154,10 +150,6 @@ int ablation_subsumption(const BenchConfig& config) {
            options.sym_file_size = 100;
            options.solver.shared_cache = ctx.shared_cache;
            options.executor.use_subsumption = pruning && config.subsumption;
-           options.executor.use_fingerprint_dedup =
-               pruning && config.fingerprint_dedup;
-           options.executor.campaign_index =
-               static_cast<std::uint32_t>(ctx.index);
            core::KleeRun run(module, "main", options);
            run.run(config.hour10);
            core::CampaignOutcome out;
@@ -176,11 +168,8 @@ int ablation_subsumption(const BenchConfig& config) {
   table.header({"campaign", "covered BBs", "ticks", "pruned", "explored"});
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const core::CampaignOutcome& o = outcomes[i];
-    const std::uint64_t k = o.stats.get("executor.subsumed_unsat") +
-                            o.stats.get("executor.subsumed_barren") +
-                            o.stats.get("executor.subsumed_seedstates") +
-                            o.stats.get("executor.fingerprint_kills") +
-                            o.stats.get("executor.fingerprint_shared_kills");
+    const std::uint64_t k = o.stats.get("executor.subsumed_barren") +
+                            o.stats.get("executor.subsumed_seedstates");
     const std::uint64_t e =
         o.stats.get("executor.forks") + o.stats.get("concolic.seed_states");
     if (o.name.size() > 3 && o.name.rfind("-on") == o.name.size() - 3) {
@@ -237,7 +226,7 @@ int ablation_static(const BenchConfig& config) {
            core::PbseOptions options;
            options.static_analysis = pruning && config.static_analysis;
            options.solver.shared_cache = ctx.shared_cache;
-           config.apply_pruning(options.executor, ctx.index);
+           config.apply_pruning(options.executor);
            core::PbseDriver driver(module, "main", options);
            core::CampaignOutcome out;
            if (!driver.prepare(seed)) return out;
@@ -256,7 +245,7 @@ int ablation_static(const BenchConfig& config) {
            options.static_analysis = pruning && config.static_analysis;
            options.sym_file_size = 100;
            options.solver.shared_cache = ctx.shared_cache;
-           config.apply_pruning(options.executor, ctx.index);
+           config.apply_pruning(options.executor);
            core::KleeRun run(module, "main", options);
            run.run(config.hour10);
            core::CampaignOutcome out;

@@ -32,10 +32,8 @@ struct BenchConfig {
   unsigned jobs = 1;
   bool share_cache = true;
   /// Interpolant-based state subsumption (--no-subsumption turns it off;
-  /// both flags off reproduces the pre-subsumption engine tick-for-tick).
+  /// off reproduces the pre-subsumption engine tick-for-tick).
   bool subsumption = true;
-  /// Fingerprint-based exact-duplicate state dedup (--no-fingerprint-dedup).
-  bool fingerprint_dedup = true;
   /// Static pre-analysis feeding edge pruning, phase-target pruning and
   /// the sink-directed searcher (--no-static-analysis turns it off; off
   /// reproduces the pre-analysis engine tick-for-tick).
@@ -52,13 +50,10 @@ struct BenchConfig {
     return p;
   }
 
-  /// Applies the subsumption/dedup flags and the campaign's identity (for
-  /// cross-worker fingerprint attribution) to a campaign's executor
-  /// options. Every campaign body should call this.
-  void apply_pruning(vm::ExecutorOptions& exec, std::size_t campaign_index) const {
+  /// Applies the subsumption flag to a campaign's executor options. Every
+  /// campaign body should call this.
+  void apply_pruning(vm::ExecutorOptions& exec) const {
     exec.use_subsumption = subsumption;
-    exec.use_fingerprint_dedup = fingerprint_dedup;
-    exec.campaign_index = static_cast<std::uint32_t>(campaign_index);
   }
 };
 
@@ -80,8 +75,6 @@ inline BenchConfig parse_args(int argc, char** argv) {
       config.share_cache = false;
     } else if (std::strcmp(argv[i], "--no-subsumption") == 0) {
       config.subsumption = false;
-    } else if (std::strcmp(argv[i], "--no-fingerprint-dedup") == 0) {
-      config.fingerprint_dedup = false;
     } else if (std::strcmp(argv[i], "--no-static-analysis") == 0) {
       config.static_analysis = false;
     } else if (std::strncmp(argv[i], "--only=", 7) == 0) {
@@ -91,8 +84,8 @@ inline BenchConfig parse_args(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--jobs=N] [--no-share-cache] "
-                   "[--no-subsumption] [--no-fingerprint-dedup] "
-                   "[--no-static-analysis] [--only=SECTION] [--trace=PATH]\n",
+                   "[--no-subsumption] [--no-static-analysis] "
+                   "[--only=SECTION] [--trace=PATH]\n",
                    argv[0]);
       std::exit(2);
     }

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,46 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// One key of the `solver_cache` section and the aggregate counter it
+/// reports. A null metric marks the derived shared-cache hit rate.
+struct SolverCacheRow {
+  const char* key;
+  const char* metric;
+};
+
+/// The `solver_cache` section, in output order. Every counter is
+/// deterministic under fixed jobs and --no-share-cache, and
+/// scripts/bench_diff.py compares every key it finds, so adding or
+/// removing a counter is one row here plus a golden regeneration.
+inline constexpr SolverCacheRow kSolverCacheRows[] = {
+    {"shared_hits", "cache.shared_hits"},
+    {"shared_misses", "cache.shared_misses"},
+    {"shared_hit_rate", nullptr},
+    {"shard_contention", "cache.shared_contention"},
+    {"shared_entries", "cache.shared_entries"},
+    {"l1_hits", "solver.cache_hits"},
+    // Incremental-pipeline hit classes (solver.h): queries resolved
+    // without reaching the backtracking search.
+    {"partition_hits", "solver.partition_hits"},
+    {"model_reuse", "solver.model_reuse"},
+    {"model_replays", "solver.model_replays"},
+    {"domain_memo_hits", "solver.domain_memo_hits"},
+    // Subsumption kill classes (executor.cc, DESIGN.md §10): states
+    // terminated without solver work.
+    {"subsumed_barren", "executor.subsumed_barren"},
+    {"subsumed_seedstates", "executor.subsumed_seedstates"},
+    {"interpolants_published", "solver.interpolants_published"},
+    // Static-analysis pruning (DESIGN.md §12): forks killed on statically-
+    // infeasible edges (no solver query at all) and the phase scheduler's
+    // target universe before/after dropping statically-unreachable blocks.
+    {"static_edge_kills", "executor.static_edge_kills"},
+    {"phase_targets", "pbse.phase_targets"},
+    {"pruned_phase_targets", "pbse.pruned_phase_targets"},
+    // Denominator (forked states) the pruning fraction is measured against.
+    {"states_forked", "executor.forks"},
+    {"queries", "solver.queries"},
+};
+
 /// Writes the canonical BENCH_pbse.json for one bench run.
 inline void write_bench_json(const std::string& path, const std::string& bench,
                              unsigned jobs, bool share_cache,
@@ -49,39 +90,8 @@ inline void write_bench_json(const std::string& path, const std::string& bench,
   }
   const Stats& agg = runner.aggregate_stats();
   const std::uint64_t shared_hits = agg.get("cache.shared_hits");
-  const std::uint64_t shared_misses = agg.get("cache.shared_misses");
-  const std::uint64_t l1_hits = agg.get("solver.cache_hits");
-  const std::uint64_t queries = agg.get("solver.queries");
-  // Incremental-pipeline hit classes (solver.h): queries resolved without
-  // reaching the backtracking search. Deterministic under fixed jobs and
-  // --no-share-cache, so bench_diff.py gates on them.
-  const std::uint64_t partition_hits = agg.get("solver.partition_hits");
-  const std::uint64_t model_reuse = agg.get("solver.model_reuse");
-  const std::uint64_t model_replays = agg.get("solver.model_replays");
-  const std::uint64_t domain_memo_hits = agg.get("solver.domain_memo_hits");
-  // Subsumption / fingerprint hit classes (executor.cc): states terminated
-  // at block entry without solver work, plus the denominator (forked +
-  // activated states) the ≥15% pruning target in EXPERIMENTS.md is
-  // measured against.
-  const std::uint64_t subsumed_unsat = agg.get("executor.subsumed_unsat");
-  const std::uint64_t subsumed_barren = agg.get("executor.subsumed_barren");
-  const std::uint64_t subsumed_seedstates =
-      agg.get("executor.subsumed_seedstates");
-  const std::uint64_t fingerprint_kills = agg.get("executor.fingerprint_kills");
-  const std::uint64_t fingerprint_shared_kills =
-      agg.get("executor.fingerprint_shared_kills");
-  const std::uint64_t interpolants_published =
-      agg.get("solver.interpolants_published");
-  const std::uint64_t states_forked = agg.get("executor.forks");
-  // Static-analysis pruning (DESIGN.md §12): forks killed on statically-
-  // infeasible edges (no solver query at all) and the phase scheduler's
-  // target universe before/after dropping statically-unreachable blocks.
-  const std::uint64_t static_edge_kills =
-      agg.get("executor.static_edge_kills");
-  const std::uint64_t phase_targets = agg.get("pbse.phase_targets");
-  const std::uint64_t pruned_phase_targets =
-      agg.get("pbse.pruned_phase_targets");
-  const double denom = static_cast<double>(shared_hits + shared_misses);
+  const double denom =
+      static_cast<double>(shared_hits + agg.get("cache.shared_misses"));
   const double hit_rate = denom > 0 ? shared_hits / denom : 0.0;
 
   std::fprintf(f, "{\n");
@@ -96,47 +106,14 @@ inline void write_bench_json(const std::string& path, const std::string& bench,
   std::fprintf(f, "  \"total_ticks\": %llu,\n",
                static_cast<unsigned long long>(ticks));
   std::fprintf(f, "  \"solver_cache\": {\n");
-  std::fprintf(f, "    \"shared_hits\": %llu,\n",
-               static_cast<unsigned long long>(shared_hits));
-  std::fprintf(f, "    \"shared_misses\": %llu,\n",
-               static_cast<unsigned long long>(shared_misses));
-  std::fprintf(f, "    \"shared_hit_rate\": %.4f,\n", hit_rate);
-  std::fprintf(f, "    \"shard_contention\": %llu,\n",
-               static_cast<unsigned long long>(agg.get("cache.shared_contention")));
-  std::fprintf(f, "    \"shared_entries\": %llu,\n",
-               static_cast<unsigned long long>(agg.get("cache.shared_entries")));
-  std::fprintf(f, "    \"l1_hits\": %llu,\n",
-               static_cast<unsigned long long>(l1_hits));
-  std::fprintf(f, "    \"partition_hits\": %llu,\n",
-               static_cast<unsigned long long>(partition_hits));
-  std::fprintf(f, "    \"model_reuse\": %llu,\n",
-               static_cast<unsigned long long>(model_reuse));
-  std::fprintf(f, "    \"model_replays\": %llu,\n",
-               static_cast<unsigned long long>(model_replays));
-  std::fprintf(f, "    \"domain_memo_hits\": %llu,\n",
-               static_cast<unsigned long long>(domain_memo_hits));
-  std::fprintf(f, "    \"subsumed_unsat\": %llu,\n",
-               static_cast<unsigned long long>(subsumed_unsat));
-  std::fprintf(f, "    \"subsumed_barren\": %llu,\n",
-               static_cast<unsigned long long>(subsumed_barren));
-  std::fprintf(f, "    \"subsumed_seedstates\": %llu,\n",
-               static_cast<unsigned long long>(subsumed_seedstates));
-  std::fprintf(f, "    \"fingerprint_kills\": %llu,\n",
-               static_cast<unsigned long long>(fingerprint_kills));
-  std::fprintf(f, "    \"fingerprint_shared_kills\": %llu,\n",
-               static_cast<unsigned long long>(fingerprint_shared_kills));
-  std::fprintf(f, "    \"interpolants_published\": %llu,\n",
-               static_cast<unsigned long long>(interpolants_published));
-  std::fprintf(f, "    \"static_edge_kills\": %llu,\n",
-               static_cast<unsigned long long>(static_edge_kills));
-  std::fprintf(f, "    \"phase_targets\": %llu,\n",
-               static_cast<unsigned long long>(phase_targets));
-  std::fprintf(f, "    \"pruned_phase_targets\": %llu,\n",
-               static_cast<unsigned long long>(pruned_phase_targets));
-  std::fprintf(f, "    \"states_forked\": %llu,\n",
-               static_cast<unsigned long long>(states_forked));
-  std::fprintf(f, "    \"queries\": %llu\n",
-               static_cast<unsigned long long>(queries));
+  for (const SolverCacheRow& row : kSolverCacheRows) {
+    const char* sep = &row == std::end(kSolverCacheRows) - 1 ? "" : ",";
+    if (row.metric == nullptr)
+      std::fprintf(f, "    \"%s\": %.4f%s\n", row.key, hit_rate, sep);
+    else
+      std::fprintf(f, "    \"%s\": %llu%s\n", row.key,
+                   static_cast<unsigned long long>(agg.get(row.metric)), sep);
+  }
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"campaigns\": [\n");
   for (std::size_t i = 0; i < outcomes.size(); ++i) {

@@ -316,24 +316,6 @@ void BM_InterpolantLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpolantLookup)->Arg(16)->Arg(256);
 
-// Incremental fingerprint maintenance: the per-byte XOR update the
-// executor pays on every store when pruning is on (old term out, new term
-// in). Arg bytes per iteration — compare ns/byte against store dispatch
-// cost in BM_ConcreteInterpretation.
-void BM_FingerprintUpdate(benchmark::State& state) {
-  const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
-  std::uint64_t fp = 0, old_hash = 0x1234, new_hash = 0x5678;
-  for (auto _ : state) {
-    for (std::uint64_t i = 0; i < n; ++i)
-      fp ^= vm::fp_term(3, i, old_hash) ^ vm::fp_term(3, i, new_hash);
-    benchmark::DoNotOptimize(fp);
-    std::swap(old_hash, new_hash);
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_FingerprintUpdate)->Arg(8)->Arg(64);
-
 // The disabled-path cost of an instrumentation site: one relaxed atomic
 // load and a branch, with no argument evaluation. Compare against
 // BM_TraceBaselineLoop to see the delta per call.

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
         options.sym_file_size = size;
         options.solver.shared_cache = ctx.shared_cache;
         options.static_analysis = config.static_analysis;
-        config.apply_pruning(options.executor, ctx.index);
+        config.apply_pruning(options.executor);
         core::KleeRun run(module, "main", options);
         run.run(config.hour1);
         const std::uint64_t h1 = run.executor().num_covered();
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       core::PbseOptions options;
       options.solver.shared_cache = ctx.shared_cache;
       options.static_analysis = config.static_analysis;
-      config.apply_pruning(options.executor, ctx.index);
+      config.apply_pruning(options.executor);
       core::PbseDriver driver(module, "main", options);
       core::CampaignOutcome out;
       if (!driver.prepare(seed)) return out;

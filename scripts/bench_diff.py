@@ -2,45 +2,18 @@
 """Compares two BENCH_pbse.json files on their deterministic fields.
 
 Wall-clock fields (wall_seconds) vary run to run and are ignored; coverage,
-ticks, bug counts, and solver-cache counters — including the incremental
-pipeline's hit classes (partition_hits, model_reuse, model_replays,
-domain_memo_hits), the subsumption layer's kill classes (subsumed_*,
-fingerprint_kills, interpolants_published) and the static-analysis pruning
-counters (static_edge_kills, phase_targets, pruned_phase_targets) — are
-virtual-clock-deterministic
-for a fixed bench configuration, so any drift is a real behaviour change and
-fails the check.
+ticks, bug counts, and every solver_cache counter (the hit classes, kill
+classes and pruning counters bench/bench_json.h writes from its
+kSolverCacheRows table) are virtual-clock-deterministic for a fixed bench
+configuration, so any drift is a real behaviour change and fails the check.
 Usage: bench_diff.py <golden.json> <fresh.json>
 """
 import json
 import sys
 
-# The solver_cache contract: every key the bench emits that is deterministic
-# under fixed jobs + --no-share-cache. A key absent from an (older) file
-# diffs as 0, so adding a counter forces a golden regeneration exactly once.
-SOLVER_CACHE_KEYS = (
-    "shared_hits",
-    "shared_misses",
-    "shared_hit_rate",
-    "shard_contention",
-    "shared_entries",
-    "l1_hits",
-    "partition_hits",
-    "model_reuse",
-    "model_replays",
-    "domain_memo_hits",
-    "subsumed_unsat",
-    "subsumed_barren",
-    "subsumed_seedstates",
-    "fingerprint_kills",
-    "fingerprint_shared_kills",
-    "interpolants_published",
-    "static_edge_kills",
-    "phase_targets",
-    "pruned_phase_targets",
-    "states_forked",
-    "queries",
-)
+# Stands in for a solver_cache key that only one of the two files has: a
+# counter added or removed without regenerating the golden is drift.
+MISSING = "<missing>"
 
 # The multiproc section (written by scripts/multiproc_smoke.sh): transfer
 # volume and requeue count of the fixed worker-tier workload are
@@ -52,11 +25,11 @@ MULTIPROC_KEYS = (
 )
 
 
-def deterministic(d):
+def deterministic(d, solver_cache_keys):
     out = {k: d[k] for k in ("bench", "jobs", "share_cache", "total_covered",
                              "total_bugs", "total_ticks")}
-    out["solver_cache"] = {k: d["solver_cache"].get(k, 0)
-                           for k in SOLVER_CACHE_KEYS}
+    out["solver_cache"] = {k: d["solver_cache"].get(k, MISSING)
+                           for k in solver_cache_keys}
     out["campaigns"] = [{k: c[k] for k in ("name", "covered", "ticks", "bugs")}
                         for c in d["campaigns"]]
     out["multiproc"] = {k: d.get("multiproc", {}).get(k, 0)
@@ -84,9 +57,12 @@ def main():
         return 2
     golden_path, fresh_path = sys.argv[1], sys.argv[2]
     with open(golden_path) as f:
-        golden = deterministic(json.load(f))
+        golden = json.load(f)
     with open(fresh_path) as f:
-        fresh = deterministic(json.load(f))
+        fresh = json.load(f)
+    keys = sorted(set(golden["solver_cache"]) | set(fresh["solver_cache"]))
+    golden = deterministic(golden, keys)
+    fresh = deterministic(fresh, keys)
     if golden == fresh:
         print(f"bench_diff: {fresh_path} matches {golden_path}")
         return 0

@@ -72,8 +72,6 @@ std::vector<CampaignOutcome> ParallelCampaignRunner::run(
     aggregate_.add("cache.shared_misses", c.misses);
     aggregate_.add("cache.shared_contention", c.contention);
     aggregate_.add("cache.shared_entries", shared_cache_->size());
-    aggregate_.add("cache.shared_fingerprints",
-                   shared_cache_->num_fingerprints());
   }
   return outcomes;
 }

@@ -204,7 +204,6 @@ void CampaignCodec::encode_executor(StateCodec& codec, Encoder& enc,
   enc.u64(ex.live_states_);
   enc.u32(ex.input_object_);
   encode_u64_set(enc, ex.concolic_seen_forks_);
-  encode_u64_set(enc, ex.seen_fingerprints_);
 }
 
 void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
@@ -268,7 +267,6 @@ void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
   ex.live_states_ = dec.u64();
   ex.input_object_ = dec.u32();
   ex.concolic_seen_forks_ = decode_u64_set(dec);
-  ex.seen_fingerprints_ = decode_u64_set(dec);
 }
 
 // --- Solver L1 stores -----------------------------------------------------

@@ -30,7 +30,9 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-inline constexpr std::uint32_t kPbssVersion = 1;
+/// Bumped on every payload layout change; no reader for older versions is
+/// kept, so a stale image fails the version check.
+inline constexpr std::uint32_t kPbssVersion = 2;
 
 /// What kind of campaign the payload holds.
 enum class SnapshotFlavor : std::uint32_t {

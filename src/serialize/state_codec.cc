@@ -345,7 +345,6 @@ void StateCodec::encode_state(Encoder& enc, const vm::ExecutionState& s) {
   enc.u32(s.fork_inst);
   enc.u8(s.covered_new ? 1 : 0);
   enc.u64(s.insts_since_cov_new);
-  enc.u64(s.mem_fp);
   enc.u32(s.num_entry_snapshots);
   for (std::uint32_t i = 0; i < s.num_entry_snapshots; ++i)
     enc.u64(s.entry_snapshots[i]);
@@ -406,7 +405,6 @@ std::unique_ptr<vm::ExecutionState> StateCodec::decode_state(
   s->fork_inst = dec.u32();
   s->covered_new = dec.u8() != 0;
   s->insts_since_cov_new = dec.u64();
-  s->mem_fp = dec.u64();
   s->num_entry_snapshots = dec.u32();
   if (s->num_entry_snapshots > vm::ExecutionState::kMaxEntrySnapshots)
     throw SnapshotError("pbss: entry-snapshot count out of range");

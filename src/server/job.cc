@@ -74,16 +74,6 @@ Json JobProgress::to_json() const {
   return j;
 }
 
-JobProgress JobProgress::from_json(const Json& j) {
-  JobProgress p;
-  p.ticks = j.get_u64("ticks", 0);
-  p.covered = j.get_u64("covered", 0);
-  p.bugs = j.get_u64("bugs", 0);
-  p.states = j.get_u64("states", 0);
-  p.test_cases = j.get_u64("test_cases", 0);
-  return p;
-}
-
 Json JobRecord::meta_json() const {
   Json j = Json::object();
   j.set("id", Json::number(id));
@@ -95,24 +85,6 @@ Json JobRecord::meta_json() const {
   j.set("run_end_ticks", Json::number(run_end_ticks));
   j.set("requeues", Json::number(requeues));
   return j;
-}
-
-JobRecord JobRecord::from_meta_json(const Json& j) {
-  JobRecord rec;
-  rec.id = j.get_u64("id", 0);
-  rec.spec = JobSpec::from_json(j.get("spec"));
-  std::string state = j.get_string("state", "queued");
-  rec.state = JobState::kQueued;
-  for (JobState s : {JobState::kQueued, JobState::kRunning,
-                     JobState::kCheckpointed, JobState::kDone,
-                     JobState::kFailed}) {
-    if (state == job_state_name(s)) rec.state = s;
-  }
-  rec.progress = JobProgress::from_json(j.get("progress"));
-  rec.error = j.get_string("error", "");
-  rec.run_end_ticks = j.get_u64("run_end_ticks", 0);
-  rec.requeues = static_cast<std::uint32_t>(j.get_u64("requeues", 0));
-  return rec;
 }
 
 // --- Binary wire form -----------------------------------------------------

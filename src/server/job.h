@@ -68,7 +68,6 @@ struct JobProgress {
   std::uint64_t test_cases = 0;  // generated test cases
 
   Json to_json() const;
-  static JobProgress from_json(const Json& j);
 };
 
 /// The scheduler-owned record. `snapshot` is empty until the first slice
@@ -94,10 +93,9 @@ struct JobRecord {
   /// a slice lost to a worker death is never charged (DESIGN.md §13).
   std::map<std::string, std::uint64_t> counters;
 
-  /// Persisted metadata (job-<id>.json next to job-<id>.pbss); `snapshot`
-  /// itself is not embedded — it is the sibling pbss file.
+  /// Metadata for status/list replies and wait events; `snapshot` itself
+  /// is not embedded (only `has_snapshot`).
   Json meta_json() const;
-  static JobRecord from_meta_json(const Json& j);
 
   /// Binary wire form: the full record INCLUDING the raw snapshot bytes,
   /// for pbsf kJobAssign/kJobResult/kJobRecord payloads and single-file

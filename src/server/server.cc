@@ -31,26 +31,6 @@ std::string job_pbsf_path(const std::string& dir, std::uint64_t id) {
   return dir + "/job-" + std::to_string(id) + ".pbsf";
 }
 
-// Legacy (PR 8) two-file layout, still readable for recovery.
-std::string job_pbss_path(const std::string& dir, std::uint64_t id) {
-  return dir + "/job-" + std::to_string(id) + ".pbss";
-}
-
-std::string job_meta_path(const std::string& dir, std::uint64_t id) {
-  return dir + "/job-" + std::to_string(id) + ".json";
-}
-
-std::string read_text(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) sys_fail("open " + path);
-  std::string out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
-
 const char* event_kind_name(JobEvent::Kind kind) {
   switch (kind) {
     case JobEvent::Kind::kStarted: return "job_started";
@@ -141,40 +121,22 @@ void Server::bind_sockets() {
 
 void Server::recover_state_dir() {
   namespace fs = std::filesystem;
-  // One id can appear as job-<id>.pbsf (current layout) or as the legacy
-  // job-<id>.json [+ .pbss] pair; the pbsf wins when both exist.
   std::vector<std::uint64_t> ids;
-  std::vector<std::uint64_t> legacy_ids;
   for (const auto& entry : fs::directory_iterator(options_.state_dir)) {
     std::string name = entry.path().filename().string();
     if (name.rfind("job-", 0) != 0 || name.size() < 10) continue;
-    std::string ext = name.substr(name.size() - 5);
-    if (ext == ".pbsf")
+    if (name.substr(name.size() - 5) == ".pbsf")
       ids.push_back(std::strtoull(name.c_str() + 4, nullptr, 10));
-    else if (ext == ".json")
-      legacy_ids.push_back(std::strtoull(name.c_str() + 4, nullptr, 10));
   }
-  for (std::uint64_t id : legacy_ids)
-    if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   for (std::uint64_t id : ids) {
     try {
-      JobRecord rec;
       const std::string pbsf = job_pbsf_path(options_.state_dir, id);
-      if (fs::exists(pbsf)) {
-        std::vector<std::uint8_t> payload;
-        if (serialize::decode_frame(serialize::read_file(pbsf), payload) !=
-            serialize::FrameKind::kJobRecord)
-          throw std::runtime_error("not a job-record frame: " + pbsf);
-        rec = JobRecord::wire_decode(payload);
-      } else {
-        Json meta =
-            parse_json(read_text(job_meta_path(options_.state_dir, id)));
-        rec = JobRecord::from_meta_json(meta);
-        if (meta.get_bool("has_snapshot", false))
-          rec.snapshot =
-              serialize::read_file(job_pbss_path(options_.state_dir, id));
-      }
+      std::vector<std::uint8_t> payload;
+      if (serialize::decode_frame(serialize::read_file(pbsf), payload) !=
+          serialize::FrameKind::kJobRecord)
+        throw std::runtime_error("not a job-record frame: " + pbsf);
+      JobRecord rec = JobRecord::wire_decode(payload);
       bool resumes = rec.state != JobState::kDone && rec.state != JobState::kFailed;
       scheduler_->resubmit(std::move(rec));
       if (resumes) ++recovered_jobs_;
@@ -211,15 +173,11 @@ void Server::on_scheduler_event(const JobEvent& ev) {
 
 void Server::persist_checkpoint(const JobRecord& rec) {
   // One atomic pbsf frame holds metadata and raw snapshot bytes together —
-  // no JSON/base64 detour and no two-file ordering hazard. Legacy PR 8
-  // files for the same id are swept so recovery never resurrects a stale
-  // older checkpoint alongside this one.
+  // no JSON/base64 detour and no two-file ordering hazard.
   serialize::write_file_atomic(
       job_pbsf_path(options_.state_dir, rec.id),
       serialize::encode_frame(serialize::FrameKind::kJobRecord,
                               rec.wire_encode()));
-  std::remove(job_meta_path(options_.state_dir, rec.id).c_str());
-  std::remove(job_pbss_path(options_.state_dir, rec.id).c_str());
 }
 
 Json Server::record_json(const JobRecord& rec) {

@@ -8,9 +8,8 @@
 // Crash recovery contract (exercised by scripts/server_smoke.sh with a
 // literal kill -9): every checkpoint is ONE atomic job-<id>.pbsf file — a
 // pbsf kJobRecord frame holding the metadata and the raw pbss snapshot
-// together (no JSON detour, no two-file ordering dance; PR 8's
-// .pbss/.json pairs are still recovered for backward compatibility). On
-// startup the state directory is scanned; any job not yet done resumes
+// together (no JSON detour, no two-file ordering dance). On startup the
+// state directory is scanned; any job not yet done resumes
 // from its last persisted snapshot — losing at most the slice that was in
 // flight — and finishes with coverage bit-identical to an uninterrupted
 // run (snapshot restore is tick- and RNG-exact, see

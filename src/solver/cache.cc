@@ -202,25 +202,6 @@ void ShardedQueryCache::publish_unsat_core(
   cex_detail::bounded_add_core(shard.cores[key], core, CexStore::kMaxPerKey);
 }
 
-bool ShardedQueryCache::test_and_publish_fingerprint(std::uint64_t fp,
-                                                     std::uint32_t campaign) {
-  Shard& shard = shard_for(fp);
-  std::lock_guard<std::mutex> lock(lock_counted(shard.mu), std::adopt_lock);
-  if (shard.fingerprints.size() >= kMaxFingerprintsPerShard)
-    shard.fingerprints.clear();
-  const auto [it, inserted] = shard.fingerprints.emplace(fp, campaign);
-  return inserted || it->second == campaign;
-}
-
-std::size_t ShardedQueryCache::num_fingerprints() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(lock_counted(shard->mu), std::adopt_lock);
-    n += shard->fingerprints.size();
-  }
-  return n;
-}
-
 ShardedQueryCache::Counters ShardedQueryCache::counters() const {
   Counters c;
   c.hits = hits_.load(std::memory_order_relaxed);
@@ -244,7 +225,6 @@ void ShardedQueryCache::clear() {
     shard->entries.clear();
     shard->models.clear();
     shard->cores.clear();
-    shard->fingerprints.clear();
   }
 }
 

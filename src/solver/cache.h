@@ -217,20 +217,6 @@ class ShardedQueryCache {
   void publish_unsat_core(std::uint64_t key,
                           const std::vector<std::uint64_t>& core);
 
-  /// Cross-campaign state-fingerprint registry (executor block-entry
-  /// dedup). Registers `fp` as explored by `campaign` and returns true
-  /// when the caller should CONTINUE its state: the fingerprint is fresh,
-  /// or was published by this same campaign earlier (a campaign's local
-  /// seen-set is bounded and may clear, so re-encountering an own
-  /// fingerprint here must not self-kill). Returns false when a DIFFERENT
-  /// campaign already explored an identical state — the caller terminates
-  /// its duplicate. Fingerprints are content-based (expression hashes,
-  /// allocation-order object ids), so structurally identical states of
-  /// different workers collide, which is the point.
-  bool test_and_publish_fingerprint(std::uint64_t fp, std::uint32_t campaign);
-  /// Fingerprints currently registered (across all shards).
-  std::size_t num_fingerprints() const;
-
   /// Monotonic counters, exported into campaign stats by the drivers.
   struct Counters {
     std::uint64_t hits = 0;
@@ -251,13 +237,7 @@ class ShardedQueryCache {
     std::unordered_map<std::uint64_t, std::vector<ModelBytes>> models;
     std::unordered_map<std::uint64_t, std::vector<std::vector<std::uint64_t>>>
         cores;
-    /// State fingerprint -> publishing campaign index.
-    std::unordered_map<std::uint64_t, std::uint32_t> fingerprints;
   };
-
-  /// Fingerprints retained per shard before a wholesale per-shard clear
-  /// (bounds memory; losing entries only costs missed dedup).
-  static constexpr std::size_t kMaxFingerprintsPerShard = 1 << 16;
 
   Shard& shard_for(std::uint64_t key) {
     // The low bits feed the unordered_map buckets; pick shards from the

@@ -18,7 +18,6 @@
 //
 // Budgets are virtual-clock ticks (default 1,000,000 = the bench "1h").
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -39,13 +38,12 @@ struct Args {
   std::string command;
   std::string target;
   search::SearcherKind searcher = search::SearcherKind::kDefault;
-  std::uint32_t sym_size = 1000;
+  unsigned sym_size = 1000;
   std::uint64_t budget = 1'000'000;
   unsigned seed_scale = 6;
   unsigned jobs = 1;
   bool share_cache = true;
   bool subsumption = true;
-  bool fingerprint_dedup = true;
   bool static_analysis = true;
   std::string trace_path;
 };
@@ -62,8 +60,6 @@ int usage() {
                "  --jobs=N       worker threads for multi-target campaigns\n"
                "  --no-share-cache  per-campaign private solver caches\n"
                "  --no-subsumption  disable interpolant state subsumption\n"
-               "  --no-fingerprint-dedup  disable duplicate-state "
-               "fingerprints\n"
                "  --no-static-analysis  disable the static pre-analysis "
                "(edge/target pruning)\n"
                "  --target=NAME  alternative to the positional <target>\n"
@@ -88,20 +84,28 @@ bool parse_args(int argc, char** argv, Args& args) {
       const std::size_t n = std::strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
+    // Numeric flags are strict: garbage, a sign, trailing junk or zero is a
+    // usage error naming the flag, never a silently coerced value.
+    std::string error;
+    auto reject = [&error] {
+      std::fprintf(stderr, "pbse: %s\n", error.c_str());
+      return false;
+    };
     if (const char* v = value_of("--searcher=")) {
       if (!search::parse_searcher_kind(v, args.searcher)) return false;
     } else if (const char* v = value_of("--sym-size=")) {
-      args.sym_size = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!support::parse_positive_count("--sym-size", v, args.sym_size, error))
+        return reject();
     } else if (const char* v = value_of("--budget=")) {
-      args.budget = std::strtoull(v, nullptr, 10);
+      if (!support::parse_u64_flag("--budget", v, 1, args.budget, error))
+        return reject();
     } else if (const char* v = value_of("--seed-scale=")) {
-      args.seed_scale = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      if (!support::parse_positive_count("--seed-scale", v, args.seed_scale,
+                                         error))
+        return reject();
     } else if (const char* v = value_of("--jobs=")) {
-      std::string error;
-      if (!support::parse_positive_count("--jobs", v, args.jobs, error)) {
-        std::fprintf(stderr, "pbse: %s\n", error.c_str());
-        return false;
-      }
+      if (!support::parse_positive_count("--jobs", v, args.jobs, error))
+        return reject();
     } else if (const char* v = value_of("--target=")) {
       args.target = v;
     } else if (const char* v = value_of("--trace=")) {
@@ -110,8 +114,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.share_cache = false;
     } else if (arg == "--no-subsumption") {
       args.subsumption = false;
-    } else if (arg == "--no-fingerprint-dedup") {
-      args.fingerprint_dedup = false;
     } else if (arg == "--no-static-analysis") {
       args.static_analysis = false;
     } else {
@@ -222,8 +224,6 @@ int cmd_klee(const Args& args) {
       options.static_analysis = args.static_analysis;
       options.solver.shared_cache = ctx.shared_cache;
       options.executor.use_subsumption = args.subsumption;
-      options.executor.use_fingerprint_dedup = args.fingerprint_dedup;
-      options.executor.campaign_index = static_cast<std::uint32_t>(ctx.index);
       core::KleeRun run(module, "main", options);
       run.run(args.budget);
       core::CampaignOutcome out;
@@ -260,8 +260,6 @@ int cmd_run(const Args& args) {
       options.static_analysis = args.static_analysis;
       options.solver.shared_cache = ctx.shared_cache;
       options.executor.use_subsumption = args.subsumption;
-      options.executor.use_fingerprint_dedup = args.fingerprint_dedup;
-      options.executor.campaign_index = static_cast<std::uint32_t>(ctx.index);
       core::PbseDriver driver(module, "main", options);
       core::CampaignOutcome out;
       if (!driver.prepare(seed)) {

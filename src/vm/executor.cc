@@ -47,10 +47,8 @@ struct VmIds {
       obs::intern_metric("executor.seedstate_repaired");
   obs::MetricId out_calls = obs::intern_metric("executor.out_calls");
   obs::MetricId unreachable = obs::intern_metric("executor.unreachable");
-  // Subsumption / fingerprint hit classes (DESIGN.md §10).
+  // Subsumption hit classes (DESIGN.md §10).
   obs::MetricId term_subsumed = obs::intern_metric("executor.term_subsumed");
-  /// Live states killed at block entry by an UNSAT-core interpolant.
-  obs::MetricId subsumed_unsat = obs::intern_metric("executor.subsumed_unsat");
   /// States killed at block entry by a barren-death interpolant.
   obs::MetricId subsumed_barren =
       obs::intern_metric("executor.subsumed_barren");
@@ -58,12 +56,6 @@ struct VmIds {
   /// (each one replaces a solver repair query).
   obs::MetricId subsumed_seedstates =
       obs::intern_metric("executor.subsumed_seedstates");
-  /// States killed as exact duplicates by the campaign-local registry.
-  obs::MetricId fingerprint_kills =
-      obs::intern_metric("executor.fingerprint_kills");
-  /// States killed as duplicates of ANOTHER campaign's exploration.
-  obs::MetricId fingerprint_shared_kills =
-      obs::intern_metric("executor.fingerprint_shared_kills");
   /// Barren interpolant entries filed (dead states x ring snapshots).
   obs::MetricId barren_recorded =
       obs::intern_metric("executor.barren_recorded");
@@ -89,25 +81,6 @@ struct VmIds {
 const VmIds& ids() {
   static const VmIds v;
   return v;
-}
-
-// fp_term / fp_chain / kFpMetaIndex live in vm/state.h next to the mem_fp
-// field they maintain (shared with the micro-benchmarks and tests).
-
-std::uint64_t pointer_hash(const Pointer& p) {
-  if (p.is_null()) return 0x9ae16a3b2f90404fULL;
-  return mix_constraint_hash((std::uint64_t{p.object} + 1) *
-                                 0xff51afd7ed558ccdULL ^
-                             p.offset->hash());
-}
-
-std::uint64_t value_hash(const Value& v) {
-  switch (v.kind) {
-    case Value::Kind::kNone: return 0x2545f4914f6cdd1dULL;
-    case Value::Kind::kInt: return mix_constraint_hash(v.i->hash());
-    case Value::Kind::kPtr: return pointer_hash(v.p);
-  }
-  return 0;
 }
 
 }  // namespace
@@ -169,12 +142,6 @@ std::unique_ptr<ExecutionState> Executor::make_initial_state(
       Value::from_int(mk_const(input->size(), fn->params()[1].width));
   state->stack.push_back(std::move(frame));
 
-  if (fp_enabled()) {
-    for (std::uint32_t gi = 0; gi < module_.num_globals(); ++gi)
-      fp_add_object(*state, gi);
-    fp_add_object(*state, input_obj);
-  }
-
   symbolic_mode_ = false;  // the birth entry below is never probed
   enter_block(*state, 0);
   return state;
@@ -228,108 +195,41 @@ void Executor::record_coverage(ExecutionState& state) {
   if (on_block_entered) on_block_entered(state, gid);
   // Pruning applies to symbolic exploration only: the concolic seed walk
   // and initial-state construction must run to completion unconditionally.
-  if (symbolic_mode_ && fp_enabled() && !state.done())
+  if (symbolic_mode_ && options_.use_subsumption && !state.done())
     probe_subsumption(state, gid, /*may_kill=*/!newly_covered);
 }
 
-// --- Subsumption / fingerprint dedup (DESIGN.md §10) -------------------------
-
-void Executor::fp_add_object(ExecutionState& state, std::uint32_t id) const {
-  const MemObject* obj = state.memory.find(id);
-  for (std::uint64_t i = 0; i < obj->size; ++i)
-    state.mem_fp ^= fp_term(id, i, obj->bytes[i]->hash());
-  state.mem_fp ^= fp_term(id, kFpMetaIndex, obj->alive ? 1 : 0);
-}
-
-void Executor::fp_remove_object(ExecutionState& state, std::uint32_t id) const {
-  // XOR is its own inverse: removing an object re-XORs its current terms.
-  fp_add_object(state, id);
-}
-
-std::uint64_t Executor::context_fingerprint(const ExecutionState& state) const {
-  std::uint64_t h = state.mem_fp;
-  std::uint64_t frame_index = 0;
-  for (const StackFrame& f : state.stack) {
-    // Function identity by its entry block's global id — content-stable
-    // across campaigns, unlike a pointer.
-    std::uint64_t fh = (std::uint64_t{f.fn->block(0).global_id} << 32) ^
-                       (std::uint64_t{f.block} << 8) ^ f.inst;
-    fh = fp_chain(fh, std::uint64_t{f.ret_reg});
-    for (const Value& v : f.regs) fh = fp_chain(fh, value_hash(v));
-    for (const Pointer& p : f.slots) fh = fp_chain(fh, pointer_hash(p));
-    for (const std::uint32_t id : f.allocas) fh = fp_chain(fh, id);
-    // Positional across frames: XOR-combining alone would let two equal
-    // frames cancel.
-    h ^= mix_constraint_hash(fh + (frame_index + 1) * 0x9e3779b97f4a7c15ULL);
-    ++frame_index;
-  }
-  return h;
-}
+// --- Subsumption (DESIGN.md §10) --------------------------------------------
 
 void Executor::probe_subsumption(ExecutionState& state, std::uint32_t gid,
                                  bool may_kill) {
   // Queries issued while executing this block are attributed to it in the
   // interpolant table (per-instruction refresh happens in step()).
-  if (options_.use_subsumption) solver_.set_interpolant_location(gid);
+  solver_.set_interpolant_location(gid);
 
-  if (options_.use_subsumption) {
-    // Snapshot the state's FIRST kMaxEntrySnapshots block entries since
-    // its birth fork — (block id, constraint count at entry), packed. The
-    // counts so close to birth make the filed prefixes (terminate) nearly
-    // the state's birth path condition, which every descendant of the
-    // state still carries — so one barren death marks the whole coasting
-    // subtree killable at these blocks. Snapshot BEFORE the kill checks:
-    // a state dying right here files under this entry too.
-    if (state.num_entry_snapshots < ExecutionState::kMaxEntrySnapshots) {
-      state.entry_snapshots[state.num_entry_snapshots++] =
-          (std::uint64_t{gid} << 32) |
-          std::uint64_t{static_cast<std::uint32_t>(state.constraints.size())};
-    }
-
-    if (may_kill) {
-      const auto& hashes = state.constraints.sorted_hashes();
-      // A live state's model satisfies its constraints, so an UNSAT-core
-      // hit is collision-grade rare here; the probe is one hash lookup and
-      // keeps the block-entry contract uniform with validate_model.
-      if (solver_.interpolants().unsat_subsumes(gid, hashes)) {
-        stats_.add(ids().subsumed_unsat);
-        terminate(state, TerminationReason::kSubsumed);
-        return;
-      }
-      // Barren interpolants are heuristic (entry-prefix weakening, not a
-      // weakest precondition), so the kill is gated on the state itself
-      // having stalled: a state still covering new code is never pruned
-      // by this class, bounding the worst case to paths that were already
-      // coasting through covered territory.
-      if (state.insts_since_cov_new >= options_.subsumption_min_stall &&
-          solver_.interpolants().barren_subsumes(gid, hashes)) {
-        stats_.add(ids().subsumed_barren);
-        terminate(state, TerminationReason::kSubsumed);
-        return;
-      }
-    }
+  // Snapshot the state's FIRST kMaxEntrySnapshots block entries since its
+  // birth fork — (block id, constraint count at entry), packed. The counts
+  // so close to birth make the filed prefixes (terminate) nearly the
+  // state's birth path condition, which every descendant of the state
+  // still carries — so one barren death marks the whole coasting subtree
+  // killable at these blocks. Snapshot BEFORE the kill check: a state
+  // dying right here files under this entry too.
+  if (state.num_entry_snapshots < ExecutionState::kMaxEntrySnapshots) {
+    state.entry_snapshots[state.num_entry_snapshots++] =
+        (std::uint64_t{gid} << 32) |
+        std::uint64_t{static_cast<std::uint32_t>(state.constraints.size())};
   }
 
-  if (options_.use_fingerprint_dedup && may_kill) {
-    const std::uint64_t ctx_fp = context_fingerprint(state);
-    const std::uint64_t key = mix_constraint_hash(
-        ctx_fp ^ (std::uint64_t{gid} + 1) * 0x9e3779b97f4a7c15ULL);
-    const std::uint64_t full =
-        mix_constraint_hash(key ^ state.constraints.hash());
-    if (seen_fingerprints_.size() >= kMaxSeenFingerprints)
-      seen_fingerprints_.clear();  // deterministic wholesale reset
-    if (!seen_fingerprints_.insert(full).second) {
-      stats_.add(ids().fingerprint_kills);
-      terminate(state, TerminationReason::kSubsumed);
-      return;
-    }
-    const auto& shared = solver_.options().shared_cache;
-    if (shared != nullptr &&
-        !shared->test_and_publish_fingerprint(full, options_.campaign_index)) {
-      stats_.add(ids().fingerprint_shared_kills);
-      terminate(state, TerminationReason::kSubsumed);
-      return;
-    }
+  // Barren interpolants are heuristic (entry-prefix weakening, not a
+  // weakest precondition), so the kill is gated on the state itself having
+  // stalled: a state still covering new code is never pruned by this
+  // class, bounding the worst case to paths that were already coasting
+  // through covered territory.
+  if (may_kill && state.insts_since_cov_new >= options_.subsumption_min_stall &&
+      solver_.interpolants().barren_subsumes(
+          gid, state.constraints.sorted_hashes())) {
+    stats_.add(ids().subsumed_barren);
+    terminate(state, TerminationReason::kSubsumed);
   }
 }
 
@@ -602,14 +502,8 @@ void Executor::store_bytes(ExecutionState& state, std::uint32_t object,
                            std::uint64_t offset, const ExprRef& value) {
   MemObject& obj = state.memory.ensure_unique(object);
   const unsigned n = value->width() / 8;
-  const bool fp = fp_enabled();
-  for (unsigned i = 0; i < n; ++i) {
-    ExprRef byte = mk_extract(value, 8 * i, 8);
-    if (fp)
-      state.mem_fp ^= fp_term(object, offset + i, obj.bytes[offset + i]->hash()) ^
-                      fp_term(object, offset + i, byte->hash());
-    obj.bytes[offset + i] = std::move(byte);
-  }
+  for (unsigned i = 0; i < n; ++i)
+    obj.bytes[offset + i] = mk_extract(value, 8 * i, 8);
 }
 
 // --- Branches -------------------------------------------------------------------
@@ -844,7 +738,6 @@ void Executor::execute(ExecutionState& state,
     case ir::Opcode::kAlloca: {
       const std::uint32_t id = state.memory.add(MemObject::make(
           inst.alloca_size, "alloca in " + f.fn->name()));
-      if (fp_enabled()) fp_add_object(state, id);
       f.allocas.push_back(id);
       set_result(Value::from_ptr(Pointer::to(id, mk_const(0, 64))));
       ++f.inst;
@@ -1014,20 +907,11 @@ void Executor::execute(ExecutionState& state,
       Value result = inst.ops.empty() ? Value::none()
                                       : eval_operand(state, inst.ops[0]);
       // Retire this frame's allocas.
-      const bool fp = fp_enabled();
       if (options_.detect_use_after_return) {
-        for (std::uint32_t id : f.allocas) {
-          MemObject& obj = state.memory.ensure_unique(id);
-          if (fp && obj.alive)
-            state.mem_fp ^=
-                fp_term(id, kFpMetaIndex, 1) ^ fp_term(id, kFpMetaIndex, 0);
-          obj.alive = false;
-        }
+        for (std::uint32_t id : f.allocas)
+          state.memory.ensure_unique(id).alive = false;
       } else {
-        for (std::uint32_t id : f.allocas) {
-          if (fp) fp_remove_object(state, id);
-          state.memory.erase(id);
-        }
+        for (std::uint32_t id : f.allocas) state.memory.erase(id);
       }
       const std::uint32_t ret_reg = f.ret_reg;
       state.stack.pop_back();

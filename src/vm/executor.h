@@ -53,26 +53,19 @@ struct ExecutorOptions {
   bool detect_use_after_return = false;
   /// Cap on stored test cases (bug reports are always kept).
   std::uint64_t max_test_cases = 4096;
-  /// Interpolant-based state subsumption at block entry: states whose
-  /// constraint set is subsumed by a stored UNSAT-core or barren-death
-  /// interpolant are terminated without solver work (DESIGN.md §10).
+  /// Interpolant-based state subsumption (DESIGN.md §10): live states
+  /// whose constraint set is subsumed by a barren-death interpolant die at
+  /// block entry, and seedStates subsumed by a stored UNSAT core die before
+  /// their repair query — both without solver work.
   bool use_subsumption = true;
   /// Coverage-stall gate on the heuristic barren-interpolant class, in
   /// instructions without new coverage. A state is only KILLED by a barren
   /// interpolant — and only RECORDS one at death — when it has run at
   /// least this long without covering new code: states actively finding
-  /// blocks are untouchable by the heuristic class (the sound UNSAT-core /
-  /// exact-fingerprint classes have no such gate). 0 makes the class
-  /// unconditional (used by tests to exercise the mechanism determinately).
+  /// blocks are untouchable by the heuristic class (the sound seedState
+  /// UNSAT-core class has no such gate). 0 makes the class unconditional
+  /// (used by tests to exercise the mechanism determinately).
   std::uint64_t subsumption_min_stall = 16;
-  /// Exact-duplicate state pruning via incremental fingerprints: a state
-  /// whose full fingerprint (memory + stack + constraints) was already
-  /// seen at the same block is terminated. Cross-campaign dedup rides the
-  /// solver's shared L2 cache when one is configured.
-  bool use_fingerprint_dedup = true;
-  /// This campaign's index in a parallel run; lets the shared fingerprint
-  /// registry distinguish own re-publications from foreign duplicates.
-  std::uint32_t campaign_index = 0;
   /// Static pre-analysis of the module (DESIGN.md §12), not owned; null
   /// disables static pruning. When set, symbolic branches whose off-model
   /// direction is a statically-infeasible edge skip the feasibility query
@@ -191,26 +184,12 @@ class Executor {
   void enter_block(ExecutionState& state, std::uint32_t block_id);
   void record_coverage(ExecutionState& state);
 
-  // Subsumption / fingerprint dedup (DESIGN.md §10).
-  /// True when the incremental memory fingerprint must be maintained
-  /// (either pruning mechanism needs it).
-  bool fp_enabled() const {
-    return options_.use_subsumption || options_.use_fingerprint_dedup;
-  }
-  /// XORs object `id`'s byte terms and liveness term into/out of the
-  /// state's rolling memory fingerprint.
-  void fp_add_object(ExecutionState& state, std::uint32_t id) const;
-  void fp_remove_object(ExecutionState& state, std::uint32_t id) const;
-  /// Content hash of everything that drives future execution EXCEPT the
-  /// constraint set: memory fingerprint plus the full stack (function
-  /// identity, position, registers, slots, pending allocas).
-  std::uint64_t context_fingerprint(const ExecutionState& state) const;
-  /// Block-entry probe: tries the UNSAT-core interpolants, the barren
-  /// interpolants and the (local, then shared) fingerprint registries, in
-  /// that order; terminates the state with kSubsumed on a hit. Takes the
-  /// (block, context) ring snapshot used by barren recording. `may_kill`
-  /// is false when this entry just covered a new block — a state that is
-  /// actively producing coverage is never pruned.
+  // Subsumption (DESIGN.md §10).
+  /// Block-entry probe: terminates the state with kSubsumed when a barren
+  /// interpolant at `gid` subsumes it. Takes the (block, constraint count)
+  /// ring snapshot used by barren recording. `may_kill` is false when this
+  /// entry just covered a new block — a state that is actively producing
+  /// coverage is never pruned.
   void probe_subsumption(ExecutionState& state, std::uint32_t gid,
                          bool may_kill);
 
@@ -276,11 +255,6 @@ class Executor {
   /// recording only apply to symbolic exploration; the concolic seed walk
   /// and initial-state construction must never be pruned.
   bool symbolic_mode_ = false;
-  /// Full state fingerprints seen at block entries (campaign-local dedup;
-  /// shared across every engine driving this executor). Bounded by a
-  /// deterministic wholesale clear.
-  std::unordered_set<std::uint64_t> seen_fingerprints_;
-  static constexpr std::size_t kMaxSeenFingerprints = std::size_t{1} << 20;
 };
 
 }  // namespace pbse::vm

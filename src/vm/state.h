@@ -14,33 +14,6 @@
 
 namespace pbse::vm {
 
-// --- Fingerprint terms (DESIGN.md §10) --------------------------------------
-//
-// The memory fingerprint (ExecutionState::mem_fp) is an XOR of
-// independently mixed per-byte terms, so any single mutation is an O(1)
-// update: XOR the old term out, XOR the new one in. Terms mix the object
-// id, the byte index and the byte's expression hash; expression hashes are
-// content-based (arrays hash by name+size) and object ids are
-// allocation-order-deterministic, so structurally identical states produce
-// identical fingerprints across campaigns — the property cross-worker
-// dedup rests on.
-
-/// Index reserved for an object's existence/liveness term (no real byte
-/// index reaches it: objects are far smaller than 2^64).
-inline constexpr std::uint64_t kFpMetaIndex = ~std::uint64_t{0};
-
-inline std::uint64_t fp_term(std::uint64_t object, std::uint64_t index,
-                             std::uint64_t payload) {
-  std::uint64_t h = (object + 1) * 0x9e3779b97f4a7c15ULL;
-  h ^= (index + 1) * 0xc2b2ae3d27d4eb4fULL;
-  return mix_constraint_hash(h ^ payload);
-}
-
-/// Order-sensitive accumulation (frames and registers are positional).
-inline std::uint64_t fp_chain(std::uint64_t h, std::uint64_t x) {
-  return mix_constraint_hash(h ^ (x + 0x632be59bd9b4e019ULL));
-}
-
 /// One activation record.
 struct StackFrame {
   const ir::Function* fn = nullptr;
@@ -60,7 +33,7 @@ enum class TerminationReason : std::uint8_t {
   kInfeasible,    // both branch directions unsatisfiable / solver unknown
   kRecursionLimit,
   kStepLimit,
-  kSubsumed,      // pruned at block entry (interpolant / fingerprint dedup)
+  kSubsumed,      // pruned by an interpolant (DESIGN.md §10)
 };
 
 class ExecutionState {
@@ -98,11 +71,7 @@ class ExecutionState {
   /// (maintained by the engine loop; drives the covnew searcher).
   std::uint64_t insts_since_cov_new = 0;
 
-  // --- Subsumption / fingerprint bookkeeping (see DESIGN.md §10) ---------
-  /// Rolling XOR of per-byte memory terms, maintained incrementally by the
-  /// executor at alloca/store/retire points. Combined with the stack and
-  /// constraint hashes at block entry to form the state fingerprint.
-  std::uint64_t mem_fp = 0;
+  // --- Subsumption bookkeeping (see DESIGN.md §10) -----------------------
   /// The state's first kMaxEntrySnapshots block entries since its birth
   /// fork (reset by fork()), each packed as (global block id << 32 |
   /// constraint count at entry). When the state dies barren, the

@@ -39,7 +39,6 @@ u32 main(u8* f, u32 size) {
 vm::ExecutorOptions no_pruning() {
   vm::ExecutorOptions options;
   options.use_subsumption = false;
-  options.use_fingerprint_dedup = false;
   return options;
 }
 

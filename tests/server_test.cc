@@ -262,11 +262,11 @@ TEST(Scheduler, ResumeFromMidCheckpointMatchesUninterrupted) {
   }
   ASSERT_NE(mid, nullptr) << "job finished without a mid-run checkpoint";
 
-  // Recovery pass: round-trip the record through its persisted form (meta
-  // JSON + snapshot bytes), resubmit into a FRESH scheduler, finish.
-  JobRecord recovered =
-      JobRecord::from_meta_json(parse_json(mid->record.meta_json().dump()));
-  recovered.snapshot = mid->record.snapshot;
+  // Recovery pass: round-trip the record through its persisted form (the
+  // binary wire form a job-<id>.pbsf checkpoint holds), resubmit into a
+  // FRESH scheduler, finish.
+  JobRecord recovered = JobRecord::wire_decode(mid->record.wire_encode());
+  EXPECT_EQ(recovered.snapshot, mid->record.snapshot);
   EXPECT_GT(recovered.run_end_ticks, 0u);
 
   EventLog log2;
@@ -430,10 +430,9 @@ TEST(Server, EndToEndSubmitWaitStatusShutdown) {
 }
 
 TEST(Server, RecoversInterruptedJobFromStateDir) {
-  // Forge the on-disk aftermath of a crash in the LEGACY (PR 8) layout —
-  // job-<id>.pbss + job-<id>.json with state "running" — and check the
-  // daemon still recovers it, then migrates it to the pbsf layout on its
-  // next checkpoint.
+  // Forge the on-disk aftermath of a crash mid-slice — a job-<id>.pbsf
+  // JobRecord frame with state "running" — and check the daemon recovers
+  // it, finishes it, and re-persists its final checkpoint.
   JobSpec spec;
   spec.mode = JobMode::kPbse;
   spec.target = "readelf";
@@ -471,18 +470,11 @@ TEST(Server, RecoversInterruptedJobFromStateDir) {
 
   JobRecord crashed = mid->record;
   crashed.state = JobState::kRunning;  // died mid-slice
+  const std::string checkpoint =
+      options.state_dir + "/job-" + std::to_string(id) + ".pbsf";
   serialize::write_file_atomic(
-      options.state_dir + "/job-" + std::to_string(id) + ".pbss",
-      crashed.snapshot);
-  {
-    std::string meta = crashed.meta_json().dump();
-    std::string path =
-        options.state_dir + "/job-" + std::to_string(id) + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(meta.data(), 1, meta.size(), f), meta.size());
-    std::fclose(f);
-  }
+      checkpoint, serialize::encode_frame(serialize::FrameKind::kJobRecord,
+                                          crashed.wire_encode()));
 
   Server server(options);
   server.start();
@@ -499,18 +491,14 @@ TEST(Server, RecoversInterruptedJobFromStateDir) {
     EXPECT_EQ(done.get("progress").get_u64("bugs", 0),
               final_rec.progress.bugs);
 
-    // The re-persisted final checkpoint is in the CURRENT layout (one pbsf
-    // frame; the legacy pair was migrated away) and its snapshot matches
-    // the uninterrupted run's.
+    // The re-persisted final checkpoint replaced the crashed one and its
+    // snapshot matches the uninterrupted run's.
     std::vector<std::uint8_t> payload;
-    ASSERT_EQ(serialize::decode_frame(
-                  serialize::read_file(options.state_dir + "/job-" +
-                                       std::to_string(id) + ".pbsf"),
-                  payload),
+    ASSERT_EQ(serialize::decode_frame(serialize::read_file(checkpoint), payload),
               serialize::FrameKind::kJobRecord);
-    EXPECT_EQ(JobRecord::wire_decode(payload).snapshot, final_rec.snapshot);
-    EXPECT_FALSE(std::filesystem::exists(options.state_dir + "/job-" +
-                                         std::to_string(id) + ".json"));
+    const JobRecord persisted = JobRecord::wire_decode(payload);
+    EXPECT_EQ(persisted.state, JobState::kDone);
+    EXPECT_EQ(persisted.snapshot, final_rec.snapshot);
 
     Json bye = Json::object();
     bye.set("cmd", Json::string("shutdown"));

@@ -665,7 +665,6 @@ TEST(Subsumption, PrunedExhaustionCoversEverythingTheFullSearchFinds) {
     core::KleeRunOptions options;
     options.sym_file_size = 32;
     options.executor.use_subsumption = pruning;
-    options.executor.use_fingerprint_dedup = pruning;
     options.executor.subsumption_min_stall = 256;
     core::KleeRun run(module, "main", options);
     run.run(kBudget);
@@ -682,12 +681,12 @@ TEST(Subsumption, PrunedExhaustionCoversEverythingTheFullSearchFinds) {
       << "pruning lost a block the unpruned search covered";
 }
 
-// Off-mode parity: with both flags off the engine must not merely be
+// Off-mode parity: with the flag off the engine must not merely be
 // deterministic, it must do ZERO subsumption work (no counters, no
 // interpolants) — the committed golden then pins it to the pre-change
 // engine tick for tick. And with subsumption ON but no kill ever firing
-// (stall gate at infinity, no duplicate states on this workload), the
-// probes themselves must be tick-free: identical coverage, ticks and bugs.
+// (stall gate at infinity; a KLEE run has no seedStates), the probes
+// themselves must be tick-free: identical coverage, ticks and bugs.
 TEST(Subsumption, NoSubsumptionRunsAreTickIdenticalToProbeOnlyRuns) {
   ir::Module module_a = targets::build_target(targets::readelf_source());
   ir::Module module_b = targets::build_target(targets::readelf_source());
@@ -695,7 +694,6 @@ TEST(Subsumption, NoSubsumptionRunsAreTickIdenticalToProbeOnlyRuns) {
     core::KleeRunOptions options;
     options.sym_file_size = 200;
     options.executor.use_subsumption = subsumption;
-    options.executor.use_fingerprint_dedup = false;
     options.executor.subsumption_min_stall = ~std::uint64_t{0};
     core::KleeRun run(module, "main", options);
     run.run(400'000);

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "support/argparse.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -131,6 +132,33 @@ TEST(TextTable, RendersAlignedColumns) {
   }
   ASSERT_GE(pipe_positions.size(), 3u);
   for (std::size_t p : pipe_positions) EXPECT_EQ(p, pipe_positions[0]);
+}
+
+TEST(ArgParse, RejectsMalformedNumericValues) {
+  for (const char* value : {"abc", "-5", "0", "5000junk", "", " 7"}) {
+    std::uint64_t u64 = 42;
+    unsigned count = 42;
+    std::string error;
+    EXPECT_FALSE(support::parse_u64_flag("--budget", value, 1, u64, error))
+        << value;
+    EXPECT_NE(error.find("--budget"), std::string::npos) << error;
+    EXPECT_EQ(u64, 42u) << value;
+    error.clear();
+    EXPECT_FALSE(support::parse_positive_count("--seed-scale", value, count,
+                                               error))
+        << value;
+    EXPECT_NE(error.find("--seed-scale"), std::string::npos) << error;
+    EXPECT_EQ(count, 42u) << value;
+  }
+  std::uint64_t u64 = 0;
+  unsigned count = 0;
+  std::string error;
+  EXPECT_TRUE(support::parse_u64_flag("--budget", "5000", 1, u64, error));
+  EXPECT_EQ(u64, 5000u);
+  EXPECT_TRUE(support::parse_positive_count("--sym-size", "100", count, error));
+  EXPECT_EQ(count, 100u);
+  EXPECT_FALSE(support::parse_positive_count("--sym-size", "4294967296",
+                                             count, error));
 }
 
 TEST(TextTable, Formatting) {
