@@ -11,26 +11,9 @@
 #include <vector>
 
 #include "core/parallel.h"
+#include "support/json.h"
 
 namespace pbse::bench {
-
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 /// One key of the `solver_cache` section and the aggregate counter it
 /// reports. A null metric marks the derived shared-cache hit rate.
@@ -95,7 +78,7 @@ inline void write_bench_json(const std::string& path, const std::string& bench,
   const double hit_rate = denom > 0 ? shared_hits / denom : 0.0;
 
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"%s\",\n", json_escape(bench).c_str());
+  std::fprintf(f, "  \"bench\": %s,\n", json_quote(bench).c_str());
   std::fprintf(f, "  \"jobs\": %u,\n", jobs);
   std::fprintf(f, "  \"share_cache\": %s,\n", share_cache ? "true" : "false");
   std::fprintf(f, "  \"wall_seconds\": %.3f,\n", runner.wall_seconds());
@@ -108,10 +91,11 @@ inline void write_bench_json(const std::string& path, const std::string& bench,
   std::fprintf(f, "  \"solver_cache\": {\n");
   for (const SolverCacheRow& row : kSolverCacheRows) {
     const char* sep = &row == std::end(kSolverCacheRows) - 1 ? "" : ",";
+    const std::string key = json_quote(row.key);
     if (row.metric == nullptr)
-      std::fprintf(f, "    \"%s\": %.4f%s\n", row.key, hit_rate, sep);
+      std::fprintf(f, "    %s: %.4f%s\n", key.c_str(), hit_rate, sep);
     else
-      std::fprintf(f, "    \"%s\": %llu%s\n", row.key,
+      std::fprintf(f, "    %s: %llu%s\n", key.c_str(),
                    static_cast<unsigned long long>(agg.get(row.metric)), sep);
   }
   std::fprintf(f, "  },\n");
@@ -119,9 +103,9 @@ inline void write_bench_json(const std::string& path, const std::string& bench,
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const auto& o = outcomes[i];
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"covered\": %llu, \"ticks\": %llu, "
+                 "    {\"name\": %s, \"covered\": %llu, \"ticks\": %llu, "
                  "\"bugs\": %llu, \"wall_seconds\": %.3f}%s\n",
-                 json_escape(o.name).c_str(),
+                 json_quote(o.name).c_str(),
                  static_cast<unsigned long long>(o.covered),
                  static_cast<unsigned long long>(o.ticks),
                  static_cast<unsigned long long>(o.bugs), o.wall_seconds,

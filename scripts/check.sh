@@ -2,9 +2,11 @@
 # CI gate: configure, build, run the test suite. Exits nonzero on any
 # failure. Usage: scripts/check.sh [--sanitize] [build-dir] (default: build).
 #
-# --sanitize: build with -fsanitize=address,undefined into build-asan/ and
-# run the tier-1 ctest suite under it, then exit (no bench goldens: the
-# sanitizer's overhead makes the long campaigns pointless there).
+# --sanitize: build with -fsanitize=address,undefined,float-cast-overflow
+# into build-asan/ and run the tier-1 ctest suite under it, then exit (no
+# bench goldens: the sanitizer's overhead makes the long campaigns pointless
+# there). GCC's "undefined" group leaves out float-cast-overflow, the check
+# that catches an out-of-range double cast to an integer.
 #
 # -o pipefail matters here: the test and bench stages pipe through tee so
 # the log survives in the build dir, and without pipefail a pipeline's exit
@@ -30,7 +32,7 @@ if [[ "$SANITIZE" == 1 ]]; then
     GEN=(-G Ninja)
   fi
   cmake -S . -B "$ASAN_DIR" "${GEN[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all"
   cmake --build "$ASAN_DIR" -j "$JOBS"
   ASAN_OPTIONS=detect_leaks=0 ctest --test-dir "$ASAN_DIR" -j "$JOBS" \
     --output-on-failure 2>&1 | tee "$ASAN_DIR/ctest.log"

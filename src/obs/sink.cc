@@ -1,5 +1,9 @@
 #include "obs/sink.h"
 
+#include <utility>
+
+#include "support/json.h"
+
 namespace pbse::obs {
 
 namespace {
@@ -17,45 +21,26 @@ char phase_letter(EventPhase ph) {
   return 'I';
 }
 
-void write_escaped(std::FILE* f, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      std::fputc('\\', f);
-      std::fputc(c, f);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      std::fprintf(f, "\\u%04x", c);
-    } else {
-      std::fputc(c, f);
-    }
-  }
-}
-
 void write_args(std::FILE* f, const TraceEvent& e) {
   if (e.arg0 == kInvalidMetric && e.arg1 == kInvalidMetric) return;
-  std::fprintf(f, ",\"args\":{");
-  bool first = true;
-  if (e.arg0 != kInvalidMetric) {
-    std::fputc('"', f);
-    write_escaped(f, metric_name(e.arg0));
-    std::fprintf(f, "\":%llu", static_cast<unsigned long long>(e.a0));
-    first = false;
-  }
-  if (e.arg1 != kInvalidMetric) {
-    if (!first) std::fputc(',', f);
-    std::fputc('"', f);
-    write_escaped(f, metric_name(e.arg1));
-    std::fprintf(f, "\":%llu", static_cast<unsigned long long>(e.a1));
+  const char* sep = ",\"args\":{";
+  for (const auto& [id, value] :
+       {std::pair{e.arg0, e.a0}, std::pair{e.arg1, e.a1}}) {
+    if (id == kInvalidMetric) continue;
+    std::fprintf(f, "%s%s:%llu", sep, json_quote(metric_name(id)).c_str(),
+                 static_cast<unsigned long long>(value));
+    sep = ",";
   }
   std::fputc('}', f);
 }
 
 void write_event_body(std::FILE* f, const TraceEvent& e, bool chrome) {
-  const char ph = phase_letter(e.phase);
-  std::fprintf(f, "{\"ph\":\"%c", chrome && ph == 'I' ? 'i' : ph);
-  std::fprintf(f, "\",\"cat\":\"%s\",\"name\":\"",
-               category_name(e.category));
-  write_escaped(f, metric_name(e.name));
-  std::fputc('"', f);
+  char ph = phase_letter(e.phase);
+  if (chrome && ph == 'I') ph = 'i';
+  std::fprintf(f, "{\"ph\":%s,\"cat\":%s,\"name\":%s",
+               json_quote({&ph, 1}).c_str(),
+               json_quote(category_name(e.category)).c_str(),
+               json_quote(metric_name(e.name)).c_str());
   if (chrome && e.phase == EventPhase::kInstant) std::fprintf(f, ",\"s\":\"t\"");
   std::fprintf(f, ",\"%s\":%u,\"tid\":%u,\"ts\":%llu",
                chrome ? "pid" : "cid", e.campaign, e.tid,

@@ -1,187 +1,57 @@
 #include "obs/trace_reader.h"
 
 #include <cstdio>
-#include <memory>
+#include <string_view>
+
+#include "support/json.h"
 
 namespace pbse::obs {
 
 namespace {
 
-/// Cursor over one line. All parse_* helpers return false on malformed
-/// input and leave a reason in `why`.
-struct Cursor {
-  const char* p;
-  const char* end;
-  std::string why;
-
-  bool eof() const { return p >= end; }
-  char peek() const { return eof() ? '\0' : *p; }
-  bool consume(char c) {
-    if (eof() || *p != c) {
-      why = std::string("expected '") + c + "'";
-      return false;
-    }
-    ++p;
-    return true;
-  }
-};
-
-bool parse_string(Cursor& c, std::string& out) {
-  if (!c.consume('"')) return false;
-  out.clear();
-  while (!c.eof() && *c.p != '"') {
-    char ch = *c.p++;
-    if (ch == '\\') {
-      if (c.eof()) break;
-      const char esc = *c.p++;
-      switch (esc) {
-        case '"': ch = '"'; break;
-        case '\\': ch = '\\'; break;
-        case 'n': ch = '\n'; break;
-        case 't': ch = '\t'; break;
-        case 'u': {
-          unsigned v = 0;
-          for (int i = 0; i < 4; ++i) {
-            if (c.eof()) {
-              c.why = "truncated \\u escape";
-              return false;
-            }
-            const char h = *c.p++;
-            v <<= 4;
-            if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') v |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') v |= static_cast<unsigned>(h - 'A' + 10);
-            else {
-              c.why = "bad \\u escape";
-              return false;
-            }
-          }
-          ch = static_cast<char>(v & 0xff);
-          break;
-        }
-        default:
-          c.why = "unknown escape";
-          return false;
-      }
-    }
-    out += ch;
-  }
-  return c.consume('"');
+/// The sink's unsigned integers: digits only, no sign, fraction or exponent.
+std::uint64_t read_uint(const std::string& key, const Json& value) {
+  if (!value.is_integer())
+    throw JsonError("\"" + key + "\" must be an unsigned integer");
+  return value.as_u64();
 }
 
-bool parse_uint(Cursor& c, std::uint64_t& out) {
-  if (c.eof() || *c.p < '0' || *c.p > '9') {
-    c.why = "expected unsigned integer";
-    return false;
-  }
-  out = 0;
-  while (!c.eof() && *c.p >= '0' && *c.p <= '9')
-    out = out * 10 + static_cast<std::uint64_t>(*c.p++ - '0');
-  return true;
-}
-
-bool parse_args_object(Cursor& c, ParsedEvent& e) {
-  if (!c.consume('{')) return false;
-  if (c.peek() == '}') {
-    ++c.p;
-    return true;
-  }
-  while (true) {
-    std::string key;
-    std::uint64_t value = 0;
-    if (!parse_string(c, key)) return false;
-    if (!c.consume(':')) return false;
-    if (!parse_uint(c, value)) return false;
-    e.args.emplace_back(std::move(key), value);
-    if (c.peek() == ',') {
-      ++c.p;
-      continue;
-    }
-    return c.consume('}');
-  }
-}
-
-bool parse_line(const std::string& line, ParsedEvent& e, std::string& why) {
-  Cursor c{line.c_str(), line.c_str() + line.size(), {}};
-  bool saw_ph = false, saw_cat = false, saw_name = false, saw_ts = false;
-  if (!c.consume('{')) {
-    why = c.why;
-    return false;
-  }
-  while (true) {
-    std::string key;
-    if (!parse_string(c, key) || !c.consume(':')) {
-      why = c.why;
-      return false;
-    }
-    if (key == "ph") {
-      std::string v;
-      if (!parse_string(c, v) || v.size() != 1) {
-        why = c.why.empty() ? "ph must be a single letter" : c.why;
-        return false;
-      }
-      e.ph = v[0];
-      saw_ph = true;
-    } else if (key == "cat") {
-      if (!parse_string(c, e.cat)) {
-        why = c.why;
-        return false;
-      }
-      saw_cat = true;
-    } else if (key == "name") {
-      if (!parse_string(c, e.name)) {
-        why = c.why;
-        return false;
-      }
-      saw_name = true;
+/// Checks one parsed line against the sink's schema. Throws JsonError
+/// naming the first violation.
+ParsedEvent read_event(const Json& line) {
+  if (!line.is_object()) throw JsonError("not a JSON object");
+  for (const char* key : {"ph", "cat", "name", "ts"})
+    if (!line.has(key))
+      throw JsonError("missing required key (ph/cat/name/ts)");
+  ParsedEvent e;
+  for (const auto& [key, value] : line.fields()) {
+    if (key == "ph" || key == "cat" || key == "name" || key == "s") {
+      if (!value.is_string())
+        throw JsonError("\"" + key + "\" must be a string");
+      const std::string& v = value.as_string();
+      if (key == "ph") {
+        if (v.size() != 1) throw JsonError("ph must be a single letter");
+        e.ph = v[0];
+      } else if (key == "cat") {
+        e.cat = v;
+      } else if (key == "name") {
+        e.name = v;
+      }  // "s" is the Chrome instant scope: accepted and ignored
+    } else if (key == "ts") {
+      e.ts = read_uint(key, value);
+    } else if (key == "tid") {
+      e.tid = static_cast<std::uint32_t>(read_uint(key, value));
+    } else if (key == "cid" || key == "pid") {
+      e.cid = static_cast<std::uint32_t>(read_uint(key, value));
     } else if (key == "args") {
-      if (!parse_args_object(c, e)) {
-        why = c.why;
-        return false;
-      }
-    } else if (key == "cid" || key == "pid" || key == "tid" || key == "ts") {
-      std::uint64_t v = 0;
-      if (!parse_uint(c, v)) {
-        why = c.why;
-        return false;
-      }
-      if (key == "ts") {
-        e.ts = v;
-        saw_ts = true;
-      } else if (key == "tid") {
-        e.tid = static_cast<std::uint32_t>(v);
-      } else {
-        e.cid = static_cast<std::uint32_t>(v);
-      }
-    } else if (key == "s") {
-      std::string v;  // Chrome instant scope; accepted and ignored
-      if (!parse_string(c, v)) {
-        why = c.why;
-        return false;
-      }
+      if (!value.is_object()) throw JsonError("args must be an object");
+      for (const auto& [arg, arg_value] : value.fields())
+        e.args.emplace_back(arg, read_uint(arg, arg_value));
     } else {
-      why = "unknown key \"" + key + "\"";
-      return false;
+      throw JsonError("unknown key \"" + key + "\"");
     }
-    if (c.peek() == ',') {
-      ++c.p;
-      continue;
-    }
-    break;
   }
-  if (!c.consume('}')) {
-    why = c.why;
-    return false;
-  }
-  if (!c.eof()) {
-    why = "trailing bytes after object";
-    return false;
-  }
-  if (!saw_ph || !saw_cat || !saw_name || !saw_ts) {
-    why = "missing required key (ph/cat/name/ts)";
-    return false;
-  }
-  return true;
+  return e;
 }
 
 }  // namespace
@@ -194,16 +64,15 @@ bool parse_trace_jsonl(const std::string& text, std::vector<ParsedEvent>& out,
     std::size_t nl = text.find('\n', start);
     if (nl == std::string::npos) nl = text.size();
     ++line_no;
-    const std::string line = text.substr(start, nl - start);
+    const std::string_view line(text.data() + start, nl - start);
     start = nl + 1;
     if (line.empty()) continue;
-    ParsedEvent e;
-    std::string why;
-    if (!parse_line(line, e, why)) {
-      error = "line " + std::to_string(line_no) + ": " + why;
+    try {
+      out.push_back(read_event(parse_json(line)));
+    } catch (const JsonError& e) {
+      error = "line " + std::to_string(line_no) + ": " + e.what();
       return false;
     }
-    out.push_back(std::move(e));
   }
   return true;
 }

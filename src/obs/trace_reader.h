@@ -1,11 +1,12 @@
 // Reader for the JSONL trace format written by JsonlSink.
 //
-// The parser is deliberately strict: it accepts exactly the flat
-// one-object-per-line shape the sink produces (string values, unsigned
-// integer values, and one nested "args" object) and reports the first
-// malformed line with its line number. CI runs `pbse-trace summarize` on a
-// fresh trace, so any drift between writer and reader fails the build
-// instead of rotting silently.
+// Each line is parsed by the system's JSON codec (support/json.h) and then
+// checked against the sink's schema, which is deliberately strict: only the
+// keys the sink writes, the required ones present, string values, unsigned
+// integer values (digits only), and one nested "args" object of unsigned
+// integers. The first malformed line is reported with its line number. CI
+// runs `pbse-trace summarize` on a fresh trace, so any drift between writer
+// and reader fails the build instead of rotting silently.
 #pragma once
 
 #include <cstdint>

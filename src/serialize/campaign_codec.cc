@@ -576,54 +576,4 @@ void CampaignCodec::restore(core::PbseDriver& driver,
     throw SnapshotError("pbss: trailing bytes in pbse campaign payload");
 }
 
-// --- Portable UNSAT-core seed (DESIGN.md §13) -----------------------------
-
-std::vector<std::uint8_t> CampaignCodec::export_cores_of(Solver& solver) {
-  Encoder enc;
-  const auto& cores = solver.cex_.raw_cores();
-  const auto keys = sorted_keys(cores);
-  enc.u32(static_cast<std::uint32_t>(keys.size()));
-  for (std::uint64_t key : keys) {
-    enc.u64(key);
-    const auto& list = cores.at(key);
-    enc.u32(static_cast<std::uint32_t>(list.size()));
-    for (const auto& core : list) encode_core(enc, core);
-  }
-  return enc.data();
-}
-
-void CampaignCodec::import_cores_into(Solver& solver,
-                                      const std::vector<std::uint8_t>& seed) {
-  Decoder dec(seed);
-  const std::uint32_t nkeys = dec.u32();
-  for (std::uint32_t i = 0; i < nkeys; ++i) {
-    const std::uint64_t key = dec.u64();
-    const std::uint32_t ncores = dec.u32();
-    for (std::uint32_t j = 0; j < ncores; ++j)
-      solver.cex_.add_unsat_core(key, decode_core(dec));
-  }
-  if (!dec.done())
-    throw SnapshotError("pbss: trailing bytes in unsat-core seed");
-}
-
-std::vector<std::uint8_t> CampaignCodec::export_unsat_cores(
-    core::KleeRun& run) {
-  return export_cores_of(*run.solver_);
-}
-
-std::vector<std::uint8_t> CampaignCodec::export_unsat_cores(
-    core::PbseDriver& driver) {
-  return export_cores_of(*driver.solver_);
-}
-
-void CampaignCodec::import_unsat_cores(core::KleeRun& run,
-                                       const std::vector<std::uint8_t>& seed) {
-  import_cores_into(*run.solver_, seed);
-}
-
-void CampaignCodec::import_unsat_cores(core::PbseDriver& driver,
-                                       const std::vector<std::uint8_t>& seed) {
-  import_cores_into(*driver.solver_, seed);
-}
-
 }  // namespace pbse::serialize

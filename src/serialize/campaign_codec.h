@@ -66,24 +66,7 @@ class CampaignCodec {
   static void restore(core::PbseDriver& driver,
                       const std::vector<std::uint8_t>& framed);
 
-  /// Portable solver-cache seed: the UNSAT cores of the campaign's
-  /// counterexample store, keyed by partition. Cores are pure u64 data
-  /// (sorted mixed constraint hashes) — unlike cached models, which are
-  /// interner-relative and can never leave their process. Emitted in
-  /// sorted key order so the export is deterministic. Used as the startup
-  /// "L2 export" that warms a fresh worker process's caches (DESIGN.md
-  /// §13); importing shifts tick charging, so it is strictly opt-in.
-  static std::vector<std::uint8_t> export_unsat_cores(core::KleeRun& run);
-  static std::vector<std::uint8_t> export_unsat_cores(core::PbseDriver& driver);
-  static void import_unsat_cores(core::KleeRun& run,
-                                 const std::vector<std::uint8_t>& seed);
-  static void import_unsat_cores(core::PbseDriver& driver,
-                                 const std::vector<std::uint8_t>& seed);
-
  private:
-  static std::vector<std::uint8_t> export_cores_of(Solver& solver);
-  static void import_cores_into(Solver& solver,
-                                const std::vector<std::uint8_t>& seed);
   static void encode_stats(Encoder& enc, const Stats& stats);
   static void decode_stats(Decoder& dec, Stats& stats);
   static void encode_executor(StateCodec& codec, Encoder& enc,

@@ -33,14 +33,12 @@ enum class FrameKind : std::uint32_t {
   /// "run one slice of this".
   kJobAssign = 1,
   /// Worker -> daemon: the wire-encoded JobRecord after the slice, plus
-  /// worker-side bookkeeping (peak RSS, optional cache export).
+  /// worker-side bookkeeping (peak RSS).
   kJobResult = 2,
   /// Worker -> daemon: liveness beacon while a slice is computing. Empty
   /// payload.
   kHeartbeat = 3,
-  /// Daemon -> worker at registration: portable solver-cache seed (the
-  /// startup L2 export; see campaign_codec.h export_unsat_cores).
-  kCacheSeed = 4,
+  // 4 is retired (it carried an opt-in UNSAT-core cache seed); never reuse.
   /// A persisted checkpoint (job-<id>.pbsf in the state directory) or a
   /// `fetch` reply: one wire-encoded JobRecord including its snapshot.
   kJobRecord = 5,

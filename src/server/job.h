@@ -21,6 +21,10 @@ namespace pbse::server {
 
 enum class JobMode : std::uint8_t { kKlee = 0, kPbse = 1 };
 
+/// Ticks of budget per scheduling quantum for jobs that set no
+/// JobSpec::slice_ticks of their own.
+inline constexpr std::uint64_t kDefaultSliceTicks = 50'000;
+
 const char* job_mode_name(JobMode mode);
 bool parse_job_mode(const std::string& name, JobMode& out);
 
@@ -39,8 +43,8 @@ struct JobSpec {
   std::uint32_t sym_size = 100;
   /// pbse mode: seed-generator scale.
   std::uint32_t seed_scale = 4;
-  /// Ticks per scheduler slice (0 = server default). Slicing granularity
-  /// never changes results — only checkpoint/steal latency.
+  /// Ticks per scheduler slice (0 = kDefaultSliceTicks). Slicing
+  /// granularity never changes results — only checkpoint/steal latency.
   std::uint64_t slice_ticks = 0;
 
   Json to_json() const;
@@ -101,7 +105,8 @@ struct JobRecord {
   /// for pbsf kJobAssign/kJobResult/kJobRecord payloads and single-file
   /// .pbsf checkpoints. No base64, no JSON re-encoding of the snapshot.
   std::vector<std::uint8_t> wire_encode() const;
-  /// Throws serialize::SnapshotError / ProtocolError on malformed input.
+  /// Throws serialize::SnapshotError / ProtocolError / JsonError on
+  /// malformed input.
   static JobRecord wire_decode(const std::vector<std::uint8_t>& bytes);
 };
 

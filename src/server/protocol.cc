@@ -4,410 +4,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 
 namespace pbse::server {
-
-// --- Json value -----------------------------------------------------------
-
-Json Json::boolean(bool b) {
-  Json j;
-  j.kind_ = Kind::kBool;
-  j.bool_ = b;
-  return j;
-}
-
-Json Json::number(std::uint64_t v) {
-  Json j;
-  j.kind_ = Kind::kNumber;
-  j.unum_ = v;
-  j.num_ = static_cast<double>(v);
-  j.num_is_integer_ = true;
-  return j;
-}
-
-Json Json::number_double(double v) {
-  Json j;
-  j.kind_ = Kind::kNumber;
-  j.num_ = v;
-  j.unum_ = v >= 0 ? static_cast<std::uint64_t>(v) : 0;
-  j.num_is_integer_ = false;
-  return j;
-}
-
-Json Json::string(std::string s) {
-  Json j;
-  j.kind_ = Kind::kString;
-  j.str_ = std::move(s);
-  return j;
-}
-
-Json Json::array() {
-  Json j;
-  j.kind_ = Kind::kArray;
-  return j;
-}
-
-Json Json::object() {
-  Json j;
-  j.kind_ = Kind::kObject;
-  return j;
-}
-
-bool Json::as_bool() const {
-  if (kind_ != Kind::kBool) throw ProtocolError("json: not a bool");
-  return bool_;
-}
-
-std::uint64_t Json::as_u64() const {
-  if (kind_ != Kind::kNumber) throw ProtocolError("json: not a number");
-  if (num_is_integer_) return unum_;
-  if (num_ < 0) throw ProtocolError("json: negative where unsigned expected");
-  return static_cast<std::uint64_t>(num_);
-}
-
-double Json::as_double() const {
-  if (kind_ != Kind::kNumber) throw ProtocolError("json: not a number");
-  return num_is_integer_ ? static_cast<double>(unum_) : num_;
-}
-
-const std::string& Json::as_string() const {
-  if (kind_ != Kind::kString) throw ProtocolError("json: not a string");
-  return str_;
-}
-
-const std::vector<Json>& Json::items() const {
-  if (kind_ != Kind::kArray) throw ProtocolError("json: not an array");
-  return items_;
-}
-
-std::vector<Json>& Json::items() {
-  if (kind_ != Kind::kArray) throw ProtocolError("json: not an array");
-  return items_;
-}
-
-const Json& Json::get(const std::string& key) const {
-  static const Json kNull;
-  if (kind_ != Kind::kObject) return kNull;
-  auto it = fields_.find(key);
-  return it == fields_.end() ? kNull : it->second;
-}
-
-bool Json::has(const std::string& key) const {
-  return kind_ == Kind::kObject && fields_.count(key) > 0;
-}
-
-void Json::set(const std::string& key, Json value) {
-  if (kind_ == Kind::kNull) kind_ = Kind::kObject;
-  if (kind_ != Kind::kObject) throw ProtocolError("json: not an object");
-  fields_[key] = std::move(value);
-}
-
-void Json::push_back(Json value) {
-  if (kind_ == Kind::kNull) kind_ = Kind::kArray;
-  if (kind_ != Kind::kArray) throw ProtocolError("json: not an array");
-  items_.push_back(std::move(value));
-}
-
-const std::map<std::string, Json>& Json::fields() const { return fields_; }
-
-std::uint64_t Json::get_u64(const std::string& key,
-                            std::uint64_t fallback) const {
-  const Json& v = get(key);
-  return v.is_number() ? v.as_u64() : fallback;
-}
-
-std::string Json::get_string(const std::string& key,
-                             const std::string& fallback) const {
-  const Json& v = get(key);
-  return v.is_string() ? v.as_string() : fallback;
-}
-
-bool Json::get_bool(const std::string& key, bool fallback) const {
-  const Json& v = get(key);
-  return v.is_bool() ? v.as_bool() : fallback;
-}
-
-// --- Writer ---------------------------------------------------------------
-
-namespace {
-
-void dump_string(const std::string& s, std::string& out) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void dump_value(const Json& j, std::string& out) {
-  switch (j.kind()) {
-    case Json::Kind::kNull: out += "null"; return;
-    case Json::Kind::kBool: out += j.as_bool() ? "true" : "false"; return;
-    case Json::Kind::kNumber: {
-      double d = j.as_double();
-      if (d >= 0 && std::floor(d) == d &&
-          d == static_cast<double>(j.as_u64())) {
-        out += std::to_string(j.as_u64());
-      } else {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", d);
-        out += buf;
-      }
-      return;
-    }
-    case Json::Kind::kString: dump_string(j.as_string(), out); return;
-    case Json::Kind::kArray: {
-      out.push_back('[');
-      bool first = true;
-      for (const Json& item : j.items()) {
-        if (!first) out.push_back(',');
-        first = false;
-        dump_value(item, out);
-      }
-      out.push_back(']');
-      return;
-    }
-    case Json::Kind::kObject: {
-      out.push_back('{');
-      bool first = true;
-      for (const auto& [key, value] : j.fields()) {
-        if (!first) out.push_back(',');
-        first = false;
-        dump_string(key, out);
-        out.push_back(':');
-        dump_value(value, out);
-      }
-      out.push_back('}');
-      return;
-    }
-  }
-}
-
-}  // namespace
-
-std::string Json::dump() const {
-  std::string out;
-  dump_value(*this, out);
-  return out;
-}
-
-// --- Parser ---------------------------------------------------------------
-
-namespace {
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  Json parse_document() {
-    Json v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw ProtocolError("json parse error at offset " + std::to_string(pos_) +
-                        ": " + why);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    std::size_t n = std::strlen(lit);
-    if (text_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json::string(parse_string());
-      case 't':
-        if (consume_literal("true")) return Json::boolean(true);
-        fail("bad literal");
-      case 'f':
-        if (consume_literal("false")) return Json::boolean(false);
-        fail("bad literal");
-      case 'n':
-        if (consume_literal("null")) return Json::null();
-        fail("bad literal");
-      default: return parse_number();
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-          unsigned cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            cp <<= 4;
-            if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              cp |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              cp |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad hex digit in \\u escape");
-          }
-          // UTF-8 encode the basic-plane codepoint; the protocol only ever
-          // carries ASCII but a conforming peer may escape anything.
-          if (cp < 0x80) {
-            out.push_back(static_cast<char>(cp));
-          } else if (cp < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          }
-          break;
-        }
-        default: fail("bad escape character");
-      }
-    }
-  }
-
-  Json parse_number() {
-    std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    bool is_integer = true;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        is_integer = false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) fail("expected a value");
-    std::string tok = text_.substr(start, pos_ - start);
-    errno = 0;
-    if (is_integer && tok[0] != '-') {
-      char* end = nullptr;
-      std::uint64_t v = std::strtoull(tok.c_str(), &end, 10);
-      if (errno != 0 || end != tok.c_str() + tok.size()) fail("bad number");
-      return Json::number(v);
-    }
-    char* end = nullptr;
-    double d = std::strtod(tok.c_str(), &end);
-    if (end != tok.c_str() + tok.size()) fail("bad number");
-    return Json::number_double(d);
-  }
-
-  Json parse_array() {
-    expect('[');
-    Json arr = Json::array();
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return arr;
-    }
-    while (true) {
-      arr.push_back(parse_value());
-      skip_ws();
-      char c = peek();
-      ++pos_;
-      if (c == ']') return arr;
-      if (c != ',') fail("expected ',' or ']'");
-    }
-  }
-
-  Json parse_object() {
-    expect('{');
-    Json obj = Json::object();
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return obj;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      obj.set(key, parse_value());
-      skip_ws();
-      char c = peek();
-      ++pos_;
-      if (c == '}') return obj;
-      if (c != ',') fail("expected ',' or '}'");
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-Json parse_json(const std::string& text) {
-  return Parser(text).parse_document();
-}
-
-// --- Framing --------------------------------------------------------------
 
 namespace {
 
@@ -503,7 +102,13 @@ WireKind recv_wire(int fd, Json& msg, std::vector<std::uint8_t>& frame) {
   std::string body(len, '\0');
   if (read_upto(fd, body.data(), len) != len)
     throw ProtocolError("connection closed mid-frame body");
-  msg = parse_json(body);
+  try {
+    msg = parse_json(body);
+  } catch (const JsonError& e) {
+    // Callers guard the socket with ProtocolError alone; a malformed body
+    // must close one connection, not escape as a second error type.
+    throw ProtocolError(e.what());
+  }
   return WireKind::kJson;
 }
 

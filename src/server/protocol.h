@@ -1,5 +1,5 @@
-// pbse-serve wire protocol: length-prefixed JSON messages plus binary
-// frames (DESIGN.md §11, §13).
+// pbse-serve wire framing: length-prefixed JSON messages plus binary
+// frames (DESIGN.md §11, §13). The JSON value itself is support/json.h.
 //
 // Every message is framed by a u32 little-endian byte length. The top bit
 // of the prefix discriminates the two message classes sharing one socket:
@@ -7,96 +7,32 @@
 //   bit 31 clear  ->  one JSON object (control plane: requests, replies,
 //                     event streams). Inspectable with `socat` + a human.
 //   bit 31 set    ->  one pbsf binary frame (serialize/frame.h; data
-//                     plane: job assignments, results, heartbeats, cache
-//                     seeds, fetched checkpoints). Snapshot payloads ride
-//                     here as raw pbss bytes — never base64'd through the
-//                     JSON lane.
+//                     plane: job assignments, results, heartbeats, fetched
+//                     checkpoints). Snapshot payloads ride here as raw pbss
+//                     bytes — never base64'd through the JSON lane.
 //
 // Old peers reject binary frames loudly (a set top bit decodes as an
 // absurd length above their 16 MB cap) rather than misparsing them.
-//
-// The Json value here is deliberately minimal: null/bool/number/string/
-// array/object, numbers stored as both double and u64 (tick budgets exceed
-// 2^53-safe doubles only in theory, but round-tripping them through the
-// integer lane costs nothing). No external dependency — the container
-// bakes in no JSON library, so the ~200-line parser below IS the
-// dependency.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "support/json.h"
+
 namespace pbse::server {
+
+/// The control lane's message value, under the name server code and its
+/// clients spell it.
+using pbse::Json;
 
 /// Malformed frame or JSON, or a closed/failed socket mid-message.
 class ProtocolError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-class Json {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Json() = default;
-  static Json null() { return Json(); }
-  static Json boolean(bool b);
-  static Json number(std::uint64_t v);
-  static Json number_double(double v);
-  static Json string(std::string s);
-  static Json array();
-  static Json object();
-
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-
-  bool as_bool() const;
-  std::uint64_t as_u64() const;
-  double as_double() const;
-  const std::string& as_string() const;
-  const std::vector<Json>& items() const;
-  std::vector<Json>& items();
-
-  /// Object field access; get() returns null for a missing key.
-  const Json& get(const std::string& key) const;
-  bool has(const std::string& key) const;
-  void set(const std::string& key, Json value);
-  void push_back(Json value);
-  const std::map<std::string, Json>& fields() const;
-
-  /// Convenience typed getters with defaults (missing or wrong type ->
-  /// fallback), the common shape of optional protocol fields.
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const;
-  std::string get_string(const std::string& key,
-                         const std::string& fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
-
-  std::string dump() const;
-
- private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double num_ = 0;
-  std::uint64_t unum_ = 0;
-  bool num_is_integer_ = false;
-  std::string str_;
-  std::vector<Json> items_;
-  std::map<std::string, Json> fields_;
-};
-
-/// Parses one JSON document; trailing non-whitespace is an error.
-Json parse_json(const std::string& text);
-
-// --- Socket framing -------------------------------------------------------
 
 /// Upper bound on one JSON frame; a corrupt length prefix must not trigger
 /// a multi-gigabyte allocation.

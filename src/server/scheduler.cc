@@ -8,8 +8,6 @@ namespace pbse::server {
 
 Scheduler::Scheduler(SchedulerOptions options, EventFn on_event)
     : options_(options), on_event_(std::move(on_event)) {
-  if (options_.default_slice_ticks == 0) options_.default_slice_ticks = 50'000;
-  if (options_.steal_batch == 0) options_.steal_batch = 1;
   for (unsigned i = 0; i < options_.workers; ++i) {
     auto slot = std::make_unique<Slot>();
     slots_.push_back(std::move(slot));
@@ -168,13 +166,6 @@ bool Scheduler::next_job(unsigned me, std::uint64_t& id, bool& stolen) {
       auto& from = slots_[victim]->jobs;
       id = from.front();
       from.pop_front();
-      // Batch: haul extra jobs to our own deque in the same lock hold —
-      // one raid feeds a remote worker for several slices.
-      for (unsigned extra = 1;
-           extra < options_.steal_batch && !from.empty(); ++extra) {
-        slots_[me]->jobs.push_back(from.front());
-        from.pop_front();
-      }
       next_victim_ = victim + 1;
       ++steals_;
       stolen = true;
@@ -213,14 +204,12 @@ bool Scheduler::run_slice(unsigned me, std::uint64_t id, bool stolen) {
                   it->second.snapshot.empty() &&
                   it->second.run_end_ticks == 0;
     it->second.state = JobState::kRunning;
-    last_worker_[id] = me;
     rec = it->second;
   }
   if (first_slice) emit(JobEvent::Kind::kStarted, rec, me, stolen);
 
-  std::uint64_t slice = rec.spec.slice_ticks != 0
-                            ? rec.spec.slice_ticks
-                            : options_.default_slice_ticks;
+  std::uint64_t slice = rec.spec.slice_ticks != 0 ? rec.spec.slice_ticks
+                                                  : kDefaultSliceTicks;
   bool done = false;
   SliceEndpoint* endpoint = self->endpoint.get();
   if (endpoint) {
@@ -295,7 +284,6 @@ bool Scheduler::run_slice(unsigned me, std::uint64_t id, bool stolen) {
     }
   }
 
-  bool checkpoint = done;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Charge this slice's counter DELTA to the executing slot exactly
@@ -311,12 +299,6 @@ bool Scheduler::run_slice(unsigned me, std::uint64_t id, bool stolen) {
       }
     }
     if (!done) {
-      std::uint64_t& last = last_checkpoint_ticks_[id];
-      if (options_.checkpoint_interval_ticks == 0 ||
-          rec.progress.ticks - last >= options_.checkpoint_interval_ticks) {
-        checkpoint = true;
-        last = rec.progress.ticks;
-      }
       // Re-queue at our own back: LIFO keeps the job on this worker while
       // it is idle enough, and an overloaded worker's front is exactly
       // where thieves look.
@@ -330,7 +312,7 @@ bool Scheduler::run_slice(unsigned me, std::uint64_t id, bool stolen) {
   }
 
   emit(JobEvent::Kind::kMetrics, rec, me, stolen);
-  if (checkpoint) emit(JobEvent::Kind::kCheckpoint, rec, me, stolen);
+  emit(JobEvent::Kind::kCheckpoint, rec, me, stolen);
   if (rec.state == JobState::kDone) emit(JobEvent::Kind::kDone, rec, me, stolen);
   if (rec.state == JobState::kFailed)
     emit(JobEvent::Kind::kFailed, rec, me, stolen);

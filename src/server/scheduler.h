@@ -10,10 +10,8 @@
 //   * the owner pushes/pops at the BACK (LIFO — a job it just checkpointed
 //     is hot in cache and likely to be re-run immediately),
 //   * thieves steal from the FRONT (FIFO — the victim's oldest, coldest
-//     job), picking victims round-robin from a shared cursor, up to
-//     `steal_batch` jobs per raid (the first is run immediately, the rest
-//     land at the thief's back — one lock round-trip amortized over a
-//     batch when farming to remote workers).
+//     job), one job per raid, picking victims round-robin from a shared
+//     cursor.
 //
 // The unit of scheduling is a SLICE, not a whole campaign. Between slices
 // a job is pure data (spec + pbss snapshot + run_end_ticks), which is what
@@ -51,18 +49,10 @@ namespace pbse::server {
 
 struct SchedulerOptions {
   unsigned workers = 2;
-  /// Slice length for jobs that don't set their own (ticks of budget per
-  /// scheduling quantum).
-  std::uint64_t default_slice_ticks = 50'000;
-  /// Persist a checkpoint when a job's clock has advanced this far since
-  /// the last persisted checkpoint (0 = persist after every slice).
-  std::uint64_t checkpoint_interval_ticks = 0;
   /// Static pre-analysis (DESIGN.md §12) for every job this daemon runs.
   /// Daemon-global: a checkpoint written with the flag on must be resumed
   /// with it on (and vice versa) or the tick streams diverge.
   bool static_analysis = true;
-  /// Jobs a thief may take from one victim per raid (>= 1).
-  unsigned steal_batch = 1;
   /// A job re-queued this many times by worker deaths is declared
   /// poisoned and fails instead of re-queueing forever.
   unsigned max_requeues = 3;
@@ -111,10 +101,10 @@ class Scheduler {
   using EventFn = std::function<void(const JobEvent&)>;
 
   /// `on_event` is invoked from slot threads; it must be thread-safe.
-  /// For kCheckpoint events the callback is responsible for persisting
-  /// record.snapshot / record.meta_json() (the scheduler itself is
-  /// filesystem-free and fully unit-testable). `workers` may be 0 when
-  /// every slice will run on external workers added later.
+  /// Every completed slice emits kCheckpoint; the callback is responsible
+  /// for persisting the record (the scheduler itself is filesystem-free
+  /// and fully unit-testable). `workers` may be 0 when every slice will
+  /// run on external workers added later.
   Scheduler(SchedulerOptions options, EventFn on_event);
   ~Scheduler();
 
@@ -196,8 +186,6 @@ class Scheduler {
   /// Jobs submitted while no slot existed yet (workers=0 farm daemon
   /// waiting for remote registrations); drained by the first comer.
   std::deque<std::uint64_t> unassigned_;
-  std::map<std::uint64_t, std::uint64_t> last_checkpoint_ticks_;
-  std::map<std::uint64_t, unsigned> last_worker_;
   std::uint64_t next_id_ = 1;
   std::uint64_t inflight_ = 0;  // queued + running
   std::uint64_t next_victim_ = 0;

@@ -68,15 +68,12 @@ void Server::start() {
   bind_sockets();
   scheduler_ = std::make_unique<Scheduler>(
       options_.scheduler, [this](const JobEvent& ev) { on_scheduler_event(ev); });
-  if (!options_.worker_cache_seed_path.empty())
-    cache_seed_ = serialize::read_file(options_.worker_cache_seed_path);
   if (options_.worker_processes > 0) {
     WorkerPoolOptions po;
     po.processes = options_.worker_processes;
     po.endpoint = options_.endpoint;
     po.max_rss_mb = options_.worker_rss_mb;
     po.worker_exe = options_.worker_exe;
-    po.cache_seed = cache_seed_;
     pool_ = std::make_unique<WorkerPool>(std::move(po), *scheduler_);
     pool_->start();
   }
@@ -180,12 +177,6 @@ void Server::persist_checkpoint(const JobRecord& rec) {
                               rec.wire_encode()));
 }
 
-Json Server::record_json(const JobRecord& rec) {
-  Json j = rec.meta_json();
-  // The wire copy drops internal fields nobody outside recovery cares about.
-  return j;
-}
-
 Json Server::event_json(const JobEvent& ev) const {
   Json j = Json::object();
   j.set("event", Json::string(event_kind_name(ev.kind)));
@@ -284,14 +275,14 @@ Json Server::handle_request(Client& client, const Json& req) {
     if (!scheduler_->query(req.get_u64("job", 0), rec))
       throw ProtocolError("no such job");
     resp.set("ok", Json::boolean(true));
-    resp.set("record", record_json(rec));
+    resp.set("record", rec.meta_json());
     return resp;
   }
   if (cmd == "list") {
     Json jobs = Json::array();
     for (std::uint64_t id : scheduler_->job_ids()) {
       JobRecord rec;
-      if (scheduler_->query(id, rec)) jobs.push_back(record_json(rec));
+      if (scheduler_->query(id, rec)) jobs.push_back(rec.meta_json());
     }
     resp.set("ok", Json::boolean(true));
     resp.set("jobs", std::move(jobs));
@@ -302,7 +293,7 @@ Json Server::handle_request(Client& client, const Json& req) {
     JobRecord rec;
     if (!scheduler_->query(id, rec)) throw ProtocolError("no such job");
     resp.set("ok", Json::boolean(true));
-    resp.set("record", record_json(rec));
+    resp.set("record", rec.meta_json());
     if (rec.state == JobState::kDone || rec.state == JobState::kFailed) {
       // Already terminal: the ack above carries the final record; no
       // subscription, no event stream.
@@ -351,7 +342,6 @@ void Server::adopt_worker(Client& client) {
   auto endpoint = std::make_unique<SocketEndpoint>(
       fd, "tcp:" + std::to_string(n), options_.endpoint,
       &scheduler_->frame_bytes_counter(), &remote_peak_rss_kb_);
-  if (!cache_seed_.empty()) endpoint->send_cache_seed(cache_seed_);
   scheduler_->add_external_worker(std::move(endpoint));
 }
 
@@ -394,14 +384,10 @@ void Server::handle_client(Client& client) {
       return;
     }
     resp = handle_request(client, req);
-  } catch (const ProtocolError& e) {
-    // A transport failure mid-reply (worker_hello/fetch send paths) and an
-    // application refusal look the same here; answering a dead fd below is
-    // harmless and reaps it.
-    resp = Json::object();
-    resp.set("ok", Json::boolean(false));
-    resp.set("error", Json::string(e.what()));
   } catch (const std::exception& e) {
+    // A transport failure mid-reply (worker_hello/fetch send paths), an
+    // application refusal and a request field of the wrong type all look
+    // the same here; answering a dead fd below is harmless and reaps it.
     resp = Json::object();
     resp.set("ok", Json::boolean(false));
     resp.set("error", Json::string(e.what()));

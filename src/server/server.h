@@ -74,11 +74,6 @@ struct ServerOptions {
   EndpointOptions endpoint;
   /// RLIMIT_AS per local worker process, MB (0 = unlimited).
   std::uint64_t worker_rss_mb = 0;
-  /// Optional path to a portable UNSAT-core seed (raw
-  /// CampaignCodec::export_unsat_cores bytes, e.g. from `pbse-client
-  /// export-cores`) shipped to every worker at spawn/registration.
-  /// OPT-IN: seeded caches shift tick charging versus unseeded runs.
-  std::string worker_cache_seed_path;
   /// pbse-worker executable override (default: sibling of pbse-serve).
   std::string worker_exe;
 };
@@ -130,12 +125,10 @@ class Server {
   void adopt_worker(Client& client);
   void forward_event(const JobEvent& ev);
   Json event_json(const JobEvent& ev) const;
-  static Json record_json(const JobRecord& rec);
 
   ServerOptions options_;
   std::unique_ptr<Scheduler> scheduler_;
   std::unique_ptr<WorkerPool> pool_;  // after scheduler_: killed first
-  std::vector<std::uint8_t> cache_seed_;
 
   int unix_fd_ = -1;
   int tcp_fd_ = -1;

@@ -43,8 +43,6 @@ bool slice_klee(JobRecord& rec, const SliceContext& ctx) {
   if (!rec.snapshot.empty()) {
     serialize::CampaignCodec::restore(run, rec.snapshot);
   }
-  if (ctx.cache_seed && !ctx.cache_seed->empty())
-    serialize::CampaignCodec::import_unsat_cores(run, *ctx.cache_seed);
   if (rec.run_end_ticks == 0)
     rec.run_end_ticks = run.clock().now() + rec.spec.budget_ticks;
 
@@ -82,11 +80,7 @@ bool slice_pbse(JobRecord& rec, const SliceContext& ctx) {
   const bool prepared = driver.prepare(info.seed(rec.spec.seed_scale));
   if (!rec.snapshot.empty()) {
     serialize::CampaignCodec::restore(driver, rec.snapshot);
-    if (ctx.cache_seed && !ctx.cache_seed->empty())
-      serialize::CampaignCodec::import_unsat_cores(driver, *ctx.cache_seed);
   } else {
-    if (ctx.cache_seed && !ctx.cache_seed->empty())
-      serialize::CampaignCodec::import_unsat_cores(driver, *ctx.cache_seed);
     if (!prepared) {
       // No symbolic branch on the seed path: the concolic step is the whole
       // campaign. Record what it found and finish.
@@ -121,32 +115,6 @@ bool slice_pbse(JobRecord& rec, const SliceContext& ctx) {
 bool run_job_slice(JobRecord& rec, const SliceContext& ctx) {
   return rec.spec.mode == JobMode::kKlee ? slice_klee(rec, ctx)
                                          : slice_pbse(rec, ctx);
-}
-
-std::vector<std::uint8_t> export_job_cores(const JobRecord& rec,
-                                           bool static_analysis) {
-  const targets::TargetInfo& info = resolve_target(rec.spec.target);
-  const ir::Module module = targets::build_target(info.source());
-  if (rec.spec.mode == JobMode::kKlee) {
-    core::KleeRunOptions options;
-    options.searcher = rec.spec.searcher;
-    options.sym_file_size = rec.spec.sym_size;
-    options.rng_seed = rec.spec.rng_seed;
-    options.static_analysis = static_analysis;
-    core::KleeRun run(module, "main", options);
-    if (!rec.snapshot.empty())
-      serialize::CampaignCodec::restore(run, rec.snapshot);
-    return serialize::CampaignCodec::export_unsat_cores(run);
-  }
-  core::PbseOptions options;
-  options.phase_searcher = rec.spec.searcher;
-  options.rng_seed = rec.spec.rng_seed;
-  options.static_analysis = static_analysis;
-  core::PbseDriver driver(module, "main", options);
-  driver.prepare(info.seed(rec.spec.seed_scale));
-  if (!rec.snapshot.empty())
-    serialize::CampaignCodec::restore(driver, rec.snapshot);
-  return serialize::CampaignCodec::export_unsat_cores(driver);
 }
 
 }  // namespace pbse::server

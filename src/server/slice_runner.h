@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "server/job.h"
 
@@ -18,15 +17,10 @@ namespace pbse::server {
 
 struct SliceContext {
   /// Ticks of budget for this scheduling quantum.
-  std::uint64_t slice_ticks = 50'000;
+  std::uint64_t slice_ticks = kDefaultSliceTicks;
   /// Static pre-analysis (DESIGN.md §12); must match the rest of the
   /// job's slices or the tick streams diverge.
   bool static_analysis = true;
-  /// Optional portable solver-cache seed (CampaignCodec::export_unsat_cores
-  /// payload) imported after the campaign is constructed/restored. Warms a
-  /// fresh worker process's caches; OPT-IN because earlier cache hits shift
-  /// the vclock and change snapshot bytes versus an unseeded run.
-  const std::vector<std::uint8_t>* cache_seed = nullptr;
 };
 
 /// Runs one slice of `rec` in-process, updating snapshot, progress,
@@ -34,13 +28,5 @@ struct SliceContext {
 /// Returns true when the job has finished its budget. Throws on unknown
 /// targets or corrupt snapshots — the caller owns the kFailed transition.
 bool run_job_slice(JobRecord& rec, const SliceContext& ctx);
-
-/// Materializes `rec`'s campaign (restoring its snapshot if present) and
-/// exports the solver's UNSAT cores as a portable seed — the payload
-/// `pbse-serve --worker-cache-seed` ships to workers. Cores are pure
-/// interned-key u64 data, so the seed crosses process and host boundaries;
-/// models are interner-relative and never leave the campaign.
-std::vector<std::uint8_t> export_job_cores(const JobRecord& rec,
-                                           bool static_analysis = true);
 
 }  // namespace pbse::server

@@ -96,17 +96,6 @@ SocketEndpoint::~SocketEndpoint() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool SocketEndpoint::send_cache_seed(const std::vector<std::uint8_t>& seed) {
-  try {
-    send_frame_bytes(fd_,
-                     serialize::encode_frame(serialize::FrameKind::kCacheSeed,
-                                             seed));
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 SliceOutcome SocketEndpoint::run_slice(JobRecord& rec,
                                        std::uint64_t slice_ticks,
                                        bool static_analysis, bool& done,
@@ -258,8 +247,6 @@ void WorkerPool::spawn_one() {
   auto endpoint = std::make_unique<SocketEndpoint>(
       sv[0], "proc:" + std::to_string(proc.pid()), options_.endpoint,
       &scheduler_.frame_bytes_counter(), &peak_rss_kb_);
-  if (!options_.cache_seed.empty())
-    endpoint->send_cache_seed(options_.cache_seed);
   scheduler_.add_external_worker(std::move(endpoint));
   procs_.push_back(std::move(proc));
   ++spawned_total_;

@@ -12,11 +12,11 @@
 // WorkerPool spawns N local pbse-worker processes, each on its own
 // socketpair, and registers a SocketEndpoint per process with the
 // scheduler. Workers share NOTHING with the daemon — no interner, no
-// allocator, no solver caches (optionally warmed by a portable UNSAT-core
-// seed) — so per-worker memory is bounded (RLIMIT_AS via --max-rss-mb) and
-// a bad slice kills one process, not the campaign fleet. The same
-// SocketEndpoint class serves TCP-registered remote workers: the daemon
-// cannot tell a socketpair child from a worker three hosts away.
+// allocator, no solver caches — so per-worker memory is bounded (RLIMIT_AS
+// via --max-rss-mb) and a bad slice kills one process, not the campaign
+// fleet. The same SocketEndpoint class serves TCP-registered remote
+// workers: the daemon cannot tell a socketpair child from a worker three
+// hosts away.
 #pragma once
 
 #include <atomic>
@@ -76,11 +76,6 @@ class SocketEndpoint : public SliceEndpoint {
                          bool static_analysis, bool& done,
                          std::string& error) override;
 
-  /// Ships a kCacheSeed frame (CampaignCodec::export_unsat_cores payload)
-  /// the worker applies to every campaign it materializes. Returns false
-  /// if the transport failed.
-  bool send_cache_seed(const std::vector<std::uint8_t>& seed);
-
  private:
   int fd_ = -1;
   std::string name_;
@@ -97,8 +92,6 @@ struct WorkerPoolOptions {
   /// Path to the pbse-worker executable; empty = sibling of the running
   /// binary (/proc/self/exe's directory).
   std::string worker_exe;
-  /// Optional portable solver-cache seed sent to every worker at spawn.
-  std::vector<std::uint8_t> cache_seed;
 };
 
 class WorkerPool {

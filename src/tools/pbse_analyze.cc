@@ -5,15 +5,18 @@
 //
 //   pbse-analyze [target|all] [--json] [--edges] [--safe]
 //
-//   --json    machine-readable output (one JSON object for the whole run)
+//   --json    machine-readable output (one JSON object for the whole run,
+//             on one line)
 //   --edges   list every infeasible edge (text mode; JSON always has them)
 //   --safe    include provably-safe findings (text mode; JSON always does)
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analysis.h"
+#include "support/json.h"
 #include "targets/targets.h"
 
 namespace {
@@ -47,15 +50,6 @@ bool parse_args(int argc, char** argv, Args& args) {
     else args.target = arg;
   }
   return true;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 struct TargetReport {
@@ -104,44 +98,50 @@ void print_text(const TargetReport& r, const Args& args) {
 }
 
 void print_json(const std::vector<TargetReport>& reports) {
-  std::printf("{\n  \"targets\": [\n");
-  for (std::size_t t = 0; t < reports.size(); ++t) {
-    const TargetReport& r = reports[t];
+  Json targets = Json::array();
+  for (const TargetReport& r : reports) {
     const analysis::ModuleAnalysis& a = *r.result;
-    std::printf("    {\n      \"driver\": \"%s\",\n", r.driver.c_str());
-    std::printf("      \"functions\": %zu,\n", r.module.num_functions());
-    std::printf("      \"blocks\": %u,\n", r.module.total_blocks());
-    std::printf("      \"unreachable_blocks\": %llu,\n",
-                static_cast<unsigned long long>(a.num_unreachable));
-    std::printf("      \"passes\": [");
-    for (std::size_t p = 0; p < a.pass_log.size(); ++p)
-      std::printf("%s{\"name\": \"%s\", \"work\": %llu}",
-                  p > 0 ? ", " : "", a.pass_log[p].first.c_str(),
-                  static_cast<unsigned long long>(a.pass_log[p].second));
-    std::printf("],\n");
-    const auto edges = a.infeasible_edges();
-    std::printf("      \"infeasible_edges\": [");
-    for (std::size_t e = 0; e < edges.size(); ++e)
-      std::printf("%s[%u, %u]", e > 0 ? ", " : "", edges[e].first,
-                  edges[e].second);
-    std::printf("],\n");
-    std::printf("      \"findings\": [\n");
-    for (std::size_t f = 0; f < a.findings.size(); ++f) {
-      const auto& finding = a.findings[f];
-      std::printf("        {\"kind\": \"%s\", \"verdict\": \"%s\", "
-                  "\"severity\": \"%s\", \"function\": \"%s\", \"line\": %u, "
-                  "\"block\": %u, \"message\": \"%s\"}%s\n",
-                  analysis::sink_kind_name(finding.kind),
-                  analysis::verdict_name(finding.verdict),
-                  analysis::severity_name(finding.severity),
-                  r.module.function(finding.function)->name().c_str(),
-                  finding.line, finding.block,
-                  json_escape(finding.message).c_str(),
-                  f + 1 < a.findings.size() ? "," : "");
+    Json passes = Json::array();
+    for (const auto& [name, work] : a.pass_log) {
+      Json pass = Json::object();
+      pass.set("name", Json::string(name));
+      pass.set("work", Json::number(work));
+      passes.push_back(std::move(pass));
     }
-    std::printf("      ]\n    }%s\n", t + 1 < reports.size() ? "," : "");
+    Json edges = Json::array();
+    for (const auto& [from, to] : a.infeasible_edges()) {
+      Json edge = Json::array();
+      edge.push_back(Json::number(from));
+      edge.push_back(Json::number(to));
+      edges.push_back(std::move(edge));
+    }
+    Json findings = Json::array();
+    for (const auto& f : a.findings) {
+      Json finding = Json::object();
+      finding.set("kind", Json::string(analysis::sink_kind_name(f.kind)));
+      finding.set("verdict", Json::string(analysis::verdict_name(f.verdict)));
+      finding.set("severity",
+                  Json::string(analysis::severity_name(f.severity)));
+      finding.set("function",
+                  Json::string(r.module.function(f.function)->name()));
+      finding.set("line", Json::number(f.line));
+      finding.set("block", Json::number(f.block));
+      finding.set("message", Json::string(f.message));
+      findings.push_back(std::move(finding));
+    }
+    Json target = Json::object();
+    target.set("driver", Json::string(r.driver));
+    target.set("functions", Json::number(r.module.num_functions()));
+    target.set("blocks", Json::number(r.module.total_blocks()));
+    target.set("unreachable_blocks", Json::number(a.num_unreachable));
+    target.set("passes", std::move(passes));
+    target.set("infeasible_edges", std::move(edges));
+    target.set("findings", std::move(findings));
+    targets.push_back(std::move(target));
   }
-  std::printf("  ]\n}\n");
+  Json report = Json::object();
+  report.set("targets", std::move(targets));
+  std::printf("%s\n", report.dump().c_str());
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 //   pbse-client --socket=PATH ping
 //   pbse-client --socket=PATH pool
 //   pbse-client --socket=PATH fetch <job-id> --out=FILE
-//   pbse-client --socket=PATH export-cores <job-id> --out=FILE
 //   pbse-client --host=H --tcp-port=N workers --remote-workers=N
 //   pbse-client --socket=PATH shutdown
 #include <cstdio>
@@ -20,7 +19,6 @@
 #include "serialize/pbss.h"
 #include "server/client.h"
 #include "server/job.h"
-#include "server/slice_runner.h"
 #include "server/worker_pool.h"
 #include "support/argparse.h"
 #include "support/subprocess.h"
@@ -35,7 +33,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: pbse-client [--socket=PATH | [--host=H] --tcp-port=N] "
-      "<ping|submit|status|list|wait|pool|fetch|export-cores|workers|"
+      "<ping|submit|status|list|wait|pool|fetch|workers|"
       "shutdown> [args]\n"
       "  submit <target> [--mode=pbse|klee] [--budget=TICKS]\n"
       "         [--searcher=NAME] [--sym-size=N] [--seed-scale=N]\n"
@@ -46,10 +44,6 @@ int usage() {
       "  fetch <job-id> --out=FILE\n"
       "                       write the job's pbss snapshot (binary frame\n"
       "                       transfer, no JSON re-encoding)\n"
-      "  export-cores <job-id> --out=FILE\n"
-      "                       fetch + materialize the campaign locally and\n"
-      "                       write a portable UNSAT-core seed for\n"
-      "                       pbse-serve --worker-cache-seed\n"
       "  workers --remote-workers=N [--heartbeat-ms=MS] [--worker-exe=P]\n"
       "                       attach N pbse-worker processes to a remote\n"
       "                       daemon (requires --host/--tcp-port); blocks\n"
@@ -173,7 +167,7 @@ int main(int argc, char** argv) {
       return resp.get_bool("ok", false) ? 0 : 1;
     }
 
-    if (cmd == "fetch" || cmd == "export-cores") {
+    if (cmd == "fetch") {
       if (rest.size() < 2) return usage();
       std::uint64_t job = 0;
       if (!pbse::support::parse_u64(rest[1], job)) {
@@ -192,28 +186,18 @@ int main(int argc, char** argv) {
         }
       }
       if (out.empty()) {
-        std::fprintf(stderr, "pbse-client: %s needs --out=FILE\n",
-                     cmd.c_str());
+        std::fprintf(stderr, "pbse-client: fetch needs --out=FILE\n");
         return 2;
       }
       pbse::server::JobRecord rec = client.fetch(job);
-      if (cmd == "fetch") {
-        if (rec.snapshot.empty()) {
-          std::fprintf(stderr, "pbse-client: job %llu has no snapshot yet\n",
-                       static_cast<unsigned long long>(job));
-          return 1;
-        }
-        pbse::serialize::write_file_atomic(out, rec.snapshot);
-        std::printf("job %llu snapshot: %zu bytes -> %s\n",
-                    static_cast<unsigned long long>(job), rec.snapshot.size(),
-                    out.c_str());
-        return 0;
+      if (rec.snapshot.empty()) {
+        std::fprintf(stderr, "pbse-client: job %llu has no snapshot yet\n",
+                     static_cast<unsigned long long>(job));
+        return 1;
       }
-      const std::vector<std::uint8_t> seed =
-          pbse::server::export_job_cores(rec);
-      pbse::serialize::write_file_atomic(out, seed);
-      std::printf("job %llu unsat-core seed: %zu bytes -> %s\n",
-                  static_cast<unsigned long long>(job), seed.size(),
+      pbse::serialize::write_file_atomic(out, rec.snapshot);
+      std::printf("job %llu snapshot: %zu bytes -> %s\n",
+                  static_cast<unsigned long long>(job), rec.snapshot.size(),
                   out.c_str());
       return 0;
     }

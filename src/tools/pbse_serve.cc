@@ -37,17 +37,10 @@ int usage() {
       "                    beats (default 2000)\n"
       "  --slice-deadline-ms=N  wall-clock cap per slice, heartbeats or\n"
       "                    not (default 0 = none)\n"
-      "  --steal-batch=N   jobs hauled per steal (default 1)\n"
       "  --max-requeues=N  give up on a job after N lost slices "
       "(default 3)\n"
       "  --worker-rss-mb=N RLIMIT_AS per worker process (default off)\n"
-      "  --worker-cache-seed=FILE  UNSAT-core seed shipped to every\n"
-      "                    worker (pbse-client export-cores output;\n"
-      "                    opt-in: changes tick charging)\n"
       "  --worker-exe=PATH pbse-worker binary (default: sibling)\n"
-      "  --slice=TICKS     default slice length (default 50000)\n"
-      "  --checkpoint-interval=TICKS  min ticks between persisted\n"
-      "                    checkpoints (default 0 = every slice)\n"
       "  --no-static-analysis  disable the static pre-analysis for every\n"
       "                    job (checkpoints are only portable between\n"
       "                    daemons with the same setting)\n"
@@ -118,12 +111,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "pbse-serve: %s\n", error.c_str());
         return usage();
       }
-    } else if (const char* v = value_of("--steal-batch=")) {
-      if (!pbse::support::parse_positive_count(
-              "--steal-batch", v, options.scheduler.steal_batch, error)) {
-        std::fprintf(stderr, "pbse-serve: %s\n", error.c_str());
-        return usage();
-      }
     } else if (const char* v = value_of("--max-requeues=")) {
       if (!pbse::support::parse_positive_count(
               "--max-requeues", v, options.scheduler.max_requeues, error)) {
@@ -136,23 +123,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "pbse-serve: %s\n", error.c_str());
         return usage();
       }
-    } else if (const char* v = value_of("--worker-cache-seed=")) {
-      options.worker_cache_seed_path = v;
     } else if (const char* v = value_of("--worker-exe=")) {
       options.worker_exe = v;
-    } else if (const char* v = value_of("--slice=")) {
-      if (!pbse::support::parse_u64_flag(
-              "--slice", v, 1, options.scheduler.default_slice_ticks, error)) {
-        std::fprintf(stderr, "pbse-serve: %s\n", error.c_str());
-        return usage();
-      }
-    } else if (const char* v = value_of("--checkpoint-interval=")) {
-      if (!pbse::support::parse_u64_flag(
-              "--checkpoint-interval", v, 0,
-              options.scheduler.checkpoint_interval_ticks, error)) {
-        std::fprintf(stderr, "pbse-serve: %s\n", error.c_str());
-        return usage();
-      }
     } else if (arg == "--no-static-analysis") {
       options.scheduler.static_analysis = false;
     } else if (arg == "--oneshot") {

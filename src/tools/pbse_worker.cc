@@ -194,7 +194,6 @@ int main(int argc, char** argv) {
     }
 
     std::mutex write_mu;
-    std::vector<std::uint8_t> cache_seed;
     Json msg;
     std::vector<std::uint8_t> framed;
     pbse::server::WireKind wk;
@@ -205,10 +204,6 @@ int main(int argc, char** argv) {
       const pbse::serialize::FrameKind kind =
           pbse::serialize::decode_frame(framed, payload);
       framed.clear();
-      if (kind == pbse::serialize::FrameKind::kCacheSeed) {
-        cache_seed = std::move(payload);
-        continue;
-      }
       if (kind != pbse::serialize::FrameKind::kJobAssign) continue;
 
       pbse::server::JobRecord rec;
@@ -223,7 +218,6 @@ int main(int argc, char** argv) {
         pbse::server::SliceContext ctx;
         ctx.slice_ticks = slice_ticks;
         ctx.static_analysis = static_analysis;
-        if (!cache_seed.empty()) ctx.cache_seed = &cache_seed;
         try {
           result.done = pbse::server::run_job_slice(rec, ctx);
         } catch (const std::exception& e) {

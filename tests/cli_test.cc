@@ -1,6 +1,6 @@
-// The pbse command-line driver at its process boundary: numeric flags are
-// validated strictly, and campaigns on the default shared solver cache
-// explore independently of one another.
+// The command-line tools at their process boundary: pbse validates numeric
+// flags strictly, campaigns on its default shared solver cache explore
+// independently of one another, and pbse-analyze --json is valid JSON.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -11,6 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "support/json.h"
+#include "targets/targets.h"
+
 namespace {
 
 struct CliRun {
@@ -18,9 +21,9 @@ struct CliRun {
   std::string output;  // stdout and stderr, interleaved
 };
 
-CliRun run_pbse(const std::string& args) {
+CliRun run_tool(const std::string& exe, const std::string& args) {
   CliRun run;
-  const std::string command = std::string(PBSE_CLI_EXE) + " " + args + " 2>&1";
+  const std::string command = exe + " " + args + " 2>&1";
   std::FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return run;
   char buf[4096];
@@ -30,6 +33,10 @@ CliRun run_pbse(const std::string& args) {
   const int status = ::pclose(pipe);
   if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
   return run;
+}
+
+CliRun run_pbse(const std::string& args) {
+  return run_tool(PBSE_CLI_EXE, args);
 }
 
 TEST(PbseCli, RejectsMalformedNumericFlags) {
@@ -77,6 +84,24 @@ TEST(PbseCli, DuplicateCampaignsOnTheSharedCacheKeepCoverage) {
   ASSERT_EQ(rows.size(), 2u) << run.output;
   EXPECT_GE(rows[1].ticks, kBudget) << run.output;
   EXPECT_GE(rows[1].covered, rows[0].covered) << run.output;
+}
+
+// The one JSON document pbse-analyze --json prints carries every target's
+// report, with the fields a consumer of the findings needs.
+TEST(PbseAnalyze, JsonReportParses) {
+  const CliRun run = run_tool(PBSE_ANALYZE_EXE, "all --json");
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  const pbse::Json report = pbse::parse_json(run.output);
+  const std::vector<pbse::Json>& targets = report.get("targets").items();
+  EXPECT_EQ(targets.size(), pbse::targets::all_targets().size());
+  for (const pbse::Json& target : targets) {
+    const std::string driver = target.get_string("driver", "");
+    for (const char* key : {"driver", "blocks", "infeasible_edges", "findings"})
+      EXPECT_TRUE(target.has(key)) << driver << ": " << key;
+    for (const pbse::Json& finding : target.get("findings").items())
+      for (const char* key : {"kind", "verdict", "function", "line", "message"})
+        EXPECT_TRUE(finding.has(key)) << driver << ": " << key;
+  }
 }
 
 }  // namespace

@@ -214,6 +214,24 @@ TEST(Reader, RejectsMalformedInputWithLineNumbers) {
   // Truncated mid-object (a crashed writer).
   EXPECT_FALSE(parse_trace_jsonl("{\"ph\":\"I\",\"cat\":\"vm\"", events,
                                  error));
+
+  // Timestamps the sink never writes: past u64, fractional, negative.
+  for (const char* ts : {"184467440737095516170", "1.5", "-1"}) {
+    EXPECT_FALSE(parse_trace_jsonl(
+        "{\"ph\":\"I\",\"cat\":\"vm\",\"name\":\"x\",\"ts\":" +
+            std::string(ts) + "}\n",
+        events, error))
+        << ts;
+  }
+
+  // A \u escape decodes to UTF-8.
+  std::vector<ParsedEvent> escaped;
+  ASSERT_TRUE(parse_trace_jsonl(
+      "{\"ph\":\"I\",\"cat\":\"vm\",\"name\":\"\\u00e9\",\"ts\":1}\n",
+      escaped, error))
+      << error;
+  ASSERT_EQ(escaped.size(), 1u);
+  EXPECT_EQ(escaped[0].name, "\xc3\xa9");
 }
 
 }  // namespace

@@ -355,8 +355,7 @@ TEST(Pbsf, FrameRoundTripAllKinds) {
   const auto payload = some_payload();
   for (serialize::FrameKind kind :
        {serialize::FrameKind::kJobAssign, serialize::FrameKind::kJobResult,
-        serialize::FrameKind::kHeartbeat, serialize::FrameKind::kCacheSeed,
-        serialize::FrameKind::kJobRecord}) {
+        serialize::FrameKind::kHeartbeat, serialize::FrameKind::kJobRecord}) {
     const auto framed = serialize::encode_frame(kind, payload);
     std::vector<std::uint8_t> back;
     EXPECT_EQ(serialize::decode_frame(framed, back), kind);
@@ -400,42 +399,6 @@ TEST(Pbsf, FrameTruncationAndBadMagicCaught) {
   auto trailing = framed;
   trailing.push_back(0);
   EXPECT_THROW(serialize::decode_frame(trailing, sink), SnapshotError);
-}
-
-TEST(Pbsf, UnsatCoreSeedRoundTripsAcrossCampaigns) {
-  // Cores are interned-key u64 data, so a seed exported from one campaign
-  // imports into a freshly constructed one — the portable half of the
-  // solver cache (models stay home; they are interner-relative).
-  const ir::Module module = targets::build_target(targets::readelf_source());
-  core::KleeRunOptions options;
-  options.sym_file_size = 100;
-  core::KleeRun a(module, "main", options);
-  a.run(60'000);
-  const auto seed = CampaignCodec::export_unsat_cores(a);
-  ASSERT_FALSE(seed.empty());
-
-  // A freshly constructed campaign already owns whatever cores its setup
-  // solving produced, so import is a MERGE on top of those, never a
-  // replacement.
-  core::KleeRun b(module, "main", options);
-  const auto before = CampaignCodec::export_unsat_cores(b);
-  CampaignCodec::import_unsat_cores(b, seed);
-  const auto merged = CampaignCodec::export_unsat_cores(b);
-  EXPECT_GE(merged.size(), before.size());
-  EXPECT_GE(merged.size(), seed.size());
-  // Importing the same seed again is a no-op: the merge is a fixpoint.
-  CampaignCodec::import_unsat_cores(b, seed);
-  EXPECT_EQ(CampaignCodec::export_unsat_cores(b), merged);
-  // The merged export re-imports elsewhere to the same bytes — the
-  // portable payload is stable across process boundaries.
-  core::KleeRun d(module, "main", options);
-  CampaignCodec::import_unsat_cores(d, merged);
-  EXPECT_EQ(CampaignCodec::export_unsat_cores(d), merged);
-
-  std::vector<std::uint8_t> corrupt = seed;
-  corrupt.push_back(0);
-  core::KleeRun c(module, "main", options);
-  EXPECT_THROW(CampaignCodec::import_unsat_cores(c, corrupt), SnapshotError);
 }
 
 }  // namespace

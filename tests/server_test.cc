@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <thread>
@@ -64,12 +67,30 @@ TEST(Protocol, JsonRoundTrip) {
 }
 
 TEST(Protocol, JsonRejectsMalformedInput) {
-  EXPECT_THROW(parse_json("{"), ProtocolError);
-  EXPECT_THROW(parse_json("[1,2"), ProtocolError);
-  EXPECT_THROW(parse_json("\"unterminated"), ProtocolError);
-  EXPECT_THROW(parse_json("trueX"), ProtocolError);
-  EXPECT_THROW(parse_json("{} trailing"), ProtocolError);
-  EXPECT_THROW(parse_json(""), ProtocolError);
+  EXPECT_THROW(parse_json("{"), JsonError);
+  EXPECT_THROW(parse_json("[1,2"), JsonError);
+  EXPECT_THROW(parse_json("\"unterminated"), JsonError);
+  EXPECT_THROW(parse_json("trueX"), JsonError);
+  EXPECT_THROW(parse_json("{} trailing"), JsonError);
+  EXPECT_THROW(parse_json(""), JsonError);
+}
+
+// Job ids and tick budgets are read with as_u64(), so it must refuse every
+// number that is not exactly a u64 instead of casting it; and every number
+// must dump as text a JSON reader accepts.
+TEST(Protocol, JsonNumbersReadAsU64OnlyWhenExact) {
+  for (const char* text :
+       {"1e300", "-1", "1.5", "1e20", "18446744073709551616.0"})
+    EXPECT_THROW(parse_json(text).as_u64(), JsonError) << text;
+  EXPECT_EQ(parse_json("18446744073709551615").as_u64(),
+            18446744073709551615ull);
+  EXPECT_EQ(parse_json("3.0").as_u64(), 3u);
+  EXPECT_EQ(Json::number(18446744073709551615ull).dump(),
+            "18446744073709551615");
+  EXPECT_EQ(Json::number_double(std::nan("")).dump(), "null");
+  // Nesting is capped, so one message cannot exhaust the parser's stack.
+  EXPECT_NO_THROW(parse_json(std::string(200, '[') + std::string(200, ']')));
+  EXPECT_THROW(parse_json(std::string(100'000, '[')), JsonError);
 }
 
 TEST(Protocol, FramingRoundTripsOverSocketpair) {
@@ -86,6 +107,29 @@ TEST(Protocol, FramingRoundTripsOverSocketpair) {
   // Clean EOF at a frame boundary is "no more messages", not an error.
   ::close(fds[0]);
   EXPECT_FALSE(recv_message(fds[1], got));
+  ::close(fds[1]);
+}
+
+/// Writes `body` behind a JSON-lane length prefix, bypassing the encoder.
+void write_raw_message(int fd, const std::string& body) {
+  const auto n = static_cast<std::uint32_t>(body.size());
+  const unsigned char hdr[4] = {
+      static_cast<unsigned char>(n), static_cast<unsigned char>(n >> 8),
+      static_cast<unsigned char>(n >> 16), static_cast<unsigned char>(n >> 24)};
+  ASSERT_EQ(::write(fd, hdr, 4), 4);
+  ASSERT_EQ(::write(fd, body.data(), body.size()),
+            static_cast<ssize_t>(body.size()));
+}
+
+TEST(Protocol, MalformedBodyIsAProtocolError) {
+  // Server::handle_client catches only ProtocolError around recv_message,
+  // so a body that is not JSON must surface as exactly that type.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  write_raw_message(fds[0], "{\"cmd\":");
+  Json got;
+  EXPECT_THROW(recv_message(fds[1], got), ProtocolError);
+  ::close(fds[0]);
   ::close(fds[1]);
 }
 
@@ -426,6 +470,67 @@ TEST(Server, EndToEndSubmitWaitStatusShutdown) {
     bye.set("cmd", Json::string("shutdown"));
     EXPECT_TRUE(client.request(bye).get_bool("ok", false));
   }
+  loop.join();
+}
+
+// One bad client message costs that client its connection or an ok:false
+// reply, never the daemon.
+TEST(Server, SurvivesMalformedRequests) {
+  TempServerDir tmp("srv_malformed");
+  ServerOptions options;
+  options.socket_path = tmp.path("serve.sock");
+  options.state_dir = tmp.path("state");
+  options.scheduler.workers = 1;
+  Server server(options);
+  server.start();
+  std::thread loop([&server] { server.serve_forever(); });
+
+  Json ping = Json::object();
+  ping.set("cmd", Json::string("ping"));
+  Client bystander = Client::connect_unix(options.socket_path);
+  EXPECT_TRUE(bystander.request(ping).get_bool("ok", false));
+
+  {
+    // A body that is not JSON: the daemon closes this connection, alone.
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, options.socket_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    timeval tv{10, 0};  // fail rather than hang if the daemon never answers
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    write_raw_message(fd, "not json");
+    char byte = 0;
+    EXPECT_EQ(::read(fd, &byte, 1), 0) << "expected EOF, not a reply";
+    ::close(fd);
+  }
+  EXPECT_TRUE(bystander.request(ping).get_bool("ok", false));
+
+  Client client = Client::connect_unix(options.socket_path);
+  for (double job : {1e300, -1.0, 1.5}) {
+    Json status = Json::object();
+    status.set("cmd", Json::string("status"));
+    status.set("job", Json::number_double(job));
+    const Json resp = client.request(status);
+    EXPECT_FALSE(resp.get_bool("ok", true)) << job;
+    // Refused for its type, not looked up as some truncated id.
+    EXPECT_NE(resp.get_string("error", ""), "no such job") << job;
+  }
+  EXPECT_FALSE(client.request(Json::array()).get_bool("ok", true));
+  JobSpec spec;
+  Json bad_spec = spec.to_json();
+  bad_spec.set("budget_ticks", Json::number_double(1e300));
+  Json submit = Json::object();
+  submit.set("cmd", Json::string("submit"));
+  submit.set("spec", std::move(bad_spec));
+  EXPECT_FALSE(client.request(submit).get_bool("ok", true));
+  EXPECT_TRUE(client.request(ping).get_bool("ok", false));
+
+  Json bye = Json::object();
+  bye.set("cmd", Json::string("shutdown"));
+  EXPECT_TRUE(client.request(bye).get_bool("ok", false));
   loop.join();
 }
 
