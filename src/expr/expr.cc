@@ -1,10 +1,12 @@
 #include "expr/expr.h"
 
+#include <array>
 #include <cassert>
-#include <functional>
+#include <deque>
+#include <initializer_list>
+#include <span>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "expr/node_map.h"
 #include "expr/semantics.h"
@@ -52,43 +54,31 @@ const char* expr_kind_name(ExprKind kind) {
 }
 
 Expr::Expr(ExprKind kind, unsigned width, std::uint64_t value, ArrayRef array,
-           std::vector<ExprRef> kids)
+           std::vector<ExprRef> kids, std::size_t hash)
     : kind_(kind),
       width_(width),
       value_(value),
       array_(std::move(array)),
-      kids_(std::move(kids)) {
-  // Content-based hashing (array by name+size, kids by their own hashes):
-  // pointer addresses must never leak into hashes, because hash order
-  // feeds canonicalization and search tie-breaking, and determinism across
-  // runs and processes is a design goal.
-  std::size_t h = hash_combine(static_cast<std::size_t>(kind_), width_);
-  h = hash_combine(h, static_cast<std::size_t>(value_));
-  if (array_ != nullptr) {
-    h = hash_combine(h, std::hash<std::string>{}(array_->name()));
-    h = hash_combine(h, array_->size());
-  }
-  for (const auto& k : kids_) h = hash_combine(h, k->hash());
-  hash_ = h;
-}
+      kids_(std::move(kids)),
+      hash_(hash) {}
 
 namespace {
 
-struct InternHash {
-  std::size_t operator()(const ExprRef& e) const { return e->hash(); }
-};
-
-struct InternEq {
-  bool operator()(const ExprRef& a, const ExprRef& b) const {
-    if (a->kind() != b->kind() || a->width() != b->width()) return false;
-    if (a->constant_value() != b->constant_value()) return false;
-    if (a->array().get() != b->array().get()) return false;
-    if (a->num_kids() != b->num_kids()) return false;
-    for (std::size_t i = 0; i < a->num_kids(); ++i)
-      if (a->kid(i).get() != b->kid(i).get()) return false;
-    return true;
+// Content-based hashing (array by name+size, kids by their own hashes):
+// pointer addresses must never leak into hashes, because hash order
+// feeds canonicalization and search tie-breaking, and determinism across
+// runs and processes is a design goal.
+std::size_t content_hash(ExprKind kind, unsigned width, std::uint64_t value,
+                         const Array* array, std::span<const ExprRef> kids) {
+  std::size_t h = hash_combine(static_cast<std::size_t>(kind), width);
+  h = hash_combine(h, static_cast<std::size_t>(value));
+  if (array != nullptr) {
+    h = hash_combine(h, array->name_hash());
+    h = hash_combine(h, array->size());
   }
-};
+  for (const auto& k : kids) h = hash_combine(h, k->hash());
+  return h;
+}
 
 // Thread-local interning table: each campaign thread hash-conses its own
 // nodes, so structural equality stays a pointer comparison within a thread
@@ -96,56 +86,143 @@ struct InternEq {
 // lifetime (they are tiny and heavily shared); results that outlive the
 // thread hold their own ExprRefs. Campaigns must therefore build and run
 // on a single thread — the ParallelDriver's campaign-per-worker model.
-std::unordered_set<ExprRef, InternHash, InternEq>& intern_table() {
-  thread_local auto* table =
-      new std::unordered_set<ExprRef, InternHash, InternEq>();
+//
+// The table is flat: a slot is a 32-bit tag of the content hash and the
+// 32-bit index (plus one; zero marks an empty slot) of its node in an
+// append-only deque that owns every node. A request hashes the node's
+// parts, probes linearly from the home slot and constructs a node only on
+// a miss, so the common case (most requests find an existing node)
+// allocates nothing. Nothing iterates the table, and the first node
+// interned for a content is the one every later request gets, so the
+// layout never reaches a result.
+class Interner {
+ public:
+  Interner() : slots_(std::size_t{1} << kMinBits) {}
+
+  ExprRef intern(ExprKind kind, unsigned width, std::uint64_t value,
+                 const ArrayRef& array, std::span<const ExprRef> kids) {
+    const std::size_t hash =
+        content_hash(kind, width, value, array.get(), kids);
+    const auto tag = static_cast<std::uint32_t>(hash);
+    std::size_t i = home(hash);
+    for (;; i = (i + 1) & mask()) {
+      const Slot s = slots_[i];
+      if (s.ref == 0) break;
+      if (s.tag != tag) continue;
+      const ExprRef& node = nodes_[s.ref - 1];
+      if (node->hash() == hash && node->kind() == kind &&
+          node->width() == width && node->constant_value() == value &&
+          node->array() == array && same_kids(*node, kids))
+        return node;
+    }
+    if (2 * (nodes_.size() + 1) > slots_.size()) {
+      grow();
+      i = free_slot(hash);
+    }
+    nodes_.push_back(std::make_shared<const Expr>(
+        kind, width, value, array,
+        std::vector<ExprRef>(kids.begin(), kids.end()), hash));
+    slots_[i] = Slot{tag, static_cast<std::uint32_t>(nodes_.size())};
+    return nodes_.back();
+  }
+
+  /// The constant (value, width), through a direct-mapped cache: concrete
+  /// execution asks for few distinct constants many times over.
+  ExprRef constant(std::uint64_t value, unsigned width) {
+    const std::uint64_t key = value ^ (std::uint64_t{width} << 57);
+    ExprRef& cached = constants_[(key * kFibonacci) >> (64 - kConstantBits)];
+    if (cached == nullptr || cached->constant_value() != value ||
+        cached->width() != width)
+      cached = intern(ExprKind::kConstant, width, value, nullptr, {});
+    return cached;
+  }
+
+  std::size_t size() const { return nodes_.size(); }
+
+ private:
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t ref = 0;  // index into nodes_ plus one; 0 = empty
+  };
+  static constexpr unsigned kMinBits = 10;
+  static constexpr unsigned kConstantBits = 12;
+  static constexpr std::uint64_t kFibonacci = 0x9E3779B97F4A7C15ULL;
+
+  static bool same_kids(const Expr& node, std::span<const ExprRef> kids) {
+    if (node.num_kids() != kids.size()) return false;
+    for (std::size_t k = 0; k < kids.size(); ++k)
+      if (node.kid(k) != kids[k]) return false;
+    return true;
+  }
+
+  std::size_t mask() const { return slots_.size() - 1; }
+  /// Fibonacci hashing: the product's top bits mix every bit of the hash.
+  /// The hash's own low bits follow a constant's value, so taking them
+  /// packs runs of small constants into runs of slots (DESIGN.md §9).
+  std::size_t home(std::size_t hash) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(hash) * kFibonacci) >> (64 - bits_));
+  }
+  std::size_t free_slot(std::size_t hash) const {
+    std::size_t i = home(hash);
+    while (slots_[i].ref != 0) i = (i + 1) & mask();
+    return i;
+  }
+  /// Doubles the table, keeping the load at most one half.
+  void grow() {
+    slots_.assign(slots_.size() * 2, Slot{});
+    ++bits_;
+    for (std::size_t n = 0; n < nodes_.size(); ++n) {
+      const std::size_t hash = nodes_[n]->hash();
+      slots_[free_slot(hash)] = Slot{static_cast<std::uint32_t>(hash),
+                                     static_cast<std::uint32_t>(n + 1)};
+    }
+  }
+
+  std::vector<Slot> slots_;
+  unsigned bits_ = kMinBits;
+  std::deque<ExprRef> nodes_;
+  std::array<ExprRef, std::size_t{1} << kConstantBits> constants_;
+};
+
+Interner& interner() {
+  thread_local auto* table = new Interner();
   return *table;
 }
 
 ExprRef intern(ExprKind kind, unsigned width, std::uint64_t value,
-               ArrayRef array, std::vector<ExprRef> kids) {
-  auto node = std::make_shared<const Expr>(kind, width, value, std::move(array),
-                                           std::move(kids));
-  auto [it, inserted] = intern_table().insert(node);
-  return *it;
+               const ArrayRef& array, std::initializer_list<ExprRef> kids) {
+  return interner().intern(kind, width, value, array, kids);
 }
 
 }  // namespace
 
-std::size_t intern_table_size() { return intern_table().size(); }
+std::size_t intern_table_size() { return interner().size(); }
 
 ExprRef mk_raw(ExprKind kind, unsigned width, std::uint64_t value,
                ArrayRef array, std::vector<ExprRef> kids) {
-  return intern(kind, width, value, std::move(array), std::move(kids));
-}
-
-bool expr_equal(const ExprRef& a, const ExprRef& b) {
-  if (a.get() == b.get()) return true;
-  if (!a || !b) return false;
-  return InternEq{}(a, b) ||
-         (a->hash() == b->hash() && a->to_string() == b->to_string());
+  return interner().intern(kind, width, value, array, kids);
 }
 
 // --- Builders -------------------------------------------------------------
 
 ExprRef mk_const(std::uint64_t value, unsigned width) {
   assert(width >= 1 && width <= 64);
-  return intern(ExprKind::kConstant, width, truncate_to_width(value, width),
-                nullptr, {});
+  return interner().constant(truncate_to_width(value, width), width);
 }
 
 ExprRef mk_bool(bool v) { return mk_const(v ? 1 : 0, 1); }
 
 ExprRef mk_read(ArrayRef array, std::uint32_t index) {
   assert(array != nullptr && index < array->size());
-  return intern(ExprKind::kRead, 8, index, std::move(array), {});
+  return intern(ExprKind::kRead, 8, index, array, {});
 }
 
 ExprRef mk_select(ExprRef cond, ExprRef then_e, ExprRef else_e) {
   assert(cond->width() == 1 && then_e->width() == else_e->width());
   if (cond->is_true()) return then_e;
   if (cond->is_false()) return else_e;
-  if (expr_equal(then_e, else_e)) return then_e;
+  if (then_e == else_e) return then_e;
   // select(c, 1, 0) over width-1 operands is just c.
   if (then_e->width() == 1 && then_e->is_true() && else_e->is_false()) return cond;
   if (then_e->width() == 1 && then_e->is_false() && else_e->is_true())
@@ -272,7 +349,7 @@ ExprRef mk_add(ExprRef a, ExprRef b) {
 
 ExprRef mk_sub(ExprRef a, ExprRef b) {
   if (b->is_constant() && b->constant_value() == 0) return a;
-  if (expr_equal(a, b)) return mk_const(0, a->width());
+  if (a == b) return mk_const(0, a->width());
   return mk_binop(ExprKind::kSub, std::move(a), std::move(b));
 }
 
@@ -312,7 +389,7 @@ ExprRef mk_and(ExprRef a, ExprRef b) {
     if (b->constant_value() == truncate_to_width(~std::uint64_t{0}, b->width()))
       return a;
   }
-  if (expr_equal(a, b)) return a;
+  if (a == b) return a;
   return mk_binop(ExprKind::kAnd, std::move(a), std::move(b));
 }
 
@@ -323,14 +400,14 @@ ExprRef mk_or(ExprRef a, ExprRef b) {
     if (b->constant_value() == truncate_to_width(~std::uint64_t{0}, b->width()))
       return b;
   }
-  if (expr_equal(a, b)) return a;
+  if (a == b) return a;
   return mk_binop(ExprKind::kOr, std::move(a), std::move(b));
 }
 
 ExprRef mk_xor(ExprRef a, ExprRef b) {
   if (a->is_constant()) std::swap(a, b);
   if (b->is_constant() && b->constant_value() == 0) return a;
-  if (expr_equal(a, b)) return mk_const(0, a->width());
+  if (a == b) return mk_const(0, a->width());
   return mk_binop(ExprKind::kXor, std::move(a), std::move(b));
 }
 
@@ -350,7 +427,7 @@ ExprRef mk_ashr(ExprRef a, ExprRef b) {
 }
 
 ExprRef mk_eq(ExprRef a, ExprRef b) {
-  if (expr_equal(a, b)) return mk_bool(true);
+  if (a == b) return mk_bool(true);
   // Eq(x, true/false) on width-1 collapses to x / not x.
   if (a->width() == 1) {
     if (a->is_true()) return b;
@@ -364,13 +441,13 @@ ExprRef mk_eq(ExprRef a, ExprRef b) {
 ExprRef mk_ne(ExprRef a, ExprRef b) { return mk_lnot(mk_eq(std::move(a), std::move(b))); }
 
 ExprRef mk_ult(ExprRef a, ExprRef b) {
-  if (expr_equal(a, b)) return mk_bool(false);
+  if (a == b) return mk_bool(false);
   if (b->is_constant() && b->constant_value() == 0) return mk_bool(false);
   return mk_binop(ExprKind::kUlt, std::move(a), std::move(b));
 }
 
 ExprRef mk_ule(ExprRef a, ExprRef b) {
-  if (expr_equal(a, b)) return mk_bool(true);
+  if (a == b) return mk_bool(true);
   if (a->is_constant() && a->constant_value() == 0) return mk_bool(true);
   return mk_binop(ExprKind::kUle, std::move(a), std::move(b));
 }
@@ -379,12 +456,12 @@ ExprRef mk_ugt(ExprRef a, ExprRef b) { return mk_ult(std::move(b), std::move(a))
 ExprRef mk_uge(ExprRef a, ExprRef b) { return mk_ule(std::move(b), std::move(a)); }
 
 ExprRef mk_slt(ExprRef a, ExprRef b) {
-  if (expr_equal(a, b)) return mk_bool(false);
+  if (a == b) return mk_bool(false);
   return mk_binop(ExprKind::kSlt, std::move(a), std::move(b));
 }
 
 ExprRef mk_sle(ExprRef a, ExprRef b) {
-  if (expr_equal(a, b)) return mk_bool(true);
+  if (a == b) return mk_bool(true);
   return mk_binop(ExprKind::kSle, std::move(a), std::move(b));
 }
 

@@ -9,6 +9,12 @@
 // solver caches rely on. Construction performs constant folding and a set
 // of local simplifications, so the engine can build expressions naively.
 //
+// The interner is a flat open-addressing table of 8-byte slots (a 32-bit
+// tag of the node's content hash and a 32-bit index into an append-only
+// node list). A builder hashes the node's parts, probes, and allocates a
+// node only when the table has none with that content; a direct-mapped
+// cache in front of it answers most mk_const calls without probing.
+//
 // The interning table is THREAD-LOCAL: expressions built on different
 // threads never alias, so independent campaigns can run on worker threads
 // without locks. A single campaign (and all expressions it compares by
@@ -17,6 +23,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,14 +38,20 @@ using ExprRef = std::shared_ptr<const Expr>;
 class Array {
  public:
   Array(std::string name, std::uint32_t size)
-      : name_(std::move(name)), size_(size) {}
+      : name_(std::move(name)),
+        size_(size),
+        name_hash_(std::hash<std::string>{}(name_)) {}
 
   const std::string& name() const { return name_; }
   std::uint32_t size() const { return size_; }
+  /// std::hash of name(), computed once: Read-node hashes and the solver's
+  /// content-based site ids use it.
+  std::size_t name_hash() const { return name_hash_; }
 
  private:
   std::string name_;
   std::uint32_t size_;
+  std::size_t name_hash_;
 };
 
 using ArrayRef = std::shared_ptr<const Array>;
@@ -106,9 +119,10 @@ class Expr {
   /// Renders the expression as an s-expression, e.g. "(Add w8 (Read file 3) 1)".
   std::string to_string() const;
 
-  // Internal: used by the interner. Prefer the mk_* functions.
+  // Internal: used by the interner, which passes the content hash it probed
+  // with. Prefer the mk_* functions.
   Expr(ExprKind kind, unsigned width, std::uint64_t value, ArrayRef array,
-       std::vector<ExprRef> kids);
+       std::vector<ExprRef> kids, std::size_t hash);
 
  private:
   ExprKind kind_;
@@ -118,10 +132,6 @@ class Expr {
   std::vector<ExprRef> kids_;
   std::size_t hash_;
 };
-
-/// True if `a` and `b` are structurally identical (pointer equality thanks
-/// to hash-consing, with a structural fallback).
-bool expr_equal(const ExprRef& a, const ExprRef& b);
 
 // --- Width arithmetic helpers -------------------------------------------
 
@@ -214,7 +224,7 @@ const std::vector<ReadSite>& cached_reads(const ExprRef& e);
 /// Number of nodes in the DAG (each shared node counted once).
 std::size_t expr_dag_size(const ExprRef& e);
 
-/// Interner statistics (for tests / benches).
+/// Number of distinct nodes interned on this thread (for tests / benches).
 std::size_t intern_table_size();
 
 }  // namespace pbse

@@ -1,6 +1,7 @@
 #include "serialize/state_codec.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "ir/ir.h"
@@ -9,7 +10,78 @@ namespace pbse::serialize {
 
 namespace {
 constexpr std::uint32_t kNullId = ~std::uint32_t{0};
+
+[[noreturn]] void malformed(const char* what) {
+  throw SnapshotError(std::string("pbss: malformed expression node: ") + what);
 }
+
+/// Throws unless the decoded fields form a node the engine can evaluate:
+/// a known kind, a width of 1..64, the kind's kid count and kid widths, and
+/// a value within the width or the array. Frames from remote workers reach
+/// this decoder, and the engine reads kids and widths without checks, so a
+/// checksum-valid but ill-formed node must stop here.
+ExprKind checked_node(std::uint8_t kind_byte, unsigned width,
+                      std::uint64_t value, const ArrayRef& array,
+                      const std::vector<ExprRef>& kids) {
+  if (kind_byte > static_cast<std::uint8_t>(ExprKind::kSle))
+    malformed("unknown kind");
+  const auto kind = static_cast<ExprKind>(kind_byte);
+  if (width < 1 || width > 64) malformed("width outside 1..64");
+  std::size_t arity = 2;
+  switch (kind) {
+    case ExprKind::kConstant:
+    case ExprKind::kRead: arity = 0; break;
+    case ExprKind::kExtract:
+    case ExprKind::kZExt:
+    case ExprKind::kSExt:
+    case ExprKind::kNot: arity = 1; break;
+    case ExprKind::kSelect: arity = 3; break;
+    default: break;
+  }
+  if (kids.size() != arity) malformed("kid count does not match the kind");
+  if ((array != nullptr) != (kind == ExprKind::kRead))
+    malformed("only a Read has an array");
+  auto kid_width = [&](std::size_t k) { return kids[k]->width(); };
+  bool ok = true;
+  switch (kind) {
+    case ExprKind::kConstant:
+      ok = value == truncate_to_width(value, width);
+      break;
+    case ExprKind::kRead:
+      ok = width == 8 && value < array->size();
+      break;
+    case ExprKind::kSelect:
+      ok = kid_width(0) == 1 && kid_width(1) == width && kid_width(2) == width;
+      break;
+    case ExprKind::kConcat:
+      ok = kid_width(0) + kid_width(1) == width;
+      break;
+    case ExprKind::kExtract:
+      ok = width <= kid_width(0) && value <= kid_width(0) - width;
+      break;
+    case ExprKind::kZExt:
+    case ExprKind::kSExt:
+      ok = width >= kid_width(0);
+      break;
+    case ExprKind::kNot:
+      ok = width == kid_width(0);
+      break;
+    case ExprKind::kEq:
+    case ExprKind::kUlt:
+    case ExprKind::kUle:
+    case ExprKind::kSlt:
+    case ExprKind::kSle:
+      ok = width == 1 && kid_width(0) == kid_width(1);
+      break;
+    default:  // arithmetic, bitwise and shift operators
+      ok = width == kid_width(0) && width == kid_width(1);
+      break;
+  }
+  if (!ok) malformed("value or kid widths do not fit the kind");
+  return kind;
+}
+
+}  // namespace
 
 void StateCodec::register_array(const ArrayRef& array) {
   canonical_[{array->name(), array->size()}] = array;
@@ -113,11 +185,13 @@ void StateCodec::encode_expr(Encoder& enc, const ExprRef& e) {
 ExprRef StateCodec::decode_expr(Decoder& dec) {
   const std::uint32_t num_new = dec.u32();
   for (std::uint32_t n = 0; n < num_new; ++n) {
-    const auto kind = static_cast<ExprKind>(dec.u8());
+    const std::uint8_t kind_byte = dec.u8();
     const unsigned width = dec.u8();
     const std::uint64_t value = dec.u64();
     ArrayRef array = decode_array_def(dec);
     const std::uint32_t num_kids = dec.u32();
+    // Checked before the reserve: an untrusted count must not size memory.
+    if (num_kids > 3) malformed("more kids than any kind has");
     std::vector<ExprRef> kids;
     kids.reserve(num_kids);
     for (std::uint32_t k = 0; k < num_kids; ++k) {
@@ -126,6 +200,7 @@ ExprRef StateCodec::decode_expr(Decoder& dec) {
         throw SnapshotError("pbss: expression kid id out of range");
       kids.push_back(exprs_[kid]);
     }
+    const ExprKind kind = checked_node(kind_byte, width, value, array, kids);
     // mk_raw re-interns the exact stored shape — no builder folding, and
     // shared nodes come back pointer-identical via the intern table.
     exprs_.push_back(mk_raw(kind, width, value, std::move(array),

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
-#include <string>
 
 namespace pbse {
 
@@ -20,7 +18,7 @@ std::uint64_t site_key(const ReadSite& site) {
 /// input region yields the same id in every campaign (arrays are interned
 /// per thread; pointers must never leak into keys that cross campaigns).
 std::uint64_t site_content_id(const ReadSite& site) {
-  std::uint64_t h = std::hash<std::string>{}(site.array->name());
+  std::uint64_t h = site.array->name_hash();
   h ^= std::uint64_t{site.array->size()} << 32;
   h ^= site.index;
   return mix_constraint_hash(h);

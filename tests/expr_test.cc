@@ -65,7 +65,74 @@ TEST(Expr, InterningGivesPointerIdentity) {
   const ExprRef b =
       mk_add(mk_zext(mk_read(array, 3), 32), mk_const(17, 32));
   EXPECT_EQ(a.get(), b.get());
-  EXPECT_TRUE(expr_equal(a, b));
+}
+
+TEST(Expr, InternerKeepsIdentityAcrossGrowth) {
+  // 150k Reads of a fresh array and a Not over each: 300k new nodes, which
+  // takes the table through several doublings.
+  constexpr std::uint32_t kReads = 150'000;
+  auto array = make_array(kReads);
+  const std::size_t before = intern_table_size();
+  std::vector<ExprRef> reads, nots;
+  for (std::uint32_t i = 0; i < kReads; ++i) {
+    reads.push_back(mk_read(array, i));
+    nots.push_back(mk_not(reads.back()));
+  }
+  EXPECT_EQ(intern_table_size(), before + 2 * kReads);
+  for (std::uint32_t i = 0; i < kReads; ++i) {
+    ASSERT_EQ(mk_read(array, i).get(), reads[i].get()) << i;
+    ASSERT_EQ(mk_not(reads[i]).get(), nots[i].get()) << i;
+  }
+  EXPECT_EQ(intern_table_size(), before + 2 * kReads);
+}
+
+TEST(Expr, InternerSeparatesNodesWithEqualHashes) {
+  // Arrays hash by name and size but compare by pointer, so these Reads
+  // have equal content hashes and must still be distinct nodes.
+  const auto a = std::make_shared<Array>("same", 8);
+  const auto b = std::make_shared<Array>("same", 8);
+  const ExprRef ra = mk_read(a, 2);
+  const ExprRef rb = mk_read(b, 2);
+  EXPECT_EQ(ra->hash(), rb->hash());
+  EXPECT_NE(ra.get(), rb.get());
+  const ExprRef sum_a = mk_add(ra, mk_const(1, 8));
+  const ExprRef sum_b = mk_add(rb, mk_const(1, 8));
+  EXPECT_EQ(sum_a->hash(), sum_b->hash());
+  EXPECT_NE(sum_a.get(), sum_b.get());
+  EXPECT_EQ(sum_a->kid(0).get(), ra.get());
+  EXPECT_EQ(sum_b->kid(0).get(), rb.get());
+  EXPECT_EQ(mk_read(b, 2).get(), rb.get());
+  EXPECT_EQ(mk_read(a, 2).get(), ra.get());
+  EXPECT_EQ(mk_add(mk_read(b, 2), mk_const(1, 8)).get(), sum_b.get());
+  EXPECT_EQ(mk_add(mk_read(a, 2), mk_const(1, 8)).get(), sum_a.get());
+}
+
+TEST(Expr, ConstantCacheReturnsTheInternedNode) {
+  const auto raw = [](std::uint64_t value, unsigned width) {
+    return mk_raw(ExprKind::kConstant, width, value, nullptr, {}).get();
+  };
+  // Widths 1..64 at 0, 1, the sign bit and all ones, requested in a
+  // different order each round, with 16k other constants between rounds
+  // (four per cache slot) so that they evict each other.
+  for (int round = 0; round < 4; ++round) {
+    for (unsigned i = 0; i < 64; ++i) {
+      const unsigned w = round % 2 == 0 ? i + 1 : 64 - i;
+      const std::uint64_t ones = truncate_to_width(~std::uint64_t{0}, w);
+      for (const std::uint64_t v :
+           {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1} << (w - 1),
+            ones}) {
+        ASSERT_EQ(mk_const(v, w).get(), raw(v, w))
+            << "width " << w << " value " << v;
+      }
+      // Bits above the width are dropped before the lookup.
+      ASSERT_EQ(mk_const(~std::uint64_t{0}, w).get(), raw(ones, w));
+    }
+    for (std::uint64_t v = 0; v < 16'384; ++v) {
+      const unsigned w = 16 + static_cast<unsigned>(v % 49);
+      ASSERT_EQ(mk_const(v * 977 + round, w).get(),
+                raw(truncate_to_width(v * 977 + round, w), w));
+    }
+  }
 }
 
 TEST(Expr, CommutativeCanonicalization) {

@@ -151,6 +151,110 @@ TEST(StateCodecTest, WideDagEncodesLinearly) {
   EXPECT_EQ(dec_codec.decode_expr(dec).get(), e.get());
 }
 
+// One node definition in decode_expr's wire layout.
+struct RawNode {
+  std::uint8_t kind;
+  std::uint8_t width;
+  std::uint64_t value = 0;
+  bool has_array = false;  // reads the 16-byte array "file"
+  std::vector<std::uint32_t> kids = {};
+};
+
+std::vector<std::uint8_t> encode_raw_nodes(const std::vector<RawNode>& nodes) {
+  Encoder enc;
+  enc.u32(static_cast<std::uint32_t>(nodes.size()));
+  bool array_defined = false;
+  for (const RawNode& n : nodes) {
+    enc.u8(n.kind);
+    enc.u8(n.width);
+    enc.u64(n.value);
+    if (!n.has_array) {
+      enc.u8(0);
+    } else if (array_defined) {
+      enc.u8(1);
+      enc.u32(0);
+    } else {
+      enc.u8(2);
+      enc.str("file");
+      enc.u32(16);
+      array_defined = true;
+    }
+    enc.u32(static_cast<std::uint32_t>(n.kids.size()));
+    for (std::uint32_t kid : n.kids) enc.u32(kid);
+  }
+  enc.u32(static_cast<std::uint32_t>(nodes.size() - 1));  // root: last node
+  return enc.data();
+}
+
+TEST(StateCodecTest, RejectsMalformedExpressionNodes) {
+  const ArrayRef arr = std::make_shared<Array>("file", 16);
+  const auto kind = [](ExprKind k) { return static_cast<std::uint8_t>(k); };
+  // Well-formed nodes the malformed ones refer to: ids 0..3.
+  const std::vector<RawNode> base = {
+      {kind(ExprKind::kConstant), 1, 1},
+      {kind(ExprKind::kConstant), 8, 7},
+      {kind(ExprKind::kConstant), 32, 5},
+      {kind(ExprKind::kRead), 8, 3, true},
+  };
+  const auto decode = [&](const RawNode& last) {
+    std::vector<RawNode> nodes = base;
+    nodes.push_back(last);
+    const auto bytes = encode_raw_nodes(nodes);
+    StateCodec codec;
+    codec.register_array(arr);
+    Decoder dec(bytes);
+    return codec.decode_expr(dec);
+  };
+
+  // Control: a valid node decodes to the builders' node.
+  EXPECT_EQ(decode({kind(ExprKind::kAdd), 8, 0, false, {3, 1}}).get(),
+            mk_add(mk_read(arr, 3), mk_const(7, 8)).get());
+
+  const std::vector<std::pair<const char*, RawNode>> bad = {
+      {"Concat without kids", {kind(ExprKind::kConcat), 16}},
+      {"kind byte 200", {200, 8}},
+      {"Add of width 99 without kids", {kind(ExprKind::kAdd), 99}},
+      {"width-0 constant", {kind(ExprKind::kConstant), 0}},
+      {"constant wider than its width", {kind(ExprKind::kConstant), 8, 256}},
+      {"Read index at the array size", {kind(ExprKind::kRead), 8, 16, true}},
+      {"Read without an array", {kind(ExprKind::kRead), 8, 0}},
+      {"Read of width 16", {kind(ExprKind::kRead), 16, 0, true}},
+      {"constant with an array", {kind(ExprKind::kConstant), 8, 1, true}},
+      {"Not with two kids", {kind(ExprKind::kNot), 8, 0, false, {1, 1}}},
+      {"Select with two kids", {kind(ExprKind::kSelect), 8, 0, false, {0, 1}}},
+      {"Add over widths 8 and 32", {kind(ExprKind::kAdd), 8, 0, false, {1, 2}}},
+      {"Add wider than its operands",
+       {kind(ExprKind::kAdd), 32, 0, false, {1, 1}}},
+      {"Eq of width 8", {kind(ExprKind::kEq), 8, 0, false, {1, 1}}},
+      {"Ult over widths 8 and 32", {kind(ExprKind::kUlt), 1, 0, false, {1, 2}}},
+      {"Concat width not the sum", {kind(ExprKind::kConcat), 32, 0, false, {1, 3}}},
+      {"Extract past its kid", {kind(ExprKind::kExtract), 8, 28, false, {2}}},
+      {"Extract offset wrapping u64",
+       {kind(ExprKind::kExtract), 8, ~std::uint64_t{0}, false, {2}}},
+      {"ZExt narrower than its kid", {kind(ExprKind::kZExt), 8, 0, false, {2}}},
+      {"SExt narrower than its kid", {kind(ExprKind::kSExt), 16, 0, false, {2}}},
+      {"Not changing width", {kind(ExprKind::kNot), 32, 0, false, {1}}},
+      {"Select on a width-8 condition",
+       {kind(ExprKind::kSelect), 8, 0, false, {1, 1, 1}}},
+      {"Select arms narrower than the node",
+       {kind(ExprKind::kSelect), 32, 0, false, {0, 1, 1}}},
+  };
+  for (const auto& [what, node] : bad)
+    EXPECT_THROW(decode(node), SnapshotError) << what;
+
+  // A kid count no kind has is refused before it sizes anything.
+  Encoder enc;
+  enc.u32(1);
+  enc.u8(kind(ExprKind::kConcat));
+  enc.u8(16);
+  enc.u64(0);
+  enc.u8(0);  // no array
+  enc.u32(~std::uint32_t{0});
+  StateCodec codec;
+  Decoder dec(enc.data());
+  EXPECT_THROW(codec.decode_expr(dec), SnapshotError);
+}
+
 TEST(StateCodecTest, AssignmentSharingPreserved) {
   const ArrayRef arr = std::make_shared<Array>("file", 4);
   auto model = std::make_shared<Assignment>();
