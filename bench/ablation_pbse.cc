@@ -168,8 +168,7 @@ int ablation_subsumption(const BenchConfig& config) {
   table.header({"campaign", "covered BBs", "ticks", "pruned", "explored"});
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const core::CampaignOutcome& o = outcomes[i];
-    const std::uint64_t k = o.stats.get("executor.subsumed_barren") +
-                            o.stats.get("executor.subsumed_seedstates");
+    const std::uint64_t k = o.stats.get("executor.subsumed_barren");
     const std::uint64_t e =
         o.stats.get("executor.forks") + o.stats.get("concolic.seed_states");
     if (o.name.size() > 3 && o.name.rfind("-on") == o.name.size() - 3) {

@@ -33,17 +33,16 @@ inline constexpr SolverCacheRow kSolverCacheRows[] = {
     {"shard_contention", "cache.shared_contention"},
     {"shared_entries", "cache.shared_entries"},
     {"l1_hits", "solver.cache_hits"},
-    // Incremental-pipeline hit classes (solver.h): queries resolved
-    // without reaching the backtracking search.
-    {"partition_hits", "solver.partition_hits"},
-    {"model_reuse", "solver.model_reuse"},
-    {"model_replays", "solver.model_replays"},
+    // Incremental-pipeline hit class (solver.h): queries whose propagation
+    // was seeded from a memoized prefix.
     {"domain_memo_hits", "solver.domain_memo_hits"},
-    // Subsumption kill classes (executor.cc, DESIGN.md §10): states
-    // terminated without solver work.
+    // Solver Unknowns: queries whose search budget ran out, and the fork
+    // directions the executor dropped because of one.
+    {"search_unknown", "solver.search_unknown"},
+    {"fork_unknown", "executor.fork_unknown"},
+    // Subsumption kill class (executor.cc, DESIGN.md §10): states
+    // terminated at block entry without solver work.
     {"subsumed_barren", "executor.subsumed_barren"},
-    {"subsumed_seedstates", "executor.subsumed_seedstates"},
-    {"interpolants_published", "solver.interpolants_published"},
     // Static-analysis pruning (DESIGN.md §12): forks killed on statically-
     // infeasible edges (no solver query at all) and the phase scheduler's
     // target universe before/after dropping statically-unreachable blocks.

@@ -172,30 +172,6 @@ void BM_SolverPartitionSlice(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverPartitionSlice)->Arg(64)->Arg(1024);
 
-// Stage: counterexample replay. The untimed setup query searches and files
-// its model under the partition key; the timed query is fresh (exact-cache
-// miss) but satisfied by that model, so it resolves by replay. A fresh
-// solver per iteration keeps the timed query from degrading into an
-// exact-cache hit.
-void BM_SolverModelReplay(benchmark::State& state) {
-  auto array = std::make_shared<Array>("bench", 64);
-  for (auto _ : state) {
-    state.PauseTiming();
-    VClock clock;
-    Stats stats;
-    Solver solver(clock, stats);
-    ConstraintSet cs;
-    const ExprRef q1 = mk_eq(mk_read(array, 0), mk_const(0x7f, 8));
-    solver.check_sat(cs, q1);
-    cs.add(q1);
-    const ExprRef q2 = mk_ult(mk_const(0x10, 8), mk_read(array, 0));
-    state.ResumeTiming();
-    Assignment model;
-    benchmark::DoNotOptimize(solver.check_sat(cs, q2, &model));
-  }
-}
-BENCHMARK(BM_SolverModelReplay);
-
 // Stage: domain propagation, memo off vs on. A loop-bound chain re-queries
 // a growing list; with the memo each query seeds from the memoized prefix
 // domains and only propagates the delta. Caches are off so every timed
@@ -212,7 +188,6 @@ void BM_SolverDomainPropagation(benchmark::State& state) {
     Stats stats;
     SolverOptions options;
     options.use_cache = false;
-    options.use_cex_cache = false;
     options.use_domain_memo = memo;
     Solver solver(clock, stats, options);
     ConstraintSet cs;

@@ -52,6 +52,13 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" -j "$JOBS" --output-on-failure 2>&1 \
   | tee "$BUILD_DIR/ctest.log"
 
+# Micro-benchmark smoke: every BM_* body runs once, so a benchmark that
+# breaks after a refactor fails the gate. Timings are not checked. The
+# min time is a plain number of seconds: older google-benchmark releases
+# reject the "1x"/"0.001s" suffix forms.
+"./$BUILD_DIR/bench/micro_benchmarks" --benchmark_min_time=0.001 2>&1 \
+  | tee "$BUILD_DIR/micro_benchmarks.log"
+
 # Golden bench check: regenerate the small-workload bench and diff its
 # deterministic fields (coverage/ticks/bugs/solver hit-class counters;
 # wall-clock is ignored) against the committed BENCH_pbse.json.

@@ -1,7 +1,7 @@
 // Concrete evaluation of symbolic expressions under a byte assignment.
 //
 // Used by: the concolic executor (concrete half of the lockstep), the
-// solver's model replay and validation, and test-case replay. The
+// solver's cache re-verification and validation, and test-case replay. The
 // backtracking search's candidate checks run on a Tape (expr/tape.h).
 #pragma once
 

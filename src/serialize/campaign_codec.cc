@@ -45,29 +45,36 @@ std::unordered_set<std::uint64_t> decode_u64_set(Decoder& dec) {
   return set;
 }
 
-void encode_core(Encoder& enc, const std::vector<std::uint64_t>& core) {
-  enc.u32(static_cast<std::uint32_t>(core.size()));
-  for (std::uint64_t h : core) enc.u64(h);
-}
-
-std::vector<std::uint64_t> decode_core(Decoder& dec) {
-  const std::uint32_t n = dec.u32();
-  std::vector<std::uint64_t> core;
-  core.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) core.push_back(dec.u64());
-  return core;
-}
-
-/// Per-key core lists of an InterpolantTable-style map, sorted by key,
-/// lists verbatim (list order is eviction state).
-void encode_core_map(Encoder& enc, const InterpolantTable::Map& map) {
+/// Per-key summary lists of an InterpolantTable, sorted by key, lists
+/// verbatim (list order is eviction state).
+void encode_interpolants(Encoder& enc, const InterpolantTable& table) {
+  const auto& map = table.raw_barren();
   const auto keys = sorted_keys(map);
   enc.u32(static_cast<std::uint32_t>(keys.size()));
   for (std::uint64_t key : keys) {
     enc.u64(key);
     const auto& list = map.at(key);
     enc.u32(static_cast<std::uint32_t>(list.size()));
-    for (const auto& core : list) encode_core(enc, core);
+    for (const auto& core : list) {
+      enc.u32(static_cast<std::uint32_t>(core.size()));
+      for (std::uint64_t h : core) enc.u64(h);
+    }
+  }
+}
+
+void decode_interpolants(Decoder& dec, InterpolantTable& table) {
+  table.clear();
+  const std::uint32_t nkeys = dec.u32();
+  for (std::uint32_t i = 0; i < nkeys; ++i) {
+    auto& list = table.mutable_barren(dec.u64());
+    const std::uint32_t len = dec.u32();
+    // No reserve: an untrusted count must not size memory; a short
+    // payload throws from the decoder instead.
+    for (std::uint32_t j = 0; j < len; ++j) {
+      std::vector<std::uint64_t>& core = list.emplace_back();
+      const std::uint32_t n = dec.u32();
+      for (std::uint32_t k = 0; k < n; ++k) core.push_back(dec.u64());
+    }
   }
 }
 
@@ -204,6 +211,7 @@ void CampaignCodec::encode_executor(StateCodec& codec, Encoder& enc,
   enc.u64(ex.live_states_);
   enc.u32(ex.input_object_);
   encode_u64_set(enc, ex.concolic_seen_forks_);
+  encode_interpolants(enc, ex.interpolants_);
 }
 
 void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
@@ -267,6 +275,7 @@ void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
   ex.live_states_ = dec.u64();
   ex.input_object_ = dec.u32();
   ex.concolic_seen_forks_ = decode_u64_set(dec);
+  decode_interpolants(dec, ex.interpolants_);
 }
 
 // --- Solver L1 stores -----------------------------------------------------
@@ -283,28 +292,6 @@ void CampaignCodec::encode_solver(StateCodec& codec, Encoder& enc,
       enc.u64(key);
       enc.u8(static_cast<std::uint8_t>(e.result));
       codec.encode_model_bytes(enc, e.model);
-    }
-  }
-  // Counterexample store: keys sorted, per-key lists VERBATIM (FIFO
-  // position is eviction state).
-  {
-    const auto& models = solver.cex_.raw_models();
-    const auto keys = sorted_keys(models);
-    enc.u32(static_cast<std::uint32_t>(keys.size()));
-    for (std::uint64_t key : keys) {
-      enc.u64(key);
-      const auto& list = models.at(key);
-      enc.u32(static_cast<std::uint32_t>(list.size()));
-      for (const auto& m : list) codec.encode_model_bytes(enc, m);
-    }
-    const auto& cores = solver.cex_.raw_cores();
-    const auto ckeys = sorted_keys(cores);
-    enc.u32(static_cast<std::uint32_t>(ckeys.size()));
-    for (std::uint64_t key : ckeys) {
-      enc.u64(key);
-      const auto& list = cores.at(key);
-      enc.u32(static_cast<std::uint32_t>(list.size()));
-      for (const auto& core : list) encode_core(enc, core);
     }
   }
   // Domain memo: keys sorted; slots sorted by (array name, index).
@@ -333,10 +320,6 @@ void CampaignCodec::encode_solver(StateCodec& codec, Encoder& enc,
       }
     }
   }
-  // Interpolant table; then the current filing location.
-  encode_core_map(enc, solver.interpolants_.raw_unsat());
-  encode_core_map(enc, solver.interpolants_.raw_barren());
-  enc.u64(solver.interpolant_location_);
 }
 
 void CampaignCodec::decode_solver(StateCodec& codec, Decoder& dec,
@@ -350,26 +333,6 @@ void CampaignCodec::decode_solver(StateCodec& codec, Decoder& dec,
       e.result = static_cast<SolverResult>(dec.u8());
       e.model = codec.decode_model_bytes(dec);
       solver.cache_.insert(key, std::move(e));
-    }
-  }
-  solver.cex_.clear();
-  {
-    const std::uint32_t nkeys = dec.u32();
-    for (std::uint32_t i = 0; i < nkeys; ++i) {
-      const std::uint64_t key = dec.u64();
-      auto& list = solver.cex_.mutable_models(key);
-      const std::uint32_t len = dec.u32();
-      list.reserve(len);
-      for (std::uint32_t j = 0; j < len; ++j)
-        list.push_back(codec.decode_model_bytes(dec));
-    }
-    const std::uint32_t nckeys = dec.u32();
-    for (std::uint32_t i = 0; i < nckeys; ++i) {
-      const std::uint64_t key = dec.u64();
-      auto& list = solver.cex_.mutable_cores(key);
-      const std::uint32_t len = dec.u32();
-      list.reserve(len);
-      for (std::uint32_t j = 0; j < len; ++j) list.push_back(decode_core(dec));
     }
   }
   solver.domain_memo_.clear();
@@ -389,19 +352,6 @@ void CampaignCodec::decode_solver(StateCodec& codec, Decoder& dec,
       }
     }
   }
-  solver.interpolants_.clear();
-  for (int which = 0; which < 2; ++which) {
-    const std::uint32_t nkeys = dec.u32();
-    for (std::uint32_t i = 0; i < nkeys; ++i) {
-      const std::uint64_t key = dec.u64();
-      auto& list = which == 0 ? solver.interpolants_.mutable_unsat(key)
-                              : solver.interpolants_.mutable_barren(key);
-      const std::uint32_t len = dec.u32();
-      list.reserve(len);
-      for (std::uint32_t j = 0; j < len; ++j) list.push_back(decode_core(dec));
-    }
-  }
-  solver.interpolant_location_ = dec.u64();
 }
 
 // --- Engine population + searcher position --------------------------------

@@ -5,11 +5,11 @@
 // the virtual clock, the RNG stream, the stats bag (counters and
 // histograms BY NAME — MetricId interning order differs across
 // processes), executor bookkeeping (coverage, bugs, test cases, id
-// counters, dedup sets), the solver's L1 stores (exact cache,
-// counterexample store, domain memo, interpolant table — they steer tick
-// charging and control flow), every live ExecutionState, and each
-// searcher's position. Restoring all of it makes the resumed run tick-
-// and RNG-identical to one that never stopped.
+// counters, dedup sets, barren interpolants), the solver's L1 stores
+// (exact cache and domain memo — they steer tick charging and control
+// flow), every live ExecutionState, and each searcher's position.
+// Restoring all of it makes the resumed run tick- and RNG-identical to one
+// that never stopped.
 //
 // Restore PRECONDITIONS (enforced with cheap guards where possible):
 //  * KleeRun: construct with the identical module/entry/options, then

@@ -1,7 +1,5 @@
 #include "solver/cache.h"
 
-#include <algorithm>
-
 namespace pbse {
 
 namespace {
@@ -46,65 +44,6 @@ void remap_model(ModelBytes& model, const std::vector<ArrayRef>& arrays) {
 }
 
 }  // namespace
-
-bool models_equal(const ModelBytes& a, const ModelBytes& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].first.get() != b[i].first.get() || a[i].second != b[i].second)
-      return false;
-  }
-  return true;
-}
-
-namespace cex_detail {
-
-void bounded_add_model(std::vector<ModelBytes>& list, const ModelBytes& model,
-                       std::size_t max_per_key) {
-  for (const auto& existing : list)
-    if (models_equal(existing, model)) return;  // bounded: max_per_key checks
-  list.push_back(model);
-  if (list.size() > max_per_key) list.erase(list.begin());
-}
-
-void bounded_add_core(std::vector<std::vector<std::uint64_t>>& list,
-                      const std::vector<std::uint64_t>& core,
-                      std::size_t max_per_key) {
-  for (const auto& existing : list)
-    if (existing == core) return;
-  // Prefer retaining SMALL cores: a small core subsumes more supersets.
-  // Insert keeping the list sorted by size (stable), evict the largest.
-  const auto pos = std::upper_bound(
-      list.begin(), list.end(), core,
-      [](const std::vector<std::uint64_t>& a,
-         const std::vector<std::uint64_t>& b) { return a.size() < b.size(); });
-  list.insert(pos, core);
-  if (list.size() > max_per_key) list.pop_back();
-}
-
-}  // namespace cex_detail
-
-// --- CexStore ---------------------------------------------------------------
-
-void CexStore::add_model(std::uint64_t key, const ModelBytes& model) {
-  cex_detail::bounded_add_model(models_[key], model, kMaxPerKey);
-}
-
-void CexStore::add_unsat_core(std::uint64_t key,
-                              const std::vector<std::uint64_t>& core) {
-  cex_detail::bounded_add_core(unsat_[key], core, kMaxPerKey);
-}
-
-std::size_t CexStore::num_models() const {
-  std::size_t n = 0;
-  for (const auto& [k, v] : models_) n += v.size();
-  return n;
-}
-
-std::size_t CexStore::num_cores() const {
-  std::size_t n = 0;
-  for (const auto& [k, v] : unsat_) n += v.size();
-  return n;
-}
 
 // --- ShardedQueryCache ------------------------------------------------------
 
@@ -164,44 +103,6 @@ void ShardedQueryCache::insert(std::uint64_t key, QueryCache::Entry entry) {
   shard.entries[key] = std::move(entry);
 }
 
-std::vector<ModelBytes> ShardedQueryCache::partition_models(
-    std::uint64_t key, const std::vector<ExprRef>& constraints) {
-  Shard& shard = shard_for(key);
-  std::vector<ModelBytes> out;
-  {
-    std::lock_guard<std::mutex> lock(lock_counted(shard.mu), std::adopt_lock);
-    const auto it = shard.models.find(key);
-    if (it == shard.models.end()) return out;
-    out = it->second;  // copy out; remap without the lock
-  }
-  const std::vector<ArrayRef> arrays = constraint_arrays(constraints);
-  for (auto& model : out) remap_model(model, arrays);
-  return out;
-}
-
-void ShardedQueryCache::publish_model(std::uint64_t key,
-                                      const ModelBytes& model) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(lock_counted(shard.mu), std::adopt_lock);
-  cex_detail::bounded_add_model(shard.models[key], model, CexStore::kMaxPerKey);
-}
-
-std::vector<std::vector<std::uint64_t>> ShardedQueryCache::partition_unsat_cores(
-    std::uint64_t key) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(lock_counted(shard.mu), std::adopt_lock);
-  const auto it = shard.cores.find(key);
-  return it == shard.cores.end() ? std::vector<std::vector<std::uint64_t>>{}
-                                 : it->second;
-}
-
-void ShardedQueryCache::publish_unsat_core(
-    std::uint64_t key, const std::vector<std::uint64_t>& core) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(lock_counted(shard.mu), std::adopt_lock);
-  cex_detail::bounded_add_core(shard.cores[key], core, CexStore::kMaxPerKey);
-}
-
 ShardedQueryCache::Counters ShardedQueryCache::counters() const {
   Counters c;
   c.hits = hits_.load(std::memory_order_relaxed);
@@ -223,8 +124,6 @@ void ShardedQueryCache::clear() {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(lock_counted(shard->mu), std::adopt_lock);
     shard->entries.clear();
-    shard->models.clear();
-    shard->cores.clear();
   }
 }
 

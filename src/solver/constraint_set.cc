@@ -14,16 +14,6 @@ std::uint64_t site_key(const ReadSite& site) {
          site.index;
 }
 
-/// Content-based site id: array name+size and byte index only, so the same
-/// input region yields the same id in every campaign (arrays are interned
-/// per thread; pointers must never leak into keys that cross campaigns).
-std::uint64_t site_content_id(const ReadSite& site) {
-  std::uint64_t h = site.array->name_hash();
-  h ^= std::uint64_t{site.array->size()} << 32;
-  h ^= site.index;
-  return mix_constraint_hash(h);
-}
-
 }  // namespace
 
 std::uint32_t ConstraintSet::find_root(std::uint32_t n) const {
@@ -34,14 +24,12 @@ std::uint32_t ConstraintSet::find_root(std::uint32_t n) const {
   return n;
 }
 
-std::uint32_t ConstraintSet::node_for_site(std::uint64_t site,
-                                           std::uint64_t region_id) {
+std::uint32_t ConstraintSet::node_for_site(std::uint64_t site) {
   auto [it, inserted] =
       site_node_.emplace(site, static_cast<std::uint32_t>(uf_parent_.size()));
   if (inserted) {
     uf_parent_.push_back(it->second);
     uf_size_.push_back(1);
-    region_id_.push_back(region_id);
   }
   return it->second;
 }
@@ -53,10 +41,6 @@ std::uint32_t ConstraintSet::union_nodes(std::uint32_t a, std::uint32_t b) {
   if (uf_size_[a] < uf_size_[b]) std::swap(a, b);
   uf_parent_[b] = a;
   uf_size_[a] += uf_size_[b];
-  // The merged partition keeps the minimum id, so a region's id can only
-  // ever decrease — queries on a grown partition keep finding the entries
-  // its dominant region filed.
-  region_id_[a] = std::min(region_id_[a], region_id_[b]);
   return a;
 }
 
@@ -80,14 +64,13 @@ bool ConstraintSet::add(const ExprRef& c) {
   const auto& reads = cached_reads(c);
   std::uint32_t node = kNoNode;
   for (const auto& r : reads) {
-    const std::uint32_t n = node_for_site(site_key(r), site_content_id(r));
+    const std::uint32_t n = node_for_site(site_key(r));
     node = node == kNoNode ? n : union_nodes(node, n);
   }
   if (node == kNoNode) {
     node = static_cast<std::uint32_t>(uf_parent_.size());
     uf_parent_.push_back(node);
     uf_size_.push_back(1);
-    region_id_.push_back(mixed);  // read-free: a private one-off region
   }
   constraint_node_.push_back(node);
   return true;
@@ -99,26 +82,17 @@ bool ConstraintSet::contains(const ExprRef& c) const {
 
 ConstraintSet::Slice ConstraintSet::slice(const ExprRef& query) const {
   Slice out;
-  out.merged = ~std::uint64_t{0};
-
   // Roots reached from the query's read sites. Queries touch a handful of
   // partitions at most, so a linear small-vector membership test beats a
-  // hash set here.
+  // hash set here. Unconstrained sites have no partition yet.
   std::vector<std::uint32_t> roots;
   for (const auto& r : cached_reads(query)) {
     const auto it = site_node_.find(site_key(r));
-    if (it == site_node_.end()) {
-      // Unconstrained site: no partition yet, but it will join the merged
-      // partition once the query is added.
-      out.merged = std::min(out.merged, site_content_id(r));
-      continue;
-    }
+    if (it == site_node_.end()) continue;
     const std::uint32_t root = find_root(it->second);
-    out.merged = std::min(out.merged, region_id_[root]);
     if (std::find(roots.begin(), roots.end(), root) == roots.end())
       roots.push_back(root);
   }
-  if (out.merged == ~std::uint64_t{0}) out.merged = 0;  // read-free query
   if (roots.empty()) return out;
 
   for (std::size_t i = 0; i < constraints_.size(); ++i) {
@@ -126,34 +100,10 @@ ConstraintSet::Slice ConstraintSet::slice(const ExprRef& query) const {
     if (std::find(roots.begin(), roots.end(), root) != roots.end())
       out.constraints.push_back(constraints_[i]);
   }
-  out.partitions.reserve(roots.size());
-  for (const std::uint32_t root : roots)
-    out.partitions.push_back(region_id_[root]);
-  std::sort(out.partitions.begin(), out.partitions.end());
-  out.partitions.erase(
-      std::unique(out.partitions.begin(), out.partitions.end()),
-      out.partitions.end());
   return out;
 }
 
-ConstraintSet::Slice ConstraintSet::whole() const {
-  Slice out;
-  out.constraints = constraints_;
-  std::vector<std::uint32_t> roots;
-  for (const std::uint32_t n : constraint_node_) {
-    const std::uint32_t root = find_root(n);
-    if (std::find(roots.begin(), roots.end(), root) == roots.end())
-      roots.push_back(root);
-  }
-  out.partitions.reserve(roots.size());
-  for (const std::uint32_t root : roots)
-    out.partitions.push_back(region_id_[root]);
-  std::sort(out.partitions.begin(), out.partitions.end());
-  out.partitions.erase(
-      std::unique(out.partitions.begin(), out.partitions.end()),
-      out.partitions.end());
-  return out;
-}
+ConstraintSet::Slice ConstraintSet::whole() const { return {constraints_}; }
 
 std::size_t ConstraintSet::num_partitions() const {
   std::vector<std::uint32_t> roots;

@@ -9,18 +9,6 @@
 // the query touches" (one find() per query read + one find() per
 // constraint) instead of the old O(constraints × reads) closure per query.
 //
-// Each partition carries a stable REGION ID: the minimum content hash of
-// its member sites (array name+size and byte index — never pointers). The
-// id identifies the input region a partition constrains, and — unlike a
-// hash of the partition's constraints — survives the partition growing as
-// the path adds constraints, so partial results filed under it (cached
-// models, UNSAT cores) stay reachable for later queries over the same
-// bytes. Ids are content-stable across campaigns, which is what lets the
-// sharded cross-campaign cache share partition-keyed partial results.
-// Reuse stays sound without any content check in the key: cached models
-// are re-verified by evaluation, and UNSAT cores carry their constraints'
-// content hashes, checked by subset against the current list.
-//
 // The set stays a plain value type: state forks copy the vectors/maps and
 // keep sharing the ExprRefs. Not thread-safe (one state, one thread) —
 // find() performs path compression under `mutable`.
@@ -37,7 +25,7 @@ namespace pbse {
 
 /// Multiply-mix applied to a constraint's structural hash before any
 /// order-insensitive XOR combination. Shared by the set hash, the solver's
-/// cache keys and the partition hashes so the three stay algebraically
+/// cache keys and the interpolant summaries so they stay algebraically
 /// consistent (prefix-hash = list-hash XOR mixed(query)).
 inline std::uint64_t mix_constraint_hash(std::uint64_t h) {
   h *= 0x9e3779b97f4a7c15ULL;
@@ -64,9 +52,9 @@ class ConstraintSet {
   std::uint64_t hash() const { return hash_; }
 
   /// The contained constraints' mixed hashes in ascending order, maintained
-  /// incrementally on add(). This is the representation UNSAT cores and
-  /// interpolants are expressed in: "core c subsumes this set" is one
-  /// std::includes over the two sorted vectors, with no per-probe sorting.
+  /// incrementally on add(). This is the representation interpolants are
+  /// expressed in: "summary s subsumes this set" is one std::includes over
+  /// the two sorted vectors, with no per-probe sorting.
   const std::vector<std::uint64_t>& sorted_hashes() const {
     return sorted_hashes_;
   }
@@ -74,31 +62,18 @@ class ConstraintSet {
   /// True if `c` is syntactically present.
   bool contains(const ExprRef& c) const;
 
-  /// An independence slice: the constraints connected to a query plus the
-  /// region ids of the partitions they form.
+  /// An independence slice: the constraints connected to a query.
   struct Slice {
     /// Connected constraints, insertion order preserved.
     std::vector<ExprRef> constraints;
-    /// Sorted, distinct region ids of the touched partitions — the keys
-    /// under which the solver's counterexample store files partial
-    /// results.
-    std::vector<std::uint64_t> partitions;
-    /// The region id the touched partitions will carry once the query is
-    /// added to the set: the min over the touched partitions' ids AND the
-    /// query's previously-unconstrained sites. Valid for slice() only
-    /// (whole() has no query); equals the partitions' min when the query
-    /// introduces no fresh sites.
-    std::uint64_t merged = 0;
   };
 
   /// The constraints transitively connected to `query` through shared
-  /// read sites (the classic independence slice), plus their partition
-  /// region ids. A query whose sites are all unconstrained yields an
-  /// empty constraint list (but still a `merged` id for its fresh sites).
+  /// read sites (the classic independence slice). A query whose sites are
+  /// all unconstrained yields an empty constraint list.
   Slice slice(const ExprRef& query) const;
 
-  /// Every constraint with every partition region id — what solve_all
-  /// works on.
+  /// Every constraint — what solve_all works on.
   Slice whole() const;
 
   /// Number of distinct independence partitions.
@@ -108,8 +83,8 @@ class ConstraintSet {
   static constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
 
   std::uint32_t find_root(std::uint32_t n) const;
-  /// Node for a site key, created on demand with the given region id.
-  std::uint32_t node_for_site(std::uint64_t site, std::uint64_t region_id);
+  /// Node for a site key, created on demand.
+  std::uint32_t node_for_site(std::uint64_t site);
   /// Unions the partitions of `a` and `b`, returns the surviving root.
   std::uint32_t union_nodes(std::uint32_t a, std::uint32_t b);
 
@@ -129,8 +104,6 @@ class ConstraintSet {
   /// (pure cache mutation, single-threaded by the state contract above).
   mutable std::vector<std::uint32_t> uf_parent_;
   std::vector<std::uint32_t> uf_size_;
-  /// Stable region id (min member-site content hash); valid at roots.
-  std::vector<std::uint64_t> region_id_;
   /// One member node per constraint (its first read site).
   std::vector<std::uint32_t> constraint_node_;
 };

@@ -5,12 +5,10 @@
 // file-parsing workloads this typically shrinks hundreds of path constraints
 // down to a handful.
 //
-// Since the incremental-solver PR the partition structure is maintained
-// PERSISTENTLY by ConstraintSet (a union-find updated on add(); see
-// constraint_set.h), so slicing is a partition collection rather than a
-// per-query transitive closure. This function survives as the convenience
-// wrapper used by tests and ablations; the solver facade calls
-// ConstraintSet::slice() directly to also obtain the partition hashes.
+// The partition structure is maintained PERSISTENTLY by ConstraintSet (a
+// union-find updated on add(); see constraint_set.h), so slicing is a
+// partition collection rather than a per-query transitive closure. This
+// function is the convenience wrapper used by tests and ablations.
 #pragma once
 
 #include <vector>

@@ -1,39 +1,25 @@
-// Per-location interpolants: weakened constraint summaries that prove an
-// incoming execution state redundant at basic-block entry without a solver
-// query (the TracerX direction, grafted onto this engine's UNSAT-core
-// machinery — see DESIGN.md §10).
+// Barren interpolants: weakened constraint summaries that prove an incoming
+// execution state redundant at basic-block entry without a solver query
+// (the TracerX "half interpolation" direction — see DESIGN.md §10).
 //
-// Two entry classes, both stored as sorted mixed constraint hashes (the
-// same representation CexStore uses for UNSAT cores, so subsumption is one
-// std::includes per candidate):
+// Entries are keyed by GLOBAL BASIC BLOCK and stored as sorted mixed
+// constraint hashes (ConstraintSet::sorted_hashes()), so subsumption is one
+// std::includes per candidate. When a state dies with its exploration
+// exhausted, the path condition it held ON ENTRY to each recently-entered
+// block (an entry-time prefix of its append-only constraint list — a
+// weakening of the full death-time condition) is filed under that block. A
+// later state whose constraint set is a SUPERSET of a filed prefix
+// syntactically implies it: it is attempting a restriction of a suffix that
+// already went nowhere. This weakening is heuristic (an entry prefix, not a
+// weakest precondition — the dead state's memory is not part of the key),
+// so the executor additionally requires the probed state to have stalled on
+// coverage before it may be killed, and the subsumption ablation gates the
+// net effect on covered blocks.
 //
-//  * UNSAT interpolants, keyed by the GLOBAL BASIC BLOCK a query was issued
-//    from. The solver's publication helper files every UNSAT core here as
-//    well as into the counterexample store. A state whose constraint set
-//    is a superset of a filed core is on an unsatisfiable path — it can
-//    execute nothing, so it is terminated for free. Live symbolic states
-//    carry a satisfying model and never match; the payoff is seedStates
-//    whose flipped branch constraint is infeasible: the first one pays the
-//    validation query, every later superset at the same block is killed by
-//    hash comparison alone.
-//
-//  * Barren interpolants, keyed by GLOBAL BASIC BLOCK. When a state dies
-//    with its exploration exhausted, the path condition it held ON ENTRY
-//    to each recently-entered block (an entry-time prefix of its
-//    append-only constraint list — a weakening of the full death-time
-//    condition) is filed under that block. A later state whose constraint
-//    set is a SUPERSET of a filed prefix syntactically implies it: it is
-//    attempting a restriction of a suffix that already went nowhere. This
-//    weakening is heuristic (an entry prefix, not a weakest precondition
-//    — the dead state's memory is not part of the key), so the executor
-//    additionally requires the probed state to have stalled on coverage
-//    before it may be killed by this class, and the subsumption ablation
-//    gates the net effect on covered blocks.
-//
-// Entries are per-campaign (single-threaded, deterministic). Both maps are
-// bounded: per-key lists via cex_detail::bounded_add_core (small cores
-// first — they subsume the most supersets), and the key count by a
-// deterministic wholesale clear, the same policy as the solver's domain
+// The table is per-campaign (owned by the Executor; single-threaded,
+// deterministic) and bounded: per-key lists via bounded_add_core (small
+// summaries first — they subsume the most supersets), and the key count by
+// a deterministic wholesale clear, the same policy as the solver's domain
 // memo.
 #pragma once
 
@@ -42,79 +28,45 @@
 #include <unordered_map>
 #include <vector>
 
-#include "solver/cache.h"
-
 namespace pbse {
+
+/// Bounded, deduplicated insertion into one key's summary list, kept sorted
+/// ascending by size (stable); evicts the largest.
+inline void bounded_add_core(std::vector<std::vector<std::uint64_t>>& list,
+                             const std::vector<std::uint64_t>& core,
+                             std::size_t max_per_key) {
+  for (const auto& existing : list)
+    if (existing == core) return;
+  const auto pos = std::upper_bound(
+      list.begin(), list.end(), core,
+      [](const std::vector<std::uint64_t>& a,
+         const std::vector<std::uint64_t>& b) { return a.size() < b.size(); });
+  list.insert(pos, core);
+  if (list.size() > max_per_key) list.pop_back();
+}
 
 class InterpolantTable {
  public:
-  /// Per-key core/summary bound (mirrors CexStore::kMaxPerKey).
+  /// Per-key summary bound.
   static constexpr std::size_t kMaxPerKey = 8;
-  /// Keys retained per map before a deterministic wholesale clear.
+  /// Keys retained before a deterministic wholesale clear.
   static constexpr std::size_t kMaxKeys = 1 << 16;
-
-  /// Files an UNSAT core (sorted mixed hashes) proved by a query issued
-  /// from global block `location`.
-  void add_unsat(std::uint64_t location,
-                 const std::vector<std::uint64_t>& core) {
-    add(unsat_, location, core);
-  }
-
-  /// True iff a filed core at `location` is a subset of `hashes` (which
-  /// must be ascending): the constraint set is provably UNSAT.
-  bool unsat_subsumes(std::uint64_t location,
-                      const std::vector<std::uint64_t>& hashes) const {
-    return subsumes(unsat_, location, hashes);
-  }
 
   /// Files a barren entry-prefix summary (sorted mixed hashes) under the
   /// global block `location` the dead state entered holding it.
   void add_barren(std::uint64_t location,
                   const std::vector<std::uint64_t>& hashes) {
-    add(barren_, location, hashes);
+    if (barren_.size() >= kMaxKeys && barren_.find(location) == barren_.end())
+      barren_.clear();  // deterministic wholesale reset, like the domain memo
+    bounded_add_core(barren_[location], hashes, kMaxPerKey);
   }
 
-  /// True iff a barren summary at `location` is a subset of `hashes`.
+  /// True iff a barren summary at `location` is a subset of `hashes` (which
+  /// must be ascending).
   bool barren_subsumes(std::uint64_t location,
                        const std::vector<std::uint64_t>& hashes) const {
-    return subsumes(barren_, location, hashes);
-  }
-
-  std::size_t num_unsat_locations() const { return unsat_.size(); }
-  std::size_t num_barren_keys() const { return barren_.size(); }
-  void clear() {
-    unsat_.clear();
-    barren_.clear();
-  }
-
-  using Map =
-      std::unordered_map<std::uint64_t, std::vector<std::vector<std::uint64_t>>>;
-
-  /// Raw maps, for snapshot/restore (src/serialize). Restore writes
-  /// per-key lists verbatim — list order is eviction state, and the
-  /// kMaxKeys wholesale-clear trigger depends on exact key counts.
-  const Map& raw_unsat() const { return unsat_; }
-  const Map& raw_barren() const { return barren_; }
-  std::vector<std::vector<std::uint64_t>>& mutable_unsat(std::uint64_t key) {
-    return unsat_[key];
-  }
-  std::vector<std::vector<std::uint64_t>>& mutable_barren(std::uint64_t key) {
-    return barren_[key];
-  }
-
- private:
-
-  static void add(Map& map, std::uint64_t key,
-                  const std::vector<std::uint64_t>& entry) {
-    if (map.size() >= kMaxKeys && map.find(key) == map.end())
-      map.clear();  // deterministic wholesale reset, like the domain memo
-    cex_detail::bounded_add_core(map[key], entry, kMaxPerKey);
-  }
-
-  static bool subsumes(const Map& map, std::uint64_t key,
-                       const std::vector<std::uint64_t>& hashes) {
-    const auto it = map.find(key);
-    if (it == map.end()) return false;
+    const auto it = barren_.find(location);
+    if (it == barren_.end()) return false;
     for (const auto& core : it->second) {
       if (core.size() > hashes.size()) continue;
       if (std::includes(hashes.begin(), hashes.end(), core.begin(),
@@ -124,7 +76,21 @@ class InterpolantTable {
     return false;
   }
 
-  Map unsat_;
+  std::size_t num_barren_keys() const { return barren_.size(); }
+  void clear() { barren_.clear(); }
+
+  using Map =
+      std::unordered_map<std::uint64_t, std::vector<std::vector<std::uint64_t>>>;
+
+  /// Raw map, for snapshot/restore (src/serialize). Restore writes per-key
+  /// lists verbatim — list order is eviction state, and the kMaxKeys
+  /// wholesale-clear trigger depends on exact key counts.
+  const Map& raw_barren() const { return barren_; }
+  std::vector<std::vector<std::uint64_t>>& mutable_barren(std::uint64_t key) {
+    return barren_[key];
+  }
+
+ private:
   Map barren_;
 };
 

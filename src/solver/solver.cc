@@ -10,6 +10,20 @@ namespace pbse {
 
 namespace {
 
+/// Backtracking node budget per query.
+constexpr std::uint64_t kMaxSearchNodes = 40000;
+/// Evaluation-WORK budget per query, in expression-DAG-node units
+/// (expr_cost); caps node*constraint blowup independent of node count.
+constexpr std::uint64_t kMaxSearchEvals = 1'000'000;
+/// Virtual-clock ticks charged per kChargeDivisor expression-DAG nodes
+/// evaluated. The ratio makes one typical query cost a few hundred ticks
+/// (instructions cost 1 tick each), roughly KLEE's instruction-to-solver
+/// time split.
+constexpr std::uint64_t kTicksPerEval = 1;
+constexpr std::uint64_t kChargeDivisor = 32;
+/// Domain-memo entries retained before a deterministic wholesale clear.
+constexpr std::size_t kMaxDomainMemoEntries = 4096;
+
 /// Counter / event names interned once — the hot path pays an indexed add,
 /// never a string hash (see stats.h).
 struct SolverIds {
@@ -20,12 +34,6 @@ struct SolverIds {
   obs::MetricId cache_hits = obs::intern_metric("solver.cache_hits");
   obs::MetricId shared_cache_hits =
       obs::intern_metric("solver.shared_cache_hits");
-  /// UNSAT proved by a cached core that is a subset of the current list.
-  obs::MetricId partition_hits = obs::intern_metric("solver.partition_hits");
-  /// SAT proved by replaying a partition-cached counterexample.
-  obs::MetricId model_reuse = obs::intern_metric("solver.model_reuse");
-  /// Replays attempted (successful or not) — replay cost denominator.
-  obs::MetricId model_replays = obs::intern_metric("solver.model_replays");
   /// Queries whose domain propagation was seeded from the memo.
   obs::MetricId domain_memo_hits =
       obs::intern_metric("solver.domain_memo_hits");
@@ -37,9 +45,6 @@ struct SolverIds {
   obs::MetricId search_sat = obs::intern_metric("solver.search_sat");
   obs::MetricId search_unsat = obs::intern_metric("solver.search_unsat");
   obs::MetricId search_unknown = obs::intern_metric("solver.search_unknown");
-  /// UNSAT cores filed into the per-location interpolant table.
-  obs::MetricId interpolants_published =
-      obs::intern_metric("solver.interpolants_published");
   obs::MetricId deferred_eqs = obs::intern_metric("solver.deferred_eqs");
   obs::MetricId deferred_fallback =
       obs::intern_metric("solver.deferred_fallback");
@@ -50,8 +55,6 @@ struct SolverIds {
   obs::MetricId ev_solve_all = obs::intern_metric("solve_all");
   obs::MetricId ev_cache_hit = obs::intern_metric("cache_hit");
   obs::MetricId ev_shared_cache_hit = obs::intern_metric("shared_cache_hit");
-  obs::MetricId ev_partition_hit = obs::intern_metric("partition_hit");
-  obs::MetricId ev_model_reuse = obs::intern_metric("model_reuse");
   obs::MetricId ev_domain_memo_hit = obs::intern_metric("domain_memo_hit");
   obs::MetricId arg_constraints = obs::intern_metric("constraints");
   obs::MetricId arg_result = obs::intern_metric("result");
@@ -63,8 +66,8 @@ const SolverIds& ids() {
 }
 
 /// Order-insensitive cache key over a constraint list. Uses the same
-/// per-constraint mix as ConstraintSet's hash and partition hashes, so
-/// prefix keys compose algebraically:
+/// per-constraint mix as ConstraintSet's hash, so prefix keys compose
+/// algebraically:
 ///   cache_key(list + q) == cache_key(list) ^ mix_constraint_hash(q).
 std::uint64_t cache_key(const std::vector<ExprRef>& constraints) {
   std::uint64_t h = 0x452821e638d01377ULL;
@@ -100,8 +103,7 @@ void copy_into(const Assignment& from, Assignment* to,
 }
 
 /// The per-array byte vectors of `found` restricted to the arrays that
-/// `constraints` read — the persistable model for cache entries and the
-/// counterexample store.
+/// `constraints` read — the persistable model for cache entries.
 ModelBytes collect_model_bytes(const std::vector<ExprRef>& constraints,
                                Assignment& found) {
   std::vector<ReadSite> reads;
@@ -118,22 +120,6 @@ ModelBytes collect_model_bytes(const std::vector<ExprRef>& constraints,
     mb.emplace_back(a, std::vector<std::uint8_t>(found.mutable_bytes(a)));
   return mb;
 }
-
-/// Sorted mixed constraint hashes of the list — the representation used
-/// for UNSAT cores (subset query via std::includes).
-std::vector<std::uint64_t> sorted_mixed_hashes(
-    const std::vector<ExprRef>& constraints) {
-  std::vector<std::uint64_t> hashes;
-  hashes.reserve(constraints.size());
-  for (const auto& c : constraints)
-    hashes.push_back(mix_constraint_hash(c->hash()));
-  std::sort(hashes.begin(), hashes.end());
-  return hashes;
-}
-
-}  // namespace
-
-namespace {
 
 /// A deferred "defined-by" equality: `constraint` is Eq(defined, <lanes>)
 /// (or its negation) where every lane byte occurs in no other constraint
@@ -215,9 +201,13 @@ CachingEvaluator& Solver::hint_evaluator(const HintRef& hint) {
   return *slot;
 }
 
+void Solver::charge(std::uint64_t evals) {
+  clock_.advance(evals * kTicksPerEval / kChargeDivisor + 1);
+}
+
 void Solver::memo_store(std::uint64_t key, const DomainMap& domains,
                         std::uint32_t delta_depth) {
-  if (domain_memo_.size() >= options_.max_domain_memo_entries)
+  if (domain_memo_.size() >= kMaxDomainMemoEntries)
     domain_memo_.clear();  // deterministic wholesale reset
   const auto [it, inserted] =
       domain_memo_.try_emplace(key, DomainMemoEntry{domains, delta_depth});
@@ -225,49 +215,14 @@ void Solver::memo_store(std::uint64_t key, const DomainMap& domains,
     it->second = DomainMemoEntry{domains, delta_depth};
 }
 
-void Solver::publish_sat(const SliceCtx& ctx, const ModelBytes& model) {
-  if (!options_.use_cache || !options_.use_cex_cache) return;
-  // Region ids are stable while a partition grows (the min member-site
-  // content hash only changes when a lower-hashing fresh site joins), so
-  // filing under the touched partitions is enough: the path's next query
-  // over these bytes probes the same ids. check_sat already folded the
-  // post-add id (Slice::merged) into ctx.partitions, which covers the
-  // fresh-site case too.
-  for (const std::uint64_t k : ctx.partitions) {
-    cex_.add_model(k, model);
-    if (options_.shared_cache != nullptr)
-      options_.shared_cache->publish_model(k, model);
-  }
-}
-
-void Solver::publish_unsat(const SliceCtx& ctx,
-                           const std::vector<std::uint64_t>& core) {
-  // The one place UNSAT cores leave the pipeline. Every consumer of the
-  // core representation (L1 cex store, shared L2, per-location interpolant
-  // table) is fed here, so the weakening — "the sliced list's sorted
-  // mixed hashes stand in for the full path condition" — exists exactly
-  // once.
-  if (!options_.use_cache || !options_.use_cex_cache) return;
-  // No predicted key: an UNSAT query is never added to the path.
-  for (const std::uint64_t k : ctx.partitions) {
-    cex_.add_unsat_core(k, core);
-    if (options_.shared_cache != nullptr)
-      options_.shared_cache->publish_unsat_core(k, core);
-  }
-  if (interpolant_location_ != kNoInterpolantLocation) {
-    interpolants_.add_unsat(interpolant_location_, core);
-    stats_.add(ids().interpolants_published);
-  }
-}
-
 SolverResult Solver::solve_list(const std::vector<ExprRef>& constraints,
-                                const SliceCtx& ctx, Assignment* model,
+                                const ExprRef& query, Assignment* model,
                                 const HintRef& hint) {
   std::vector<ExprRef> remaining = constraints;
   const std::vector<DeferredEquality> deferred = extract_deferred(remaining);
   if (!deferred.empty()) stats_.add(ids().deferred_eqs, deferred.size());
 
-  const SolverResult result = solve_core(remaining, ctx, model, hint);
+  const SolverResult result = solve_core(remaining, query, model, hint);
   if (result != SolverResult::kSat || deferred.empty()) return result;
   if (model == nullptr) return result;  // satisfiable either way: the lane
                                         // bytes are free
@@ -286,14 +241,14 @@ SolverResult Solver::solve_list(const std::vector<ExprRef>& constraints,
     clock_.advance(expr_cost(d.constraint));
     if (!evaluate_bool(d.constraint, *model)) {
       stats_.add(ids().deferred_fallback);
-      return solve_core(constraints, ctx, model, hint);
+      return solve_core(constraints, query, model, hint);
     }
   }
   return SolverResult::kSat;
 }
 
 SolverResult Solver::solve_core(const std::vector<ExprRef>& constraints,
-                                const SliceCtx& ctx, Assignment* model,
+                                const ExprRef& query, Assignment* model,
                                 const HintRef& hint) {
   if (constraints.empty()) return SolverResult::kSat;
 
@@ -319,8 +274,6 @@ SolverResult Solver::solve_core(const std::vector<ExprRef>& constraints,
   }
 
   const std::uint64_t key = cache_key(constraints);
-  const bool cex_enabled = options_.use_cache && options_.use_cex_cache &&
-                           !ctx.partitions.empty();
   if (options_.use_cache) {
     if (const QueryCache::Entry* hit = cache_.lookup(key, constraints)) {
       stats_.add(ids().cache_hits);
@@ -353,141 +306,24 @@ SolverResult Solver::solve_core(const std::vector<ExprRef>& constraints,
     }
   }
 
-  // Partition-keyed counterexample reuse (the exact caches above missed).
-  // Cores/models are filed under the content hash of every independence
-  // partition a solved query touched; this query's ctx.partitions name the
-  // same regions, so overlapping past results are one hash lookup away.
-  std::vector<std::uint64_t> mixed;  // sorted; also the core we'd publish
-  if (cex_enabled) {
-    mixed = sorted_mixed_hashes(constraints);
-
-    // (a) UNSAT-by-subset: a cached core that is a subset of this list
-    // proves this list UNSAT (adding constraints never makes an
-    // unsatisfiable subset satisfiable). Hash-compare only — no
-    // evaluation; trusted by content hash like exact UNSAT entries.
-    const auto core_subsumes = [&](const std::vector<std::uint64_t>& core) {
-      evals += core.size();
-      return std::includes(mixed.begin(), mixed.end(), core.begin(),
-                           core.end());
-    };
-    bool unsat_by_core = false;
-    for (const std::uint64_t pkey : ctx.partitions) {
-      const auto* own_cores = cex_.unsat_cores(pkey);
-      if (own_cores != nullptr) {
-        for (const auto& core : *own_cores)
-          if ((unsat_by_core = core_subsumes(core))) break;
-      }
-      if (!unsat_by_core && options_.shared_cache != nullptr) {
-        for (const auto& core :
-             options_.shared_cache->partition_unsat_cores(pkey)) {
-          // L1 already checked (and charged) this exact core: publishing
-          // mirrors every L1 entry into L2, so skipping duplicates
-          // uncharged is what keeps single-campaign shared-cache runs
-          // tick-identical to --no-share-cache.
-          if (own_cores != nullptr &&
-              std::find(own_cores->begin(), own_cores->end(), core) !=
-                  own_cores->end())
-            continue;
-          if ((unsat_by_core = core_subsumes(core))) break;
-        }
-      }
-      if (unsat_by_core) break;
-    }
-    if (unsat_by_core) {
-      charge(evals);
-      stats_.add(ids().partition_hits);
-      obs::trace_instant(obs::Category::kSolver, ids().ev_partition_hit,
-                         clock_.now());
-      cache_.insert(key, QueryCache::Entry{SolverResult::kUnsat, {}});
-      if (options_.shared_cache != nullptr)
-        options_.shared_cache->insert(
-            key, QueryCache::Entry{SolverResult::kUnsat, {}});
-      return SolverResult::kUnsat;
-    }
-
-    // (b) Model replay (KLEE's CexCachingSolver superset case): a cached
-    // counterexample from an overlapping partition is replayed through the
-    // evaluator; if it satisfies every constraint, the query is SAT
-    // without search. Replays are verified evaluations — charged to the
-    // virtual clock and bounded by max_model_replays per layer.
-    const auto replay = [&](const ModelBytes& candidate) {
-      stats_.add(ids().model_replays);
-      auto assignment = std::make_shared<Assignment>();
-      for (const auto& [array, bytes] : candidate)
-        assignment->set(array, bytes);
-      CachingEvaluator eval(assignment);
-      if (!satisfies_all(constraints, eval, evals)) return false;
-      charge(evals);
-      stats_.add(ids().model_reuse);
-      obs::trace_instant(obs::Category::kSolver, ids().ev_model_reuse,
-                         clock_.now());
-      copy_into(*assignment, model, constraints);
-      QueryCache::Entry entry;
-      entry.result = SolverResult::kSat;
-      entry.model = collect_model_bytes(constraints, *assignment);
-      publish_sat(ctx, entry.model);
-      if (options_.shared_cache != nullptr)
-        options_.shared_cache->insert(key, entry);
-      cache_.insert(key, std::move(entry));
-      return true;
-    };
-    std::size_t budget = options_.max_model_replays;
-    for (const std::uint64_t pkey : ctx.partitions) {
-      if (budget == 0) break;
-      if (const auto* models = cex_.models(pkey)) {
-        // Newest first: the latest path extensions replay best.
-        for (auto it = models->rbegin(); it != models->rend() && budget > 0;
-             ++it) {
-          --budget;
-          if (replay(*it)) return SolverResult::kSat;
-        }
-      }
-    }
-    if (options_.shared_cache != nullptr) {
-      budget = options_.max_model_replays;
-      for (const std::uint64_t pkey : ctx.partitions) {
-        if (budget == 0) break;
-        const auto* own_models = cex_.models(pkey);
-        const auto already_in_l1 = [&](const ModelBytes& candidate) {
-          if (own_models == nullptr) return false;
-          for (const auto& m : *own_models)
-            if (models_equal(m, candidate)) return true;
-          return false;
-        };
-        for (const auto& candidate :
-             options_.shared_cache->partition_models(pkey, constraints)) {
-          if (budget == 0) break;
-          // Same single-campaign parity rule as the core loop: models this
-          // solver itself published are already replayed from L1, so a
-          // verbatim L2 copy is skipped without charge.
-          if (already_in_l1(candidate)) continue;
-          --budget;
-          if (replay(candidate)) return SolverResult::kSat;
-        }
-      }
-    }
-  }
-
-  // Domain propagation, seeded from the per-partition memo when this
-  // list extends a previously propagated prefix. The memo key composes
-  // algebraically: memo[cache_key(prefix)] holds the prefix's propagated
-  // domains, and cache_key(prefix) == key ^ mix(query) — no list
-  // materialization needed to probe it. Sound because domains only ever
-  // shrink: a prefix's domains over-approximate the full list's feasible
-  // set, and propagate_delta re-checks the prefix against the narrowed
-  // domains.
+  // Domain propagation, seeded from the memo when this list extends a
+  // previously propagated prefix. The memo key composes algebraically:
+  // memo[cache_key(prefix)] holds the prefix's propagated domains, and
+  // cache_key(prefix) == key ^ mix(query) — no list materialization needed
+  // to probe it. Sound because domains only ever shrink: a prefix's
+  // domains over-approximate the full list's feasible set, and
+  // propagate_delta re-checks the prefix against the narrowed domains.
   DomainMap domains;
   bool feasible = false;
   std::uint32_t memo_depth = 0;  // delta layers behind `domains`
-  if (options_.use_domain_memo && ctx.query != nullptr &&
-      std::count(constraints.begin(), constraints.end(), ctx.query) == 1) {
+  if (options_.use_domain_memo && query != nullptr &&
+      std::count(constraints.begin(), constraints.end(), query) == 1) {
     std::vector<ExprRef> prefix;
     prefix.reserve(constraints.size() - 1);
     for (const auto& c : constraints)
-      if (c.get() != ctx.query.get()) prefix.push_back(c);
-    const std::uint64_t prefix_key =
-        key ^ mix_constraint_hash(ctx.query->hash());
-    const std::vector<ExprRef> added{ctx.query};
+      if (c.get() != query.get()) prefix.push_back(c);
+    const std::uint64_t prefix_key = key ^ mix_constraint_hash(query->hash());
+    const std::vector<ExprRef> added{query};
     const auto it = domain_memo_.find(prefix_key);
     if (it != domain_memo_.end() &&
         it->second.delta_depth < options_.max_domain_memo_delta_depth) {
@@ -524,7 +360,6 @@ SolverResult Solver::solve_core(const std::vector<ExprRef>& constraints,
         options_.shared_cache->insert(key,
                                       QueryCache::Entry{SolverResult::kUnsat, {}});
     }
-    if (cex_enabled) publish_unsat(ctx, mixed);
     return SolverResult::kUnsat;
   }
   if (options_.use_domain_memo) {
@@ -545,22 +380,21 @@ SolverResult Solver::solve_core(const std::vector<ExprRef>& constraints,
   const Assignment* hint_raw = hint.get();
   SolverResult result = backtracking_search(
       constraints, domains, hint_raw, /*hint_first=*/true, /*candidate_cap=*/6,
-      options_.max_search_nodes / 4, options_.max_search_evals / 4, evals,
-      found);
+      kMaxSearchNodes / 4, kMaxSearchEvals / 4, evals, found);
   if (result == SolverResult::kUnsat) result = SolverResult::kUnknown;
   if (result == SolverResult::kUnknown) {
     stats_.add(ids().search_full_pass);
     result = backtracking_search(constraints, domains, hint_raw,
                                  /*hint_first=*/true, /*candidate_cap=*/0,
-                                 options_.max_search_nodes / 2,
-                                 options_.max_search_evals / 2, evals, found);
+                                 kMaxSearchNodes / 2, kMaxSearchEvals / 2,
+                                 evals, found);
   }
   if (result == SolverResult::kUnknown && hint != nullptr) {
     stats_.add(ids().search_restarts);
     result = backtracking_search(constraints, domains, hint_raw,
                                  /*hint_first=*/false, /*candidate_cap=*/0,
-                                 options_.max_search_nodes / 4,
-                                 options_.max_search_evals / 4, evals, found);
+                                 kMaxSearchNodes / 4, kMaxSearchEvals / 4,
+                                 evals, found);
   }
   charge(evals);
 
@@ -572,7 +406,6 @@ SolverResult Solver::solve_core(const std::vector<ExprRef>& constraints,
         QueryCache::Entry entry;
         entry.result = SolverResult::kSat;
         entry.model = collect_model_bytes(constraints, found);
-        publish_sat(ctx, entry.model);
         if (options_.shared_cache != nullptr)
           options_.shared_cache->insert(key, entry);
         cache_.insert(key, std::move(entry));
@@ -587,7 +420,6 @@ SolverResult Solver::solve_core(const std::vector<ExprRef>& constraints,
           options_.shared_cache->insert(key,
                                         QueryCache::Entry{SolverResult::kUnsat, {}});
       }
-      if (cex_enabled) publish_unsat(ctx, mixed);
       return SolverResult::kUnsat;
     case SolverResult::kUnknown:
       stats_.add(ids().search_unknown);
@@ -612,37 +444,27 @@ SolverResult Solver::check_sat(const ConstraintSet& cs, const ExprRef& query,
 
   ConstraintSet::Slice slice =
       options_.use_independence ? cs.slice(query) : cs.whole();
-  SliceCtx ctx;
-  ctx.partitions = std::move(slice.partitions);
+  ExprRef appended;  // the query, when it joins the list
   if (!query->is_true()) {
     // The query may already be a member of `cs` (validate_model's repair
     // path re-checks a path constraint), in which case the slice already
     // contains it. Appending it again would double its hash in the
     // order-insensitive XOR cache key — the duplicate cancels and the key
     // collapses to the key of the list WITHOUT the query, filing
-    // query-narrowed results (domain memo, exact caches, UNSAT cores)
-    // under the weaker list's identity.
+    // query-narrowed results (domain memo, exact caches) under the weaker
+    // list's identity.
     const bool already_present =
         std::any_of(slice.constraints.begin(), slice.constraints.end(),
                     [&](const ExprRef& c) { return c.get() == query.get(); });
     if (!already_present) slice.constraints.push_back(query);
-    ctx.query = query;
-    // Also file/probe under the region id the touched partitions will
-    // carry once the query joins the path (min over touched ids and the
-    // query's fresh sites): a first query over fresh bytes publishes its
-    // counterexample under the id the partition it CREATES will have.
-    if (slice.merged != 0 &&
-        std::find(ctx.partitions.begin(), ctx.partitions.end(),
-                  slice.merged) == ctx.partitions.end()) {
-      ctx.partitions.push_back(slice.merged);
-      std::sort(ctx.partitions.begin(), ctx.partitions.end());
-    }
+    appended = query;
   }
 
   const std::uint64_t t0 = clock_.now();
   obs::trace_begin(obs::Category::kSolver, ids().ev_query, t0,
                    slice.constraints.size(), ids().arg_constraints);
-  const SolverResult result = solve_list(slice.constraints, ctx, model, hint);
+  const SolverResult result =
+      solve_list(slice.constraints, appended, model, hint);
   const std::uint64_t t1 = clock_.now();
   stats_.observe(ids().query_ticks, t1 - t0);
   obs::trace_end(obs::Category::kSolver, ids().ev_query, t1,
@@ -653,13 +475,11 @@ SolverResult Solver::check_sat(const ConstraintSet& cs, const ExprRef& query,
 SolverResult Solver::solve_all(const ConstraintSet& cs, Assignment* model,
                                const HintRef& hint) {
   stats_.add(ids().solve_all);
-  ConstraintSet::Slice slice = cs.whole();
-  SliceCtx ctx;
-  ctx.partitions = std::move(slice.partitions);
+  const std::vector<ExprRef>& constraints = cs.constraints();
   const std::uint64_t t0 = clock_.now();
   obs::trace_begin(obs::Category::kSolver, ids().ev_solve_all, t0,
-                   slice.constraints.size(), ids().arg_constraints);
-  const SolverResult result = solve_list(slice.constraints, ctx, model, hint);
+                   constraints.size(), ids().arg_constraints);
+  const SolverResult result = solve_list(constraints, nullptr, model, hint);
   const std::uint64_t t1 = clock_.now();
   stats_.observe(ids().query_ticks, t1 - t0);
   obs::trace_end(obs::Category::kSolver, ids().ev_solve_all, t1,
@@ -676,7 +496,7 @@ std::optional<std::uint64_t> Solver::get_value(const ConstraintSet& cs,
     CachingEvaluator& eval = hint_evaluator(hint);
     bool ok = true;
     for (const auto& c : cs.constraints()) {
-      clock_.advance(options_.ticks_per_eval);
+      clock_.advance(kTicksPerEval);
       if (!eval.evaluate_bool(c)) {
         ok = false;
         break;

@@ -5,18 +5,16 @@
 //   fast path (hint / all-zeros evaluation)
 //     -> independence slicing (persistent partitions, ConstraintSet)
 //     -> exact cache lookup (L1, then shared L2)
-//     -> partition-keyed UNSAT-core subset check
-//     -> partition-keyed counterexample (model) replay
-//     -> byte-domain propagation (memoized per partition prefix)
+//     -> byte-domain propagation (memoized per constraint-list prefix)
 //     -> bounded backtracking search
-//     -> cache / counterexample-store fill
+//     -> exact cache fill
 //
-// Every evaluation performed — including every cached-model replay and
-// every memoized-domain delta propagation — is charged to the virtual
-// clock, so solver effort competes with interpretation effort exactly as
-// in the paper's wall-clock experiments. A budget-exhausted query returns
-// kUnknown and the engine treats the branch as unreachable-for-now — this
-// is what makes input-dependent loop exits "trap" symbolic execution.
+// Every evaluation performed — including every memoized-domain delta
+// propagation — is charged to the virtual clock, so solver effort competes
+// with interpretation effort exactly as in the paper's wall-clock
+// experiments. A budget-exhausted query returns kUnknown and the engine
+// treats the branch as unreachable-for-now — this is what makes
+// input-dependent loop exits "trap" symbolic execution.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +26,6 @@
 #include "expr/expr.h"
 #include "solver/cache.h"
 #include "solver/constraint_set.h"
-#include "solver/interpolant.h"
 #include "solver/interval.h"
 #include "support/stats.h"
 #include "support/vclock.h"
@@ -40,29 +37,10 @@ class CampaignCodec;
 }
 
 struct SolverOptions {
-  /// Backtracking node budget per query.
-  std::uint64_t max_search_nodes = 40000;
-  /// Evaluation-WORK budget per query, in expression-DAG-node units
-  /// (expr_cost); caps node*constraint blowup independent of node count.
-  std::uint64_t max_search_evals = 1'000'000;
-  /// Virtual-clock ticks charged per `charge_divisor` expression-DAG nodes
-  /// evaluated. The default ratio makes one typical query cost a few
-  /// hundred ticks (instructions cost 1 tick each), roughly KLEE's
-  /// instruction-to-solver time split.
-  std::uint64_t ticks_per_eval = 1;
-  std::uint64_t charge_divisor = 32;
   bool use_cache = true;
   bool use_independence = true;
-  /// Partition-keyed counterexample reuse (model replay + UNSAT-core
-  /// subset proofs). Requires use_cache.
-  bool use_cex_cache = true;
-  /// Per-partition memoization of propagated byte domains.
+  /// Per-prefix memoization of propagated byte domains.
   bool use_domain_memo = true;
-  /// Cap on cached models replayed per query (L1 and L2 each); bounds the
-  /// worst-case replay cost on a miss.
-  std::size_t max_model_replays = 4;
-  /// Domain-memo entries retained before a deterministic wholesale clear.
-  std::size_t max_domain_memo_entries = 4096;
   /// Consecutive propagate_delta refinements a memo entry may accumulate
   /// before the solver recomputes full propagation from scratch. Delta
   /// propagation runs only one interval pass over the prefix (no second
@@ -71,11 +49,10 @@ struct SolverOptions {
   /// bounds the cumulative precision loss along a path.
   std::uint32_t max_domain_memo_delta_depth = 8;
   /// Optional shared L2 cache (thread-safe, sharded). When set, the solver
-  /// consults it after an L1 miss and publishes every solved query into it
-  /// — whole queries AND partition-keyed partial results — so concurrent
-  /// campaigns reuse each other's work. Sharing a cache across campaigns
-  /// trades bit-exact serial/parallel determinism for throughput — see
-  /// DESIGN.md "Parallel campaigns".
+  /// consults it after an L1 miss and publishes every solved query into it,
+  /// so concurrent campaigns reuse each other's work. Sharing a cache
+  /// across campaigns trades bit-exact serial/parallel determinism for
+  /// throughput — see DESIGN.md "Parallel campaigns".
   std::shared_ptr<ShardedQueryCache> shared_cache;
 };
 
@@ -117,76 +94,38 @@ class Solver {
 
   const SolverOptions& options() const { return options_; }
   QueryCache& cache() { return cache_; }
-  CexStore& cex_store() { return cex_; }
   std::size_t domain_memo_size() const { return domain_memo_.size(); }
 
-  /// No current interpolant location (cores are not filed per-location).
-  static constexpr std::uint64_t kNoInterpolantLocation = ~std::uint64_t{0};
-
-  /// Per-location interpolants derived from the UNSAT cores this solver
-  /// proves. The executor sets the current global basic block before
-  /// issuing branch/validation queries and probes the table at block
-  /// entry; the solver only FILLS it (publish_unsat files each core under
-  /// the location as well as under the touched partitions).
-  InterpolantTable& interpolants() { return interpolants_; }
-  const InterpolantTable& interpolants() const { return interpolants_; }
-
-  /// Sets the global basic block subsequent UNSAT cores are attributed to.
-  /// kNoInterpolantLocation (the default) disables interpolant filing —
-  /// the executor only sets a location when subsumption is enabled, which
-  /// keeps the off-mode solver byte-identical in behavior.
-  void set_interpolant_location(std::uint64_t location) {
-    interpolant_location_ = location;
-  }
-
  private:
-  /// Snapshots the solver's L1 stores (cache_, cex_, domain_memo_,
-  /// interpolants_) — they steer tick charging and control flow, so a
-  /// tick-exact resume must restore them. hint_evaluators_ is NOT
-  /// snapshotted: evaluator memo warmth never affects charging (all
-  /// charges use expr_cost / domain sizes), so rebuilding it lazily after
-  /// restore is observationally identical.
+  /// Snapshots the solver's L1 stores (cache_, domain_memo_) — they steer
+  /// tick charging and control flow, so a tick-exact resume must restore
+  /// them. hint_evaluators_ is NOT snapshotted: evaluator memo warmth never
+  /// affects charging (all charges use expr_cost / domain sizes), so
+  /// rebuilding it lazily after restore is observationally identical.
   friend class serialize::CampaignCodec;
 
-  /// Slice metadata threaded through the pipeline: which independence
-  /// partitions the query touches (counterexample / domain-memo keys) and
-  /// which list element is the query (for prefix hashing).
-  struct SliceCtx {
-    /// Sorted, distinct content hashes of the touched partitions; empty
-    /// disables partition-keyed reuse for the query.
-    std::vector<std::uint64_t> partitions;
-    /// The appended query constraint; null for solve_all-style lists.
-    ExprRef query;
-  };
-
-  /// Shared pipeline over an already-assembled constraint list. Runs the
-  /// defined-by elimination first (checksum/CRC equalities whose stored
-  /// bytes appear nowhere else are deferred and back-computed), then the
-  /// fast paths, caches, propagation and search over the remainder.
+  /// Shared pipeline over an already-assembled constraint list. `query` is
+  /// the appended query constraint (the domain memo's prefix boundary);
+  /// null for solve_all-style lists. Runs the defined-by elimination first
+  /// (checksum/CRC equalities whose stored bytes appear nowhere else are
+  /// deferred and back-computed), then the fast paths, caches, propagation
+  /// and search over the remainder.
   SolverResult solve_list(const std::vector<ExprRef>& constraints,
-                          const SliceCtx& ctx, Assignment* model,
+                          const ExprRef& query, Assignment* model,
                           const HintRef& hint);
 
   /// Pipeline body without elimination (used by solve_list and as its
   /// fallback when a deferred equality turns out to chain).
   SolverResult solve_core(const std::vector<ExprRef>& constraints,
-                          const SliceCtx& ctx, Assignment* model,
+                          const ExprRef& query, Assignment* model,
                           const HintRef& hint);
-
-  /// Files a solved result into the partition-keyed stores (L1 cex store
-  /// and, when configured, the shared L2).
-  void publish_sat(const SliceCtx& ctx, const ModelBytes& model);
-  void publish_unsat(const SliceCtx& ctx,
-                     const std::vector<std::uint64_t>& core);
 
   /// Memoized evaluator for `hint`, cached by identity (the evaluator keeps
   /// the assignment alive, so pointer reuse cannot alias).
   CachingEvaluator& hint_evaluator(const HintRef& hint);
 
-  void charge(std::uint64_t evals) {
-    clock_.advance(evals * options_.ticks_per_eval / options_.charge_divisor +
-                   1);
-  }
+  /// Advances the virtual clock for `evals` expression-DAG nodes evaluated.
+  void charge(std::uint64_t evals);
 
   /// Stores `domains` in the memo under `key`. `delta_depth` counts the
   /// propagate_delta layers behind the domains (0 = full propagation). An
@@ -200,8 +139,6 @@ class Solver {
   Stats& stats_;
   SolverOptions options_;
   QueryCache cache_;
-  /// Partition-keyed counterexample store (models + UNSAT cores).
-  CexStore cex_;
   struct DomainMemoEntry {
     DomainMap domains;
     /// propagate_delta refinements since the last full propagation; entries
@@ -213,8 +150,6 @@ class Solver {
   /// list without the query). Entries are only written after a propagation
   /// that did NOT prove UNSAT, so a hit always seeds feasible domains.
   std::unordered_map<std::uint64_t, DomainMemoEntry> domain_memo_;
-  InterpolantTable interpolants_;
-  std::uint64_t interpolant_location_ = kNoInterpolantLocation;
   std::unordered_map<const Assignment*, std::shared_ptr<CachingEvaluator>>
       hint_evaluators_;
 };

@@ -145,18 +145,20 @@ int cmd_summarize(const std::string& path) {
   // --- Solver-time breakdown -------------------------------------------
   const auto durations = duration_breakdown(events);
   // Reuse hit classes of the incremental pipeline, cheapest first (see
-  // solver.h): exact cache -> UNSAT-core subset -> model replay -> domain
-  // memo. Their sum over solver.queries is the reuse rate EXPERIMENTS.md
-  // tracks.
-  std::uint64_t cache_hits = 0, shared_hits = 0, partition_hits = 0,
-                model_reuse = 0, domain_memo_hits = 0;
+  // solver.h): exact cache -> domain memo. domain_memo_hits over
+  // solver.queries is the reuse rate EXPERIMENTS.md tracks. Unknowns are
+  // the query/solve_all end events whose result arg is 2 (kUnknown): the
+  // search budget ran out and the engine treated the branch as infeasible.
+  std::uint64_t cache_hits = 0, shared_hits = 0, domain_memo_hits = 0,
+                unknowns = 0;
   for (const auto& e : events) {
     if (e.cat != "solver") continue;
     if (e.name == "cache_hit") ++cache_hits;
     if (e.name == "shared_cache_hit") ++shared_hits;
-    if (e.name == "partition_hit") ++partition_hits;
-    if (e.name == "model_reuse") ++model_reuse;
     if (e.name == "domain_memo_hit") ++domain_memo_hits;
+    if (e.ph == 'E' && (e.name == "query" || e.name == "solve_all") &&
+        e.arg("result") == 2)
+      ++unknowns;
   }
   std::printf("\nsolver breakdown:\n");
   for (const auto& [key, cnt_ticks] : durations) {
@@ -167,15 +169,11 @@ int cmd_summarize(const std::string& path) {
   std::printf("  %-12s %8" PRIu64 " hits\n", "cache", cache_hits);
   if (shared_hits != 0)
     std::printf("  %-12s %8" PRIu64 " hits\n", "shared-cache", shared_hits);
-  if (partition_hits != 0)
-    std::printf("  %-12s %8" PRIu64 " hits (unsat-core subset)\n",
-                "partition", partition_hits);
-  if (model_reuse != 0)
-    std::printf("  %-12s %8" PRIu64 " hits (replayed counterexamples)\n",
-                "model-reuse", model_reuse);
   if (domain_memo_hits != 0)
     std::printf("  %-12s %8" PRIu64 " hits (memoized domain prefixes)\n",
                 "domain-memo", domain_memo_hits);
+  std::printf("  %-12s %8" PRIu64 " results (search budget exhausted)\n",
+              "unknown", unknowns);
 
   // --- Static pruning (DESIGN.md §12) ----------------------------------
   // static_kill instants mark forks suppressed without a solver query;

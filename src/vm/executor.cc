@@ -52,10 +52,6 @@ struct VmIds {
   /// States killed at block entry by a barren-death interpolant.
   obs::MetricId subsumed_barren =
       obs::intern_metric("executor.subsumed_barren");
-  /// seedStates killed in validate_model by an UNSAT-core interpolant
-  /// (each one replaces a solver repair query).
-  obs::MetricId subsumed_seedstates =
-      obs::intern_metric("executor.subsumed_seedstates");
   /// Barren interpolant entries filed (dead states x ring snapshots).
   obs::MetricId barren_recorded =
       obs::intern_metric("executor.barren_recorded");
@@ -203,10 +199,6 @@ void Executor::record_coverage(ExecutionState& state) {
 
 void Executor::probe_subsumption(ExecutionState& state, std::uint32_t gid,
                                  bool may_kill) {
-  // Queries issued while executing this block are attributed to it in the
-  // interpolant table (per-instruction refresh happens in step()).
-  solver_.set_interpolant_location(gid);
-
   // Snapshot the state's FIRST kMaxEntrySnapshots block entries since its
   // birth fork — (block id, constraint count at entry), packed. The counts
   // so close to birth make the filed prefixes (terminate) nearly the
@@ -226,7 +218,7 @@ void Executor::probe_subsumption(ExecutionState& state, std::uint32_t gid,
   // class, bounding the worst case to paths that were already coasting
   // through covered territory.
   if (may_kill && state.insts_since_cov_new >= options_.subsumption_min_stall &&
-      solver_.interpolants().barren_subsumes(
+      interpolants_.barren_subsumes(
           gid, state.constraints.sorted_hashes())) {
     stats_.add(ids().subsumed_barren);
     terminate(state, TerminationReason::kSubsumed);
@@ -291,13 +283,12 @@ void Executor::terminate(ExecutionState& state, TerminationReason reason) {
   // attempting a restriction of the same suffix; if it is also coasting
   // (see probe_subsumption) it is terminated. Recorded ONLY from states
   // that (a) exhausted their path (kExit, kRecursionLimit — not kBug,
-  // which must stay diverse; not kInfeasible, whose entry prefix was
-  // satisfiable and is covered by the UNSAT class; not kSubsumed, whose
-  // re-filing would cascade a heuristic kill into ever-wider interpolants)
-  // and (b) were themselves coverage-stalled at death — a state that was
-  // still finding blocks is evidence its window was productive, not
-  // barren. The ring is only populated in symbolic mode, so concolic
-  // deaths are naturally excluded.
+  // which must stay diverse; not kInfeasible, which never ran its suffix
+  // to completion; not kSubsumed, whose re-filing would cascade a
+  // heuristic kill into ever-wider interpolants) and (b) were themselves
+  // coverage-stalled at death — a state that was still finding blocks is
+  // evidence its window was productive, not barren. The ring is only
+  // populated in symbolic mode, so concolic deaths are naturally excluded.
   if (options_.use_subsumption && state.num_entry_snapshots > 0 &&
       state.insts_since_cov_new >= options_.subsumption_min_stall &&
       (reason == TerminationReason::kExit ||
@@ -316,7 +307,7 @@ void Executor::terminate(ExecutionState& state, TerminationReason reason) {
       for (std::size_t c = 0; c < count; ++c)
         prefix.push_back(mix_constraint_hash(ordered[c]->hash()));
       std::sort(prefix.begin(), prefix.end());
-      solver_.interpolants().add_barren(gid, prefix);
+      interpolants_.add_barren(gid, prefix);
       stats_.add(ids().barren_recorded);
     }
   }
@@ -642,11 +633,6 @@ void Executor::execute_branch(
 void Executor::step(ExecutionState& state,
                     std::vector<std::unique_ptr<ExecutionState>>& forked) {
   symbolic_mode_ = true;
-  // Attribute solver queries issued by this instruction to its block, so
-  // UNSAT cores land in the interpolant table under the location where a
-  // later state can match them.
-  if (options_.use_subsumption)
-    solver_.set_interpolant_location(state.current_global_bb());
   execute(state, &forked, nullptr);
 }
 
@@ -658,8 +644,6 @@ void Executor::step_concolic(ExecutionState& state, const Assignment& seed,
   // so feasibility queries get a cache-friendly hint.
   (void)seed;
   symbolic_mode_ = false;
-  if (options_.use_subsumption)
-    solver_.set_interpolant_location(Solver::kNoInterpolantLocation);
   ConcolicCtx ctx{seed_eval.assignment(), &seed_eval, &fork_records,
                   offpath_bug_checks};
   execute(state, nullptr, &ctx);
@@ -674,20 +658,6 @@ std::uint64_t Executor::eval_model(ExecutionState& state, const ExprRef& e) {
 }
 
 bool Executor::validate_model(ExecutionState& state) {
-  if (options_.use_subsumption) {
-    // The state is parked at its fork block; attribute the repair query
-    // there — and first check whether an earlier seedState at this block
-    // already proved a subset of these constraints UNSAT. This is the
-    // UNSAT-interpolant payoff: every hit replaces a whole solver query.
-    const std::uint32_t gid = state.current_global_bb();
-    solver_.set_interpolant_location(gid);
-    if (solver_.interpolants().unsat_subsumes(
-            gid, state.constraints.sorted_hashes())) {
-      stats_.add(ids().subsumed_seedstates);
-      terminate(state, TerminationReason::kSubsumed);
-      return false;
-    }
-  }
   // Fast path: the recorded model may already satisfy the constraints.
   std::vector<ExprRef> violated;
   for (const auto& c : state.constraints.constraints()) {
@@ -702,8 +672,7 @@ bool Executor::validate_model(ExecutionState& state) {
   // constraint. This is sound: the untouched partitions' bytes keep
   // satisfying the constraints they are connected to, and it is vastly
   // cheaper than re-solving the whole path. Multiple violations are folded
-  // into one conjunction query so the slice still covers them all while
-  // the solver's partition caches stay in play.
+  // into one conjunction query so the slice still covers them all.
   ExprRef repair_query = violated.front();
   for (std::size_t i = 1; i < violated.size(); ++i)
     repair_query = mk_land(repair_query, violated[i]);

@@ -28,6 +28,7 @@
 
 #include "analysis/analysis.h"
 #include "ir/ir.h"
+#include "solver/interpolant.h"
 #include "solver/solver.h"
 #include "support/stats.h"
 #include "support/vclock.h"
@@ -55,16 +56,15 @@ struct ExecutorOptions {
   std::uint64_t max_test_cases = 4096;
   /// Interpolant-based state subsumption (DESIGN.md §10): live states
   /// whose constraint set is subsumed by a barren-death interpolant die at
-  /// block entry, and seedStates subsumed by a stored UNSAT core die before
-  /// their repair query — both without solver work.
+  /// block entry, without solver work.
   bool use_subsumption = true;
   /// Coverage-stall gate on the heuristic barren-interpolant class, in
   /// instructions without new coverage. A state is only KILLED by a barren
   /// interpolant — and only RECORDS one at death — when it has run at
   /// least this long without covering new code: states actively finding
-  /// blocks are untouchable by the heuristic class (the sound seedState
-  /// UNSAT-core class has no such gate). 0 makes the class unconditional
-  /// (used by tests to exercise the mechanism determinately).
+  /// blocks are untouchable by the heuristic class. 0 makes the class
+  /// unconditional (used by tests to exercise the mechanism
+  /// determinately).
   std::uint64_t subsumption_min_stall = 16;
   /// Static pre-analysis of the module (DESIGN.md §12), not owned; null
   /// disables static pruning. When set, symbolic branches whose off-model
@@ -156,7 +156,7 @@ class Executor {
 
  private:
   /// Snapshots/restores campaign progress (coverage, bugs, test cases, id
-  /// counters, dedup sets). input_array_ is re-bound by the codec so that
+  /// counters, dedup sets, barren interpolants). input_array_ is re-bound by the codec so that
   /// restored expressions intern against the canonical array of the
   /// restoring process. symbolic_mode_ is transient (false between steps).
   friend class pbse::serialize::CampaignCodec;
@@ -251,6 +251,8 @@ class Executor {
   /// Fork points already materialized as seedStates in concolic mode
   /// (record-time half of the paper's keep-earliest dedup).
   std::unordered_set<std::uint64_t> concolic_seen_forks_;
+  /// Barren interpolants filed by dead states, probed at block entry.
+  InterpolantTable interpolants_;
   /// True while executing under step() — subsumption probes and barren
   /// recording only apply to symbolic exploration; the concolic seed walk
   /// and initial-state construction must never be pruned.

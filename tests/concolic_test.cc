@@ -195,7 +195,9 @@ TEST(Concolic, FeaturizeNormalizesRows) {
   for (const auto& p : points) {
     double l1 = 0;
     for (double v : p) l1 += v;
-    if (l1 > 0) EXPECT_NEAR(l1, 1.0, 1e-9);
+    if (l1 > 0) {
+      EXPECT_NEAR(l1, 1.0, 1e-9);
+    }
   }
   // With the coverage element the rows get one extra dimension.
   const auto with_cov = concolic::featurize_bbvs(result.bbvs, 2.0);

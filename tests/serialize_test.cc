@@ -79,6 +79,27 @@ TEST(Pbss, FlavorMismatchCaught) {
   }
 }
 
+TEST(Pbss, OlderVersionIsRejected) {
+  // No reader for an older layout is kept: a well-formed frame (valid
+  // footer) that carries the previous version number must still throw.
+  auto framed =
+      serialize::frame_snapshot(SnapshotFlavor::kKlee, some_payload());
+  const std::uint32_t old_version = serialize::kPbssVersion - 1;
+  for (int i = 0; i < 4; ++i)
+    framed[4 + i] = static_cast<std::uint8_t>(old_version >> (8 * i));
+  const std::uint64_t sum = serialize::fnv1a(framed.data(), framed.size() - 8);
+  for (int i = 0; i < 8; ++i)
+    framed[framed.size() - 8 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  try {
+    serialize::unframe_snapshot(framed, SnapshotFlavor::kKlee);
+    FAIL() << "an older version must throw";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Pbss, TruncatedPayloadDiagnostic) {
   // A syntactically valid frame whose PAYLOAD is cut short exercises the
   // decoder's bounds checks (not just the checksum).

@@ -100,28 +100,6 @@ TEST(ConstraintSet, MaintainsPartitionsIncrementally) {
   EXPECT_EQ(cs.num_partitions(), 1u);
   const auto slice = cs.slice(mk_eq(mk_read(array, 10), mk_const(9, 8)));
   EXPECT_EQ(slice.constraints.size(), 3u);
-  ASSERT_EQ(slice.partitions.size(), 1u);
-}
-
-TEST(ConstraintSet, PartitionHashIsContentBased) {
-  // Two sets built in different orders over same-shape arrays must agree
-  // on partition hashes — the property L2 partition sharing relies on.
-  auto a1 = std::make_shared<Array>("part", 16);
-  auto a2 = std::make_shared<Array>("part", 16);
-  const auto build = [](const ArrayRef& a, bool swap) {
-    ConstraintSet cs;
-    const ExprRef c1 = mk_eq(mk_read(a, 0), mk_const(1, 8));
-    const ExprRef c2 = mk_ult(mk_read(a, 3), mk_const(7, 8));
-    cs.add(swap ? c2 : c1);
-    cs.add(swap ? c1 : c2);
-    return cs;
-  };
-  const ConstraintSet cs1 = build(a1, false);
-  const ConstraintSet cs2 = build(a2, true);
-  const auto s1 = cs1.slice(mk_eq(mk_read(a1, 0), mk_const(9, 8)));
-  const auto s2 = cs2.slice(mk_eq(mk_read(a2, 0), mk_const(9, 8)));
-  ASSERT_EQ(s1.partitions.size(), 1u);
-  EXPECT_EQ(s1.partitions, s2.partitions);
 }
 
 TEST(ConstraintSet, SliceOfUnconstrainedQueryIsEmpty) {
@@ -130,10 +108,8 @@ TEST(ConstraintSet, SliceOfUnconstrainedQueryIsEmpty) {
   cs.add(mk_eq(mk_read(array, 0), mk_const(1, 8)));
   const auto slice = cs.slice(mk_eq(mk_read(array, 20), mk_const(3, 8)));
   EXPECT_TRUE(slice.constraints.empty());
-  EXPECT_TRUE(slice.partitions.empty());
   const auto whole = cs.whole();
   EXPECT_EQ(whole.constraints.size(), 1u);
-  EXPECT_EQ(whole.partitions.size(), 1u);
 }
 
 TEST(ConstraintSet, PartitionsSurviveValueCopy) {
@@ -153,45 +129,12 @@ TEST(ConstraintSet, PartitionsSurviveValueCopy) {
             2u);
 }
 
-// --- CexStore ---------------------------------------------------------------
-
-TEST(CexStore, DedupesAndBoundsModels) {
-  auto array = make_array();
-  CexStore store;
-  ModelBytes m{{array, std::vector<std::uint8_t>{1, 2, 3}}};
-  store.add_model(7, m);
-  store.add_model(7, m);  // duplicate
-  EXPECT_EQ(store.num_models(), 1u);
-  for (std::uint8_t i = 0; i < 2 * CexStore::kMaxPerKey; ++i)
-    store.add_model(7, {{array, std::vector<std::uint8_t>{i}}});
-  EXPECT_EQ(store.num_models(), CexStore::kMaxPerKey);
-  ASSERT_NE(store.models(7), nullptr);
-  EXPECT_EQ(store.models(8), nullptr);
-}
-
-TEST(CexStore, KeepsSmallestUnsatCores) {
-  CexStore store;
-  // Overfill with cores of decreasing size; the store must retain the
-  // small ones (they subsume the most supersets).
-  for (std::uint64_t n = CexStore::kMaxPerKey + 4; n > 0; --n) {
-    std::vector<std::uint64_t> core;
-    for (std::uint64_t i = 0; i < n; ++i) core.push_back(1000 * n + i);
-    store.add_unsat_core(3, core);
-  }
-  EXPECT_EQ(store.num_cores(), CexStore::kMaxPerKey);
-  const auto* cores = store.unsat_cores(3);
-  ASSERT_NE(cores, nullptr);
-  for (std::size_t i = 1; i < cores->size(); ++i)
-    EXPECT_LE((*cores)[i - 1].size(), (*cores)[i].size());
-  EXPECT_EQ(cores->front().size(), 1u);
-}
-
 // --- Incremental pipeline hit classes ---------------------------------------
 
-TEST(SolverIncremental, UnsatCoreSubsumesGrownPartition) {
+TEST(SolverIncremental, GrownPartitionExitStaysUnsat) {
   // A loop-shaped workload: the same infeasible exit is re-queried while
-  // its partition keeps growing. The first proof files a core; later
-  // supersets must resolve by subsumption, not search.
+  // its partition keeps growing. The grown list misses the exact cache and
+  // must still be proved UNSAT.
   auto array = make_array();
   SolverFixture f;
   const ExprRef b0 = mk_read(array, 0);
@@ -199,16 +142,14 @@ TEST(SolverIncremental, UnsatCoreSubsumesGrownPartition) {
   cs.add(mk_ult(b0, mk_const(0x10, 8)));
   const ExprRef exit_q = mk_ult(mk_const(0x20, 8), b0);
   EXPECT_EQ(f.solver.check_sat(cs, exit_q), SolverResult::kUnsat);
-  EXPECT_EQ(f.stats.get("solver.partition_hits"), 0u);
 
   // The loop takes another iteration: a SAT query lands in the partition.
   const ExprRef stay_q = mk_ult(b0, mk_const(0x0c, 8));
   ASSERT_EQ(f.solver.check_sat(cs, stay_q), SolverResult::kSat);
   cs.add(stay_q);
 
-  // Same exit query, grown list: exact key differs, core subsumes.
+  // Same exit query, grown list: the exact key differs.
   EXPECT_EQ(f.solver.check_sat(cs, exit_q), SolverResult::kUnsat);
-  EXPECT_EQ(f.stats.get("solver.partition_hits"), 1u);
 }
 
 TEST(SolverIncremental, ReplaysCachedModelInsteadOfSearching) {
@@ -221,15 +162,12 @@ TEST(SolverIncremental, ReplaysCachedModelInsteadOfSearching) {
   Assignment m1;
   ASSERT_EQ(f.solver.check_sat(cs, q1, &m1), SolverResult::kSat);
   cs.add(q1);
-  const std::uint64_t searches_before = f.stats.get("solver.search_sat");
 
   // Implied by c1, but not by the all-zeros fast path and not an exact
-  // cache hit: must resolve by replaying the cached counterexample.
+  // cache hit: the model must still satisfy the whole path.
   const ExprRef q2 = mk_ult(mk_const(0x30, 8), b0);
   Assignment m2;
   ASSERT_EQ(f.solver.check_sat(cs, q2, &m2), SolverResult::kSat);
-  EXPECT_GE(f.stats.get("solver.model_reuse"), 1u);
-  EXPECT_EQ(f.stats.get("solver.search_sat"), searches_before);
   EXPECT_GT(m2.byte(array.get(), 0), 0x40);
 }
 
@@ -237,9 +175,7 @@ TEST(SolverIncremental, DomainMemoSeedsExtensionQueries) {
   auto array = make_array();
   VClock clock;
   Stats stats;
-  SolverOptions options;
-  options.use_cex_cache = false;  // isolate the memo from model replay
-  Solver solver(clock, stats, options);
+  Solver solver(clock, stats);
   const ExprRef b0 = mk_read(array, 0);
   ConstraintSet cs;
   cs.add(mk_ult(mk_const(0x10, 8), b0));
@@ -286,7 +222,6 @@ TEST(SolverIncremental, DomainMemoDeltaChainIsBounded) {
   VClock clock;
   Stats stats;
   SolverOptions options;
-  options.use_cex_cache = false;  // isolate the memo from model replay
   options.max_domain_memo_delta_depth = 2;
   Solver solver(clock, stats, options);
   const ExprRef b0 = mk_read(array, 0);
@@ -311,7 +246,6 @@ TEST(SolverIncremental, DisabledFlagsFallBackToBaselinePipeline) {
   VClock clock;
   Stats stats;
   SolverOptions options;
-  options.use_cex_cache = false;
   options.use_domain_memo = false;
   Solver solver(clock, stats, options);
   const ExprRef b0 = mk_read(array, 0);
@@ -322,7 +256,6 @@ TEST(SolverIncremental, DisabledFlagsFallBackToBaselinePipeline) {
   cs.add(mk_ult(b0, mk_const(0x80, 8)));
   ASSERT_EQ(solver.check_sat(cs, mk_ult(mk_const(0x30, 8), b0)),
             SolverResult::kSat);
-  EXPECT_EQ(stats.get("solver.model_reuse"), 0u);
   EXPECT_EQ(stats.get("solver.domain_memo_hits"), 0u);
   EXPECT_EQ(solver.domain_memo_size(), 0u);
 }

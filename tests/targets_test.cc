@@ -55,8 +55,9 @@ TEST(Targets, SeedsRunCleanlyAndDeep) {
     // A valid seed must reach deep phases: a healthy fraction of blocks.
     EXPECT_GT(run.covered, module.total_blocks() / 4) << t.driver;
     // And fork plenty of seedStates for pbSE to schedule.
-    if (t.driver != "tcpdump")
+    if (t.driver != "tcpdump") {
       EXPECT_GT(run.seed_states, 20u) << t.driver;
+    }
   }
 }
 
