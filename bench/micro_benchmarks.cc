@@ -7,6 +7,7 @@
 
 #include "concolic/concolic_executor.h"
 #include "core/driver.h"
+#include "core/pbse.h"
 #include "expr/evaluator.h"
 #include "obs/trace.h"
 #include "phase/kmeans.h"
@@ -362,6 +363,32 @@ void BM_SnapshotCampaign(benchmark::State& state) {
   state.counters["states"] = static_cast<double>(run.num_states());
 }
 BENCHMARK(BM_SnapshotCampaign)->Arg(20'000)->Arg(100'000);
+
+// Restoring a served pbSE campaign (what every pbse-serve slice pays
+// before it runs): readelf at seed scale 12, snapshotted 100k ticks into
+// its search, restored onto a driver that already ran prepare(). Most of
+// its states are Alg. 2 seedStates whose path conditions share long
+// prefixes, which the codec copies instead of re-adding (DESIGN.md §11).
+void BM_RestorePbseCampaign(benchmark::State& state) {
+  const ir::Module module = targets::build_target(targets::readelf_source());
+  const auto seed = targets::make_melf_seed(12);
+  core::PbseDriver source(module, "main");
+  core::PbseDriver target(module, "main");
+  if (!source.prepare(seed) || !target.prepare(seed)) {
+    state.SkipWithError("prepare() found no symbolic branch");
+    return;
+  }
+  source.begin_run();
+  const VClock::Ticks start = source.clock().now();
+  const Deadline overall(source.clock(), 500'000);
+  while (source.clock().now() < start + 100'000 && source.step_turn(overall)) {
+  }
+  const auto snap = serialize::CampaignCodec::snapshot(source);
+  for (auto _ : state) serialize::CampaignCodec::restore(target, snap);
+  state.counters["snapshot_bytes"] = static_cast<double>(snap.size());
+  state.counters["states"] = static_cast<double>(target.states().size());
+}
+BENCHMARK(BM_RestorePbseCampaign)->Unit(benchmark::kMillisecond);
 
 // Job-transfer framing (what every worker assignment and checkpoint pays
 // on top of the snapshot itself): JobRecord wire codec + pbsf frame with

@@ -196,6 +196,16 @@ std::uint64_t PbseDriver::turn_period(std::uint64_t turn,
   return base + freed * without / with;
 }
 
+std::vector<const vm::ExecutionState*> PbseDriver::states() const {
+  std::vector<const vm::ExecutionState*> out;
+  for (const PhaseRuntime& rt : runtimes_) {
+    for (const vm::ForkRecord& record : rt.pending)
+      out.push_back(record.state.get());
+    for (const vm::ExecutionState* s : rt.engine->states()) out.push_back(s);
+  }
+  return out;
+}
+
 void PbseDriver::begin_run() {
   cursor_.i = 0;
   cursor_.live.clear();

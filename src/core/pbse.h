@@ -115,6 +115,10 @@ class PbseDriver {
     return phase_seed_states_;
   }
 
+  /// Every state the campaign holds, phase by phase: the seedStates not
+  /// yet activated, then the engine's live states in id order.
+  std::vector<const vm::ExecutionState*> states() const;
+
  private:
   friend class pbse::serialize::CampaignCodec;
 

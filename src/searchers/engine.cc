@@ -1,6 +1,19 @@
 #include "searchers/engine.h"
 
+#include <algorithm>
+
 namespace pbse::search {
+
+std::vector<const vm::ExecutionState*> SymbolicEngine::states() const {
+  std::vector<const vm::ExecutionState*> out;
+  out.reserve(states_.size());
+  for (const auto& [id, s] : states_) out.push_back(s.get());
+  std::sort(out.begin(), out.end(),
+            [](const vm::ExecutionState* a, const vm::ExecutionState* b) {
+              return a->id < b->id;
+            });
+  return out;
+}
 
 void SymbolicEngine::add_state(std::unique_ptr<vm::ExecutionState> state) {
   vm::ExecutionState* raw = state.get();

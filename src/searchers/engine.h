@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "searchers/searcher.h"
 #include "support/vclock.h"
@@ -44,6 +45,8 @@ class SymbolicEngine {
                     const std::function<bool()>& batch_stop = {});
 
   std::size_t num_states() const { return states_.size(); }
+  /// The live states in id order.
+  std::vector<const vm::ExecutionState*> states() const;
   vm::Executor& executor() { return executor_; }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 #include <utility>
 
 #include "core/driver.h"
@@ -38,7 +39,7 @@ void encode_u64_set(Encoder& enc,
 }
 
 std::unordered_set<std::uint64_t> decode_u64_set(Decoder& dec) {
-  const std::uint32_t n = dec.u32();
+  const std::uint32_t n = dec.count(8);
   std::unordered_set<std::uint64_t> set;
   set.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) set.insert(dec.u64());
@@ -217,7 +218,12 @@ void CampaignCodec::encode_executor(StateCodec& codec, Encoder& enc,
 void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
                                     vm::Executor& ex) {
   (void)codec;
+  // record_coverage indexes the bitmap by global block id.
   const std::uint32_t ncovered = dec.u32();
+  if (ncovered != ex.module().total_blocks())
+    throw SnapshotError("pbss: coverage bitmap of " +
+                        std::to_string(ncovered) + " blocks, module has " +
+                        std::to_string(ex.module().total_blocks()));
   ex.covered_.assign(ncovered, false);
   std::uint8_t byte = 0;
   for (std::uint32_t i = 0; i < ncovered; ++i) {
@@ -226,7 +232,7 @@ void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
   }
   ex.num_covered_ = dec.u64();
   ex.coverage_epoch_ = dec.u64();
-  const std::uint32_t nlog = dec.u32();
+  const std::uint32_t nlog = dec.count(12);
   ex.coverage_log_.clear();
   ex.coverage_log_.reserve(nlog);
   for (std::uint32_t i = 0; i < nlog; ++i) {
@@ -236,12 +242,16 @@ void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
     ex.coverage_log_.push_back(ev);
   }
 
-  const std::uint32_t nbugs = dec.u32();
+  // A bug is at least 41 bytes: kind, three lengths, two u32 and two u64.
+  const std::uint32_t nbugs = dec.count(41);
   ex.bugs_.clear();
   ex.bugs_.reserve(nbugs);
   for (std::uint32_t i = 0; i < nbugs; ++i) {
     vm::BugReport bug;
-    bug.kind = static_cast<vm::BugKind>(dec.u8());
+    const std::uint8_t kind = dec.u8();
+    if (kind > static_cast<std::uint8_t>(vm::BugKind::kUseAfterReturn))
+      throw SnapshotError("pbss: bug kind out of range");
+    bug.kind = static_cast<vm::BugKind>(kind);
     bug.function = dec.str();
     bug.line = dec.u32();
     bug.global_bb = dec.u32();
@@ -255,7 +265,8 @@ void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
   ex.bug_sites_.clear();
   for (std::uint32_t i = 0; i < nsites; ++i) ex.bug_sites_.insert(dec.str());
 
-  const std::uint32_t ntests = dec.u32();
+  // A test case is at least 28 bytes: two lengths and two u64.
+  const std::uint32_t ntests = dec.count(28);
   ex.test_cases_.clear();
   ex.test_cases_.reserve(ntests);
   for (std::uint32_t i = 0; i < ntests; ++i) {
@@ -266,7 +277,7 @@ void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
     tc.reason = dec.str();
     ex.test_cases_.push_back(std::move(tc));
   }
-  const std::uint32_t nout = dec.u32();
+  const std::uint32_t nout = dec.count(8);
   ex.out_log_.clear();
   ex.out_log_.reserve(nout);
   for (std::uint32_t i = 0; i < nout; ++i) ex.out_log_.push_back(dec.u64());
@@ -330,7 +341,10 @@ void CampaignCodec::decode_solver(StateCodec& codec, Decoder& dec,
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint64_t key = dec.u64();
       QueryCache::Entry e;
-      e.result = static_cast<SolverResult>(dec.u8());
+      const std::uint8_t result = dec.u8();
+      if (result > static_cast<std::uint8_t>(SolverResult::kUnknown))
+        throw SnapshotError("pbss: cached solver result out of range");
+      e.result = static_cast<SolverResult>(result);
       e.model = codec.decode_model_bytes(dec);
       solver.cache_.insert(key, std::move(e));
     }
@@ -359,13 +373,7 @@ void CampaignCodec::decode_solver(StateCodec& codec, Decoder& dec,
 void CampaignCodec::encode_engine(StateCodec& codec, Encoder& enc,
                                   search::SymbolicEngine& engine,
                                   search::Searcher& searcher) {
-  std::vector<const vm::ExecutionState*> states;
-  states.reserve(engine.states_.size());
-  for (const auto& [id, s] : engine.states_) states.push_back(s.get());
-  std::sort(states.begin(), states.end(),
-            [](const vm::ExecutionState* a, const vm::ExecutionState* b) {
-              return a->id < b->id;
-            });
+  const std::vector<const vm::ExecutionState*> states = engine.states();
   enc.u32(static_cast<std::uint32_t>(states.size()));
   for (const vm::ExecutionState* s : states) codec.encode_state(enc, *s);
 
@@ -380,7 +388,7 @@ void CampaignCodec::decode_engine(StateCodec& codec, Decoder& dec,
                                   search::Searcher& searcher,
                                   const ir::Module& module) {
   engine.states_.clear();
-  const std::uint32_t n = dec.u32();
+  const std::uint32_t n = dec.count(StateCodec::kMinStateBytes);
   std::unordered_map<std::uint64_t, vm::ExecutionState*> by_id;
   by_id.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -389,12 +397,17 @@ void CampaignCodec::decode_engine(StateCodec& codec, Decoder& dec,
     by_id[id] = state.get();
     engine.states_[id] = std::move(state);
   }
-  const std::uint32_t nwords = dec.u32();
+  const std::uint32_t nwords = dec.count(8);
   std::vector<std::uint64_t> words;
   words.reserve(nwords);
   for (std::uint32_t i = 0; i < nwords; ++i) words.push_back(dec.u64());
   std::size_t pos = 0;
-  searcher.load_position(words, pos, by_id);
+  try {
+    searcher.load_position(words, pos, by_id);
+  } catch (const std::out_of_range&) {
+    throw SnapshotError("pbss: searcher position runs past its words or "
+                        "names a state the snapshot does not hold");
+  }
   if (pos != words.size())
     throw SnapshotError("pbss: searcher position has trailing words");
 }
@@ -484,13 +497,13 @@ void CampaignCodec::restore(core::PbseDriver& driver,
   decode_solver(codec, dec, *driver.solver_);
   driver.c_time_ = dec.u64();
   driver.p_time_ = dec.u64();
-  const std::uint32_t nbugphases = dec.u32();
+  const std::uint32_t nbugphases = dec.count(4);
   driver.bug_phases_.clear();
   driver.bug_phases_.reserve(nbugphases);
   for (std::uint32_t i = 0; i < nbugphases; ++i)
     driver.bug_phases_.push_back(dec.u32());
   driver.cursor_.i = dec.u64();
-  const std::uint32_t nlive = dec.u32();
+  const std::uint32_t nlive = dec.count(4);
   driver.cursor_.live.clear();
   driver.cursor_.live.reserve(nlive);
   for (std::uint32_t i = 0; i < nlive; ++i)
@@ -509,7 +522,9 @@ void CampaignCodec::restore(core::PbseDriver& driver,
                           std::to_string(pid) + ", driver " +
                           std::to_string(rt.phase_id) + ")");
     rt.started = dec.u8() != 0;
-    const std::uint32_t npending = dec.u32();
+    // A pending record is a state plus a u64 and two u32.
+    const std::uint32_t npending =
+        dec.count(StateCodec::kMinStateBytes + 16);
     rt.pending.clear();
     rt.pending.reserve(npending);
     for (std::uint32_t i = 0; i < npending; ++i) {

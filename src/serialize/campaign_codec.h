@@ -66,15 +66,17 @@ class CampaignCodec {
   static void restore(core::PbseDriver& driver,
                       const std::vector<std::uint8_t>& framed);
 
- private:
-  static void encode_stats(Encoder& enc, const Stats& stats);
-  static void decode_stats(Decoder& dec, Stats& stats);
+  // Payload sections, public so a test can forge one section alone.
   static void encode_executor(StateCodec& codec, Encoder& enc,
                               vm::Executor& ex);
   static void decode_executor(StateCodec& codec, Decoder& dec,
                               vm::Executor& ex);
   static void encode_solver(StateCodec& codec, Encoder& enc, Solver& solver);
   static void decode_solver(StateCodec& codec, Decoder& dec, Solver& solver);
+
+ private:
+  static void encode_stats(Encoder& enc, const Stats& stats);
+  static void decode_stats(Decoder& dec, Stats& stats);
   static void encode_engine(StateCodec& codec, Encoder& enc,
                             search::SymbolicEngine& engine,
                             search::Searcher& searcher);

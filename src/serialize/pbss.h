@@ -32,7 +32,7 @@ class SnapshotError : public std::runtime_error {
 
 /// Bumped on every payload layout change; no reader for older versions is
 /// kept, so a stale image fails the version check.
-inline constexpr std::uint32_t kPbssVersion = 3;
+inline constexpr std::uint32_t kPbssVersion = 4;
 
 /// What kind of campaign the payload holds.
 enum class SnapshotFlavor : std::uint32_t {
@@ -107,6 +107,20 @@ class Decoder {
     std::vector<std::uint8_t> b(data_ + pos_, data_ + pos_ + n);
     pos_ += static_cast<std::size_t>(n);
     return b;
+  }
+
+  /// Reads a u32 element count and throws unless that many elements of at
+  /// least `min_item_bytes` each fit in the unread bytes. Every count that
+  /// sizes a container goes through here, so a forged count can never ask
+  /// for more memory than a small multiple of the input's own size.
+  std::uint32_t count(std::size_t min_item_bytes) {
+    const std::uint32_t n = u32();
+    if (std::uint64_t{n} * min_item_bytes > remaining())
+      throw SnapshotError("pbss: count " + std::to_string(n) +
+                          " at offset " + std::to_string(pos_ - 4) +
+                          " exceeds the " + std::to_string(remaining()) +
+                          " bytes left");
+    return n;
   }
 
   std::size_t remaining() const { return size_ - pos_; }

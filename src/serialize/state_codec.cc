@@ -11,6 +11,13 @@ namespace pbse::serialize {
 namespace {
 constexpr std::uint32_t kNullId = ~std::uint32_t{0};
 
+// Lower bounds on encoded sizes, for Decoder::count.
+constexpr std::size_t kMinExprBytes = 8;      // u32 new-node count + u32 root
+constexpr std::size_t kMinValueBytes = 1;     // kind byte
+constexpr std::size_t kMinPointerBytes = 12;  // u32 object + expression
+constexpr std::size_t kMinFrameBytes = 28;    // seven u32 fields
+constexpr std::size_t kMinModelEntryBytes = 9;  // array tag + u64 blob size
+
 [[noreturn]] void malformed(const char* what) {
   throw SnapshotError(std::string("pbss: malformed expression node: ") + what);
 }
@@ -287,7 +294,7 @@ void StateCodec::encode_model_bytes(Encoder& enc, const ModelBytes& m) {
 }
 
 ModelBytes StateCodec::decode_model_bytes(Decoder& dec) {
-  const std::uint32_t n = dec.u32();
+  const std::uint32_t n = dec.count(kMinModelEntryBytes);
   ModelBytes m;
   m.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -335,9 +342,19 @@ std::shared_ptr<vm::MemObject> StateCodec::decode_mem_object(Decoder& dec) {
   obj->writable = dec.u8() != 0;
   obj->alive = dec.u8() != 0;
   obj->name = dec.str();
-  const std::uint32_t n = dec.u32();
+  // check_access bounds an access by `size`, then load_bytes indexes
+  // `bytes` and concatenates width-8 bytes.
+  const std::uint32_t n = dec.count(kMinExprBytes);
+  if (n != obj->size)
+    throw SnapshotError("pbss: memory object holds " + std::to_string(n) +
+                        " bytes but has size " + std::to_string(obj->size));
   obj->bytes.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) obj->bytes.push_back(decode_expr(dec));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    ExprRef byte = decode_expr(dec);
+    if (byte == nullptr || byte->width() != 8)
+      throw SnapshotError("pbss: memory byte is not a width-8 expression");
+    obj->bytes.push_back(std::move(byte));
+  }
   mem_objects_.push_back(obj);
   return obj;
 }
@@ -353,6 +370,8 @@ vm::Pointer StateCodec::decode_pointer(Decoder& dec) {
   vm::Pointer p;
   p.object = dec.u32();
   p.offset = decode_expr(dec);
+  if (!p.is_null() && (p.offset == nullptr || p.offset->width() != 64))
+    throw SnapshotError("pbss: pointer offset is not a width-64 expression");
   return p;
 }
 
@@ -364,8 +383,14 @@ void StateCodec::encode_value(Encoder& enc, const vm::Value& v) {
 
 vm::Value StateCodec::decode_value(Decoder& dec) {
   vm::Value v;
-  v.kind = static_cast<vm::Value::Kind>(dec.u8());
-  if (v.kind == vm::Value::Kind::kInt) v.i = decode_expr(dec);
+  const std::uint8_t kind = dec.u8();
+  if (kind > static_cast<std::uint8_t>(vm::Value::Kind::kPtr))
+    throw SnapshotError("pbss: value kind out of range");
+  v.kind = static_cast<vm::Value::Kind>(kind);
+  if (v.kind == vm::Value::Kind::kInt) {
+    v.i = decode_expr(dec);
+    if (v.i == nullptr) throw SnapshotError("pbss: integer value is null");
+  }
   if (v.kind == vm::Value::Kind::kPtr) v.p = decode_pointer(dec);
   return v;
 }
@@ -402,10 +427,27 @@ void StateCodec::encode_state(Encoder& enc, const vm::ExecutionState& s) {
     encode_mem_object(enc, s.memory.objects().at(id));
   }
 
-  // Constraints in insertion order; the set is rebuilt via add() on decode
-  // (deterministically reproducing hashes and union-find partitions).
-  enc.u32(static_cast<std::uint32_t>(s.constraints.size()));
-  for (const ExprRef& c : s.constraints.constraints()) encode_expr(enc, c);
+  // Constraints, in insertion order: the length of the prefix this list
+  // shares with the list of the state written before it, then the rest.
+  // Alg. 2 records a seedState at every symbolic branch of the seed path
+  // with the path condition up to its fork, so the lists of states written
+  // one after another mostly share a long prefix (97% of the constraint
+  // references of a readelf seed-scale-12 snapshot). Decode copies a
+  // running set of the shared prefix and add()s the rest: the same add()
+  // sequence as the original set, so hashes and partitions come back
+  // identical without re-adding every constraint of every state.
+  const std::vector<ExprRef>& list = s.constraints.constraints();
+  std::size_t shared = 0;
+  while (shared < list.size() && shared < last_encoded_.size() &&
+         list[shared].get() == last_encoded_[shared])
+    ++shared;
+  enc.u32(static_cast<std::uint32_t>(shared));
+  enc.u32(static_cast<std::uint32_t>(list.size() - shared));
+  last_encoded_.resize(shared);
+  for (std::size_t i = shared; i < list.size(); ++i) {
+    encode_expr(enc, list[i]);
+    last_encoded_.push_back(list[i].get());
+  }
 
   encode_assignment(enc, s.model);
   // model_eval is NOT serialized: a pure per-model memo, rebuilt lazily by
@@ -431,7 +473,10 @@ std::unique_ptr<vm::ExecutionState> StateCodec::decode_state(
   s->id = dec.u64();
   s->parent_id = dec.u64();
 
-  const std::uint32_t num_frames = dec.u32();
+  // The executor indexes a frame's block, instruction, registers, slots
+  // and its caller's result register without checks, so each must fit the
+  // frame's function here.
+  const std::uint32_t num_frames = dec.count(kMinFrameBytes);
   s->stack.reserve(num_frames);
   for (std::uint32_t i = 0; i < num_frames; ++i) {
     vm::StackFrame f;
@@ -441,16 +486,26 @@ std::unique_ptr<vm::ExecutionState> StateCodec::decode_state(
     f.fn = module.function(fn_index);
     f.block = dec.u32();
     f.inst = dec.u32();
-    const std::uint32_t num_regs = dec.u32();
+    if (f.block >= f.fn->num_blocks() ||
+        f.inst >= f.fn->block(f.block).insts.size())
+      throw SnapshotError("pbss: stack-frame position outside its function");
+    const std::uint32_t num_regs = dec.count(kMinValueBytes);
+    if (num_regs != f.fn->num_regs())
+      throw SnapshotError("pbss: stack-frame register count mismatch");
     f.regs.reserve(num_regs);
     for (std::uint32_t r = 0; r < num_regs; ++r)
       f.regs.push_back(decode_value(dec));
-    const std::uint32_t num_slots = dec.u32();
+    const std::uint32_t num_slots = dec.count(kMinPointerBytes);
+    if (num_slots != f.fn->num_slots())
+      throw SnapshotError("pbss: stack-frame slot count mismatch");
     f.slots.reserve(num_slots);
     for (std::uint32_t p = 0; p < num_slots; ++p)
       f.slots.push_back(decode_pointer(dec));
     f.ret_reg = dec.u32();
-    const std::uint32_t num_allocas = dec.u32();
+    if (f.ret_reg != ir::kNoReg &&
+        (s->stack.empty() || f.ret_reg >= s->stack.back().fn->num_regs()))
+      throw SnapshotError("pbss: stack-frame result register out of range");
+    const std::uint32_t num_allocas = dec.count(4);
     f.allocas.reserve(num_allocas);
     for (std::uint32_t a = 0; a < num_allocas; ++a)
       f.allocas.push_back(dec.u32());
@@ -465,14 +520,37 @@ std::unique_ptr<vm::ExecutionState> StateCodec::decode_state(
   }
   s->memory.set_next_id(next_obj_id);
 
-  const std::uint32_t num_constraints = dec.u32();
-  for (std::uint32_t i = 0; i < num_constraints; ++i)
-    s->constraints.add(decode_expr(dec));
+  const std::uint32_t shared = dec.u32();
+  if (shared > last_decoded_.size())
+    throw SnapshotError("pbss: shared constraint prefix of " +
+                        std::to_string(shared) + " exceeds the previous " +
+                        "state's " + std::to_string(last_decoded_.size()) +
+                        " constraints");
+  if (shared < prefix_.size()) prefix_ = ConstraintSet();
+  for (std::size_t i = prefix_.size(); i < shared; ++i)
+    prefix_.add(last_decoded_[i]);
+  s->constraints = prefix_;
+  last_decoded_.resize(shared);
+  const std::uint32_t num_suffix = dec.u32();
+  for (std::uint32_t i = 0; i < num_suffix; ++i) {
+    ExprRef c = decode_expr(dec);
+    // A set never holds a constant or a duplicate, so every list entry
+    // grows the set by one and prefix_.size() counts the entries it holds.
+    const std::size_t before = s->constraints.size();
+    if (c == nullptr || c->width() != 1 || !s->constraints.add(c) ||
+        s->constraints.size() == before)
+      throw SnapshotError("pbss: constraint is not a new non-constant "
+                          "width-1 expression");
+    last_decoded_.push_back(std::move(c));
+  }
 
   s->model = decode_assignment(dec);
   s->model_eval = nullptr;
 
-  s->termination = static_cast<vm::TerminationReason>(dec.u8());
+  const std::uint8_t termination = dec.u8();
+  if (termination > static_cast<std::uint8_t>(vm::TerminationReason::kSubsumed))
+    throw SnapshotError("pbss: termination reason out of range");
+  s->termination = static_cast<vm::TerminationReason>(termination);
   s->instructions = dec.u64();
   s->depth = dec.u64();
   s->born_at_ticks = dec.u64();

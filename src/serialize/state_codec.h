@@ -43,6 +43,10 @@ namespace pbse::serialize {
 /// tables starting empty.
 class StateCodec {
  public:
+  /// Lower bound on one encoded state's size (its six u64 fields), for the
+  /// count checks of lists that hold states.
+  static constexpr std::size_t kMinStateBytes = 48;
+
   /// Registers a canonical array of the restoring campaign: decoded
   /// arrays with the same (name, size) resolve to exactly this ArrayRef.
   void register_array(const ArrayRef& array);
@@ -75,7 +79,10 @@ class StateCodec {
   std::shared_ptr<vm::MemObject> decode_mem_object(Decoder& dec);
 
   // --- Whole states --------------------------------------------------------
-  /// `module` resolves stack-frame function indices on decode.
+  /// `module` resolves stack-frame function indices on decode. A state's
+  /// constraint list is written relative to the list of the state this
+  /// codec wrote before it, so states decode in the order they were
+  /// encoded, each through the same codec.
   void encode_state(Encoder& enc, const vm::ExecutionState& s);
   std::unique_ptr<vm::ExecutionState> decode_state(Decoder& dec,
                                                    const ir::Module& module);
@@ -104,6 +111,15 @@ class StateCodec {
 
   /// (name, size) -> canonical array of the restoring campaign.
   std::map<std::pair<std::string, std::uint32_t>, ArrayRef> canonical_;
+
+  // Constraint lists go out as a prefix shared with the previous state's
+  // list plus a suffix (DESIGN.md §11).
+  /// Encode side: the list of the state written last.
+  std::vector<const Expr*> last_encoded_;
+  /// Decode side: the list of the state read last, and a set built by
+  /// add() over its first prefix_.size() entries.
+  std::vector<ExprRef> last_decoded_;
+  ConstraintSet prefix_;
 };
 
 }  // namespace pbse::serialize

@@ -8,10 +8,13 @@ namespace pbse {
 namespace {
 
 /// Per-set site key: pointer-based, cheap, never leaves this set (the
-/// union-find nodes are private state).
+/// union-find nodes are private state). Key 0 marks an empty slot of the
+/// site table, so it is folded onto 1: two sites sharing a key only share a
+/// partition, which makes slices larger, never unsound.
 std::uint64_t site_key(const ReadSite& site) {
-  return (reinterpret_cast<std::uintptr_t>(site.array.get()) << 20) ^
-         site.index;
+  const std::uint64_t key =
+      (reinterpret_cast<std::uintptr_t>(site.array.get()) << 20) ^ site.index;
+  return key != 0 ? key : 1;
 }
 
 }  // namespace
@@ -25,13 +28,13 @@ std::uint32_t ConstraintSet::find_root(std::uint32_t n) const {
 }
 
 std::uint32_t ConstraintSet::node_for_site(std::uint64_t site) {
-  auto [it, inserted] =
-      site_node_.emplace(site, static_cast<std::uint32_t>(uf_parent_.size()));
-  if (inserted) {
-    uf_parent_.push_back(it->second);
+  const auto fresh = static_cast<std::uint32_t>(uf_parent_.size());
+  const std::uint32_t node = *site_node_.try_emplace(site, fresh).first;
+  if (node == fresh) {
+    uf_parent_.push_back(node);
     uf_size_.push_back(1);
   }
-  return it->second;
+  return node;
 }
 
 std::uint32_t ConstraintSet::union_nodes(std::uint32_t a, std::uint32_t b) {
@@ -48,7 +51,7 @@ bool ConstraintSet::add(const ExprRef& c) {
   assert(c->width() == 1);
   if (c->is_true()) return true;
   if (c->is_false()) return false;
-  if (!present_.insert(c.get()).second) return true;
+  if (!present_.insert(c.get(), {})) return true;
   constraints_.push_back(c);
   // XOR-combining keeps the hash order-insensitive; multiply-mix first so
   // equal-hash constraints don't cancel.
@@ -77,7 +80,7 @@ bool ConstraintSet::add(const ExprRef& c) {
 }
 
 bool ConstraintSet::contains(const ExprRef& c) const {
-  return present_.count(c.get()) != 0;
+  return present_.contains(c.get());
 }
 
 ConstraintSet::Slice ConstraintSet::slice(const ExprRef& query) const {
@@ -87,9 +90,9 @@ ConstraintSet::Slice ConstraintSet::slice(const ExprRef& query) const {
   // hash set here. Unconstrained sites have no partition yet.
   std::vector<std::uint32_t> roots;
   for (const auto& r : cached_reads(query)) {
-    const auto it = site_node_.find(site_key(r));
-    if (it == site_node_.end()) continue;
-    const std::uint32_t root = find_root(it->second);
+    const std::uint32_t* node = site_node_.find(site_key(r));
+    if (node == nullptr) continue;
+    const std::uint32_t root = find_root(*node);
     if (std::find(roots.begin(), roots.end(), root) == roots.end())
       roots.push_back(root);
   }

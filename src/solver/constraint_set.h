@@ -9,17 +9,18 @@
 // the query touches" (one find() per query read + one find() per
 // constraint) instead of the old O(constraints × reads) closure per query.
 //
-// The set stays a plain value type: state forks copy the vectors/maps and
-// keep sharing the ExprRefs. Not thread-safe (one state, one thread) —
-// find() performs path compression under `mutable`.
+// The set stays a plain value type: state forks copy its flat arrays (the
+// member set and the site table are open-addressing NodeMaps, so a copy is
+// a few allocations and memcpys, not one heap node per entry) and keep
+// sharing the ExprRefs. Not thread-safe (one state, one thread) — find()
+// performs path compression under `mutable`.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "expr/expr.h"
+#include "expr/node_map.h"
 
 namespace pbse {
 
@@ -88,10 +89,12 @@ class ConstraintSet {
   /// Unions the partitions of `a` and `b`, returns the surviving root.
   std::uint32_t union_nodes(std::uint32_t a, std::uint32_t b);
 
+  struct Member {};
+
   std::vector<ExprRef> constraints_;
   /// Hash-consing makes structural equality pointer equality, so presence
   /// checks are a pointer-set lookup.
-  std::unordered_set<const Expr*> present_;
+  NodeMap<Member> present_;
   std::uint64_t hash_ = 0x243f6a8885a308d3ULL;
   /// Mixed constraint hashes, kept sorted (sorted-insert on add; adds are
   /// far rarer than the block-entry subsumption probes that read this).
@@ -99,7 +102,7 @@ class ConstraintSet {
 
   // --- Persistent independence partition ---------------------------------
   /// (array pointer, index) site key -> union-find node.
-  std::unordered_map<std::uint64_t, std::uint32_t> site_node_;
+  NodeMap<std::uint32_t, std::uint64_t> site_node_;
   /// Union-find parent links; mutable so const find() can path-compress
   /// (pure cache mutation, single-threaded by the state contract above).
   mutable std::vector<std::uint32_t> uf_parent_;

@@ -8,13 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 
 #include "core/driver.h"
+#include "core/pbse.h"
+#include "lang/codegen.h"
 #include "serialize/campaign_codec.h"
 #include "serialize/frame.h"
 #include "serialize/pbss.h"
 #include "serialize/state_codec.h"
+#include "solver/solver.h"
 #include "targets/targets.h"
+#include "vm/executor.h"
 
 namespace pbse {
 namespace {
@@ -25,6 +30,65 @@ using serialize::Encoder;
 using serialize::SnapshotError;
 using serialize::SnapshotFlavor;
 using serialize::StateCodec;
+
+// A three-stage pipeline with a deep out-of-bounds read (core_test's
+// program): a short KLEE or pbSE run forks, covers blocks, logs output and
+// finds the bug, so its snapshot fills every payload section.
+constexpr const char* kPipeline = R"(
+u8 table[4] = { 1, 2, 3, 4 };
+u32 main(u8* f, u32 size) {
+  if (size < 8) { return 1; }
+  if (f[0] != 'P' || f[1] != '1') { return 2; }
+  u32 n = (u32)f[2];
+  u32 sum = 0;
+  for (u32 i = 0; i < n; ++i) {
+    if (3 + i >= size) { return 3; }
+    sum += (u32)f[3 + i];
+  }
+  out(sum);
+  u32 off = 3 + n;
+  u32 records = 0;
+  while (off + 2 <= size) {
+    u32 kind = (u32)f[off];
+    u32 value = (u32)f[off + 1];
+    off += 2;
+    if (kind == 0) { break; }
+    if (kind == 3) { out(table[value]); }
+    records += 1;
+  }
+  out(records);
+  return 0;
+}
+)";
+
+std::vector<std::uint8_t> pipeline_seed() {
+  return {'P', '1', 3, 10, 20, 30, 3, 1, 3, 2, 0, 0};
+}
+
+ir::Module compile_pipeline() {
+  ir::Module module;
+  std::string error;
+  if (!minic::compile(kPipeline, module, error))
+    ADD_FAILURE() << "compile error: " << error;
+  module.finalize();
+  return module;
+}
+
+std::uint32_t u32_at(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  Decoder dec(bytes.data() + at, 4);
+  return dec.u32();
+}
+
+void put_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+// In an encoded state with no frames and no memory objects, the constraint
+// section (shared-prefix length, suffix count, suffix expressions) follows
+// the two u64 ids and three u32 counts.
+constexpr std::size_t kBareStateConstraintsAt = 28;
 
 // --- Framing --------------------------------------------------------------
 
@@ -297,6 +361,236 @@ TEST(StateCodecTest, AssignmentSharingPreserved) {
   EXPECT_EQ(a.get(), b.get());  // one heap object, shared again
 }
 
+TEST(StateCodecTest, RejectsMalformedStates) {
+  // The engine indexes every field below without checks, so a checksum-
+  // valid image that gets one wrong must stop in the decoder.
+  const ir::Module module = compile_pipeline();
+  const ir::Function* main_fn = module.function_by_name("main");
+  ASSERT_NE(main_fn, nullptr);
+  const ArrayRef file = std::make_shared<Array>("file", 16);
+
+  // Well-formed: main's entry frame over one symbolic input object.
+  vm::ExecutionState base;
+  {
+    vm::StackFrame f;
+    f.fn = main_fn;
+    f.regs.resize(main_fn->num_regs());
+    f.slots.resize(main_fn->num_slots());
+    f.regs[0] = vm::Value::from_ptr(vm::Pointer::to(0, mk_const(0, 64)));
+    f.regs[1] = vm::Value::from_int(mk_const(16, 32));
+    base.stack.push_back(std::move(f));
+    base.memory.add(vm::MemObject::make_symbolic(file, "input"));
+    base.constraints.add(mk_ult(mk_read(file, 0), mk_const(9, 8)));
+  }
+  const auto round_trip = [&](const vm::ExecutionState& s) {
+    StateCodec enc_codec;
+    Encoder enc;
+    enc_codec.encode_state(enc, s);
+    StateCodec dec_codec;
+    dec_codec.register_array(file);
+    Decoder dec(enc.data());
+    return dec_codec.decode_state(dec, module);
+  };
+  const auto back = round_trip(base);
+  EXPECT_EQ(back->constraints.constraints(), base.constraints.constraints());
+  EXPECT_EQ(back->frame().regs.size(), main_fn->num_regs());
+
+  using Mutation = std::function<void(vm::ExecutionState&)>;
+  const std::vector<std::pair<const char*, Mutation>> bad = {
+      {"block past the function",
+       [&](vm::ExecutionState& s) {
+         s.frame().block = static_cast<std::uint32_t>(main_fn->num_blocks());
+       }},
+      {"instruction past the block",
+       [&](vm::ExecutionState& s) {
+         s.frame().inst =
+             static_cast<std::uint32_t>(main_fn->block(0).insts.size());
+       }},
+      {"one register too many",
+       [](vm::ExecutionState& s) { s.frame().regs.emplace_back(); }},
+      {"one register too few",
+       [](vm::ExecutionState& s) { s.frame().regs.pop_back(); }},
+      {"one slot too many",
+       [](vm::ExecutionState& s) { s.frame().slots.emplace_back(); }},
+      {"result register without a caller",
+       [](vm::ExecutionState& s) { s.frame().ret_reg = 0; }},
+      {"termination byte past the enum",
+       [](vm::ExecutionState& s) {
+         s.termination = static_cast<vm::TerminationReason>(7);
+       }},
+      {"value kind byte past the enum",
+       [](vm::ExecutionState& s) {
+         s.frame().regs[1].kind = static_cast<vm::Value::Kind>(3);
+       }},
+      {"integer value without an expression",
+       [](vm::ExecutionState& s) { s.frame().regs[1].i = nullptr; }},
+      {"pointer without an offset",
+       [](vm::ExecutionState& s) { s.frame().regs[0].p.offset = nullptr; }},
+      {"memory object larger than its bytes",
+       [](vm::ExecutionState& s) { s.memory.ensure_unique(0).size += 1; }},
+      {"memory object with a null byte",
+       [](vm::ExecutionState& s) {
+         s.memory.ensure_unique(0).bytes[3] = nullptr;
+       }},
+      {"memory byte of width 32",
+       [](vm::ExecutionState& s) {
+         s.memory.ensure_unique(0).bytes[3] = mk_const(1, 32);
+       }},
+  };
+  for (const auto& [what, mutate] : bad) {
+    vm::ExecutionState s = base;
+    mutate(s);
+    EXPECT_THROW(round_trip(s), SnapshotError) << what;
+  }
+
+  // Constraint entries. `first` writes c = file[0] < 9 as its only
+  // constraint; `second` is the same state whose one suffix entry defines
+  // no node and names node `root`, after sharing `shared` of first's list.
+  vm::ExecutionState first;
+  const ExprRef c = mk_ult(mk_read(file, 0), mk_const(9, 8));
+  first.constraints.add(c);
+  StateCodec first_codec;
+  Encoder first_enc;
+  first_codec.encode_state(first_enc, first);
+  const std::vector<std::uint8_t>& first_bytes = first_enc.data();
+  constexpr std::size_t kConstraintsAt = kBareStateConstraintsAt;
+  const std::uint32_t c_nodes = u32_at(first_bytes, kConstraintsAt + 8);
+  ASSERT_GE(c_nodes, 3u);  // two width-8 operands, then the comparison
+  StateCodec sizing;
+  Encoder c_enc;
+  sizing.encode_expr(c_enc, c);
+  const std::size_t after_c = kConstraintsAt + 8 + c_enc.size();
+  const auto decode_second = [&](std::uint32_t shared, std::uint32_t root) {
+    std::vector<std::uint8_t> bytes = first_bytes;
+    bytes.insert(bytes.end(), first_bytes.begin(),
+                 first_bytes.begin() + kConstraintsAt);
+    Encoder entry;
+    entry.u32(shared);
+    entry.u32(1);
+    entry.u32(0);  // no new nodes
+    entry.u32(root);
+    bytes.insert(bytes.end(), entry.data().begin(), entry.data().end());
+    bytes.insert(bytes.end(), first_bytes.begin() + after_c,
+                 first_bytes.end());
+    StateCodec codec;
+    codec.register_array(file);
+    Decoder dec(bytes);
+    codec.decode_state(dec, module);
+    auto second = codec.decode_state(dec, module);
+    EXPECT_TRUE(dec.done());
+    return second;
+  };
+  EXPECT_EQ(decode_second(0, c_nodes - 1)->constraints.constraints(),
+            first.constraints.constraints());
+  EXPECT_THROW(decode_second(1, c_nodes - 1), SnapshotError)
+      << "constraint already in the shared prefix";
+  EXPECT_THROW(decode_second(0, ~std::uint32_t{0}), SnapshotError)
+      << "null constraint";
+  EXPECT_THROW(decode_second(0, 0), SnapshotError) << "width-8 constraint";
+
+  // Executor section: record_coverage indexes the bitmap by global block
+  // id, and bug reports carry a BugKind.
+  core::KleeRun run(module, "main", {});
+  run.run(200'000);
+  const vm::Executor& ex = run.executor();
+  ASSERT_FALSE(ex.bugs().empty());
+  StateCodec codec;
+  Encoder enc;
+  CampaignCodec::encode_executor(codec, enc, run.executor());
+  const std::vector<std::uint8_t> section = enc.data();
+  const auto decode_executor = [&](const std::vector<std::uint8_t>& bytes) {
+    StateCodec dec_codec;
+    Decoder dec(bytes);
+    CampaignCodec::decode_executor(dec_codec, dec, run.executor());
+  };
+  EXPECT_NO_THROW(decode_executor(section));
+  ASSERT_EQ(u32_at(section, 0), module.total_blocks());
+  for (const std::uint32_t blocks :
+       {module.total_blocks() - 1, module.total_blocks() + 1}) {
+    auto forged = section;
+    put_u32(forged, 0, blocks);
+    EXPECT_THROW(decode_executor(forged), SnapshotError)
+        << "coverage bitmap of " << blocks << " blocks";
+  }
+  // Bitmap bytes, two u64 counters, the coverage log, then the bug count.
+  const std::size_t first_bug_kind = 4 + (module.total_blocks() + 7) / 8 +
+                                     16 + 4 + 12 * ex.coverage_log().size() +
+                                     4;
+  ASSERT_EQ(section[first_bug_kind],
+            static_cast<std::uint8_t>(ex.bugs()[0].kind));
+  {
+    auto forged = section;
+    forged[first_bug_kind] =
+        static_cast<std::uint8_t>(vm::BugKind::kUseAfterReturn) + 1;
+    EXPECT_THROW(decode_executor(forged), SnapshotError) << "bug kind";
+  }
+
+  // Solver section: one exact-cache entry (propagation's UNSAT), whose
+  // result byte follows the entry count and the key.
+  VClock clock;
+  Stats stats;
+  Solver solver(clock, stats);
+  ConstraintSet cs;
+  cs.add(mk_eq(mk_read(file, 2), mk_const(5, 8)));
+  ASSERT_EQ(solver.check_sat(cs, mk_eq(mk_read(file, 2), mk_const(6, 8))),
+            SolverResult::kUnsat);
+  Encoder solver_enc;
+  CampaignCodec::encode_solver(codec, solver_enc, solver);
+  auto solver_section = solver_enc.data();
+  ASSERT_EQ(u32_at(solver_section, 0), 1u);
+  ASSERT_EQ(solver_section[12],
+            static_cast<std::uint8_t>(SolverResult::kUnsat));
+  solver_section[12] = static_cast<std::uint8_t>(SolverResult::kUnknown) + 1;
+  StateCodec solver_codec;
+  Decoder solver_dec(solver_section);
+  EXPECT_THROW(CampaignCodec::decode_solver(solver_codec, solver_dec, solver),
+               SnapshotError)
+      << "solver result";
+}
+
+TEST(StateCodecTest, RejectsSharedPrefixOutOfRange) {
+  const ir::Module module = compile_pipeline();
+  const ArrayRef file = std::make_shared<Array>("file", 16);
+  const ExprRef c1 = mk_ult(mk_read(file, 0), mk_const(9, 8));
+  const ExprRef c2 = mk_ult(mk_read(file, 1), mk_const(9, 8));
+  vm::ExecutionState a;  // empty stacks, no memory objects
+  vm::ExecutionState b;
+  a.constraints.add(c1);
+  b.constraints.add(c1);
+  b.constraints.add(c2);
+
+  StateCodec enc_codec;
+  Encoder enc_a;
+  Encoder enc_b;
+  enc_codec.encode_state(enc_a, a);
+  enc_codec.encode_state(enc_b, b);
+  constexpr std::size_t kSharedAt = kBareStateConstraintsAt;
+  ASSERT_EQ(u32_at(enc_a.data(), kSharedAt), 0u);
+  ASSERT_EQ(u32_at(enc_b.data(), kSharedAt), 1u);  // b shares c1 with a
+  ASSERT_EQ(u32_at(enc_b.data(), kSharedAt + 4), 1u);
+
+  const auto decode_both = [&](const std::vector<std::uint8_t>& bytes_a,
+                               const std::vector<std::uint8_t>& bytes_b) {
+    std::vector<std::uint8_t> bytes = bytes_a;
+    bytes.insert(bytes.end(), bytes_b.begin(), bytes_b.end());
+    StateCodec codec;
+    codec.register_array(file);
+    Decoder dec(bytes);
+    codec.decode_state(dec, module);
+    return codec.decode_state(dec, module);
+  };
+  const auto back = decode_both(enc_a.data(), enc_b.data());
+  EXPECT_EQ(back->constraints.constraints(), b.constraints.constraints());
+  EXPECT_EQ(back->constraints.hash(), b.constraints.hash());
+
+  auto forged_b = enc_b.data();
+  put_u32(forged_b, kSharedAt, 2);  // a holds only one constraint
+  EXPECT_THROW(decode_both(enc_a.data(), forged_b), SnapshotError);
+  auto forged_a = enc_a.data();
+  put_u32(forged_a, kSharedAt, 1);  // no state precedes a
+  EXPECT_THROW(decode_both(forged_a, enc_b.data()), SnapshotError);
+}
+
 // --- Campaign snapshots ---------------------------------------------------
 
 core::KleeRunOptions klee_options(search::SearcherKind kind) {
@@ -449,6 +743,104 @@ TEST(Serialize, PbseSnapshotSurvivesRepeatedSlicing) {
   }
   EXPECT_GE(slices, 3) << "test must actually exercise multiple slices";
   EXPECT_EQ(snap, snap_a);
+}
+
+TEST(Serialize, RestoredConstraintSetsMatchRebuiltOnes) {
+  // Restore copies each state's set from a running prefix instead of
+  // re-adding every constraint; the copy must equal a set built by add()
+  // over the same list in every observable: list, hashes and partitions.
+  const ir::Module module = targets::build_target(targets::readelf_source());
+  const auto seed = targets::make_melf_seed(12);
+  core::PbseDriver a(module, "main");
+  ASSERT_TRUE(a.prepare(seed));
+  a.begin_run();
+  const std::uint64_t t0 = a.clock().now();
+  const Deadline overall(a.clock(), 500'000);
+  while (a.clock().now() < t0 + 100'000 && a.step_turn(overall)) {
+  }
+  const auto snap = CampaignCodec::snapshot(a);
+
+  core::PbseDriver b(module, "main");
+  ASSERT_TRUE(b.prepare(seed));
+  CampaignCodec::restore(b, snap);
+  // A second restore onto the same driver overlays the first completely.
+  CampaignCodec::restore(b, snap);
+  ASSERT_EQ(CampaignCodec::snapshot(b), snap);
+
+  // The two campaigns intern against different input arrays, so their
+  // nodes differ by address but hash alike.
+  const auto original = a.states();
+  const auto restored = b.states();
+  ASSERT_EQ(restored.size(), original.size());
+  ASSERT_GT(restored.size(), 50u);
+  std::size_t constraints = 0;
+  for (std::size_t i = 0; i < restored.size(); ++i) {
+    const ConstraintSet& set = restored[i]->constraints;
+    ASSERT_EQ(set.size(), original[i]->constraints.size());
+    EXPECT_EQ(set.sorted_hashes(), original[i]->constraints.sorted_hashes());
+    ConstraintSet rebuilt;
+    for (const ExprRef& c : set.constraints()) rebuilt.add(c);
+    ASSERT_EQ(set.constraints(), rebuilt.constraints());
+    EXPECT_EQ(set.hash(), rebuilt.hash());
+    EXPECT_EQ(set.sorted_hashes(), rebuilt.sorted_hashes());
+    EXPECT_EQ(set.num_partitions(), rebuilt.num_partitions());
+    for (const ExprRef& c : set.constraints())
+      ASSERT_EQ(set.slice(c).constraints, rebuilt.slice(c).constraints);
+    constraints += set.size();
+  }
+  // Seed scale 12 gives path conditions of hundreds of constraints.
+  EXPECT_GT(constraints, 100 * restored.size());
+}
+
+template <typename Run>
+void sweep_forged_counts(Run& run, const std::vector<std::uint8_t>& snap,
+                         SnapshotFlavor flavor) {
+  const auto payload = serialize::unframe_snapshot(snap, flavor);
+  std::size_t count_errors = 0;
+  for (std::size_t at = 0; at + 4 <= payload.size(); ++at) {
+    auto forged = payload;
+    put_u32(forged, at, ~std::uint32_t{0});
+    try {
+      CampaignCodec::restore(run, serialize::frame_snapshot(flavor, forged));
+    } catch (const SnapshotError& e) {
+      if (std::string(e.what()).find("exceeds") != std::string::npos)
+        ++count_errors;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "0xFFFFFFFF at payload offset " << at << ": "
+                    << e.what();
+    }
+  }
+  EXPECT_GT(count_errors, 0u);
+  // The intact image still restores losslessly afterwards.
+  CampaignCodec::restore(run, snap);
+  EXPECT_EQ(CampaignCodec::snapshot(run), snap);
+}
+
+TEST(Serialize, ForgedCountsThrowSnapshotError) {
+  // 0xFFFFFFFF over every 4-byte window of a payload: a window that holds
+  // a count must be refused with SnapshotError before the count sizes
+  // memory (never bad_alloc); any other window restores or is refused.
+  const ir::Module module = compile_pipeline();
+  {
+    // Live states mid-search, solver models, coverage, output and tests.
+    core::KleeRunOptions options;
+    options.sym_file_size = 12;
+    core::KleeRun a(module, "main", options);
+    a.run(600);
+    ASSERT_GT(a.num_states(), 1u);
+    core::KleeRun b(module, "main", options);
+    sweep_forged_counts(b, CampaignCodec::snapshot(a), SnapshotFlavor::kKlee);
+  }
+  {
+    // Adds the pbSE sections: pending seedStates, bug phases, turn cursor.
+    core::PbseDriver a(module, "main");
+    ASSERT_TRUE(a.prepare(pipeline_seed()));
+    a.begin_run();
+    ASSERT_GT(a.states().size(), 1u);
+    core::PbseDriver b(module, "main");
+    ASSERT_TRUE(b.prepare(pipeline_seed()));
+    sweep_forged_counts(b, CampaignCodec::snapshot(a), SnapshotFlavor::kPbse);
+  }
 }
 
 TEST(Serialize, CorruptedCampaignSnapshotFailsLoudly) {

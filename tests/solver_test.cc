@@ -3,10 +3,13 @@
 // backtracking search, the facade's caches and budgets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "solver/constraint_set.h"
 #include "solver/independence.h"
 #include "solver/interval.h"
 #include "solver/solver.h"
+#include "support/rng.h"
 
 namespace pbse {
 namespace {
@@ -127,6 +130,92 @@ TEST(ConstraintSet, PartitionsSurviveValueCopy) {
   EXPECT_EQ(forked.slice(mk_eq(mk_read(array, 2), mk_const(1, 8)))
                 .constraints.size(),
             2u);
+}
+
+// The constraints of `list` transitively connected to `query` through
+// shared read sites of `array`, by brute-force fixpoint, in list order.
+std::vector<ExprRef> closure_slice(const std::vector<ExprRef>& list,
+                                   const ExprRef& query,
+                                   const ArrayRef& array) {
+  std::vector<bool> site_in(array->size(), false);
+  for (const ReadSite& r : cached_reads(query)) site_in[r.index] = true;
+  std::vector<bool> in(list.size(), false);
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      if (in[i]) continue;
+      const auto& reads = cached_reads(list[i]);
+      if (std::none_of(reads.begin(), reads.end(), [&](const ReadSite& r) {
+            return site_in[r.index];
+          }))
+        continue;
+      in[i] = true;
+      grew = true;
+      for (const ReadSite& r : reads) site_in[r.index] = true;
+    }
+  }
+  std::vector<ExprRef> out;
+  for (std::size_t i = 0; i < list.size(); ++i)
+    if (in[i]) out.push_back(list[i]);
+  return out;
+}
+
+TEST(ConstraintSet, CopiesDivergeAndSlicesMatchClosureAfterGrowth) {
+  // Thousands of read sites push the member set and the site table through
+  // many doublings, and a copy taken midway then evolves on its own.
+  const auto array = make_array(8192);
+  Rng rng(7);
+  const auto random_constraint = [&](std::uint32_t lo, std::uint32_t hi) {
+    const auto i = static_cast<std::uint32_t>(lo + rng.below(hi - lo));
+    auto j = static_cast<std::uint32_t>(lo + rng.below(hi - lo - 1));
+    if (j >= i) ++j;
+    return mk_ult(mk_read(array, i), mk_read(array, j));
+  };
+  const auto add = [](ConstraintSet& set, std::vector<ExprRef>& list,
+                      const ExprRef& c) {
+    if (!set.contains(c)) list.push_back(c);
+    set.add(c);
+  };
+
+  ConstraintSet original;
+  std::vector<ExprRef> original_list;
+  for (int k = 0; k < 1500; ++k)
+    add(original, original_list, random_constraint(0, 4096));
+  ConstraintSet copy = original;
+  std::vector<ExprRef> copy_list = original_list;
+  for (int k = 0; k < 1500; ++k) {
+    add(original, original_list, random_constraint(0, 8192));
+    add(copy, copy_list, random_constraint(4096, 8192));
+  }
+
+  // Each side holds constraints the other lacks.
+  std::size_t only_original = 0;
+  std::size_t only_copy = 0;
+  for (const ExprRef& c : original_list) only_original += !copy.contains(c);
+  for (const ExprRef& c : copy_list) only_copy += !original.contains(c);
+  EXPECT_GT(only_original, 1000u);
+  EXPECT_GT(only_copy, 1000u);
+
+  for (const auto& [set, list] :
+       {std::pair<const ConstraintSet*, const std::vector<ExprRef>*>{
+            &original, &original_list},
+        {&copy, &copy_list}}) {
+    ASSERT_EQ(set->constraints(), *list);
+    ConstraintSet rebuilt;
+    for (const ExprRef& c : *list) rebuilt.add(c);
+    EXPECT_EQ(set->hash(), rebuilt.hash());
+    EXPECT_EQ(set->sorted_hashes(), rebuilt.sorted_hashes());
+    EXPECT_EQ(set->num_partitions(), rebuilt.num_partitions());
+    for (std::size_t i = 0; i < list->size(); i += 13)
+      ASSERT_EQ(set->slice((*list)[i]).constraints,
+                closure_slice(*list, (*list)[i], array))
+          << "slice of constraint " << i;
+    for (std::uint32_t site = 0; site < array->size(); site += 61) {
+      const ExprRef q = mk_eq(mk_read(array, site), mk_const(1, 8));
+      ASSERT_EQ(set->slice(q).constraints, closure_slice(*list, q, array))
+          << "slice of site " << site;
+    }
+  }
 }
 
 // --- Incremental pipeline hit classes ---------------------------------------
