@@ -1,12 +1,19 @@
 #!/usr/bin/env bash
 # CI gate: configure, build, run the test suite. Exits nonzero on any
-# failure. Usage: scripts/check.sh [--sanitize] [build-dir] (default: build).
+# failure. Usage: scripts/check.sh [--sanitize | --tsan] [build-dir]
+# (default: build).
 #
 # --sanitize: build with -fsanitize=address,undefined,float-cast-overflow
 # into build-asan/ and run the tier-1 ctest suite under it, then exit (no
 # bench goldens: the sanitizer's overhead makes the long campaigns pointless
 # there). GCC's "undefined" group leaves out float-cast-overflow, the check
 # that catches an out-of-range double cast to an integer.
+#
+# --tsan: build the suites that run code on several threads (the scheduler's
+# record hand-off, the resident campaigns on its worker threads, the thread
+# pool, the tracer's per-thread rings) and pbse-worker with
+# -fsanitize=thread into build-tsan/, run them, and fail on any report,
+# including one from a pbse-worker child process.
 #
 # -o pipefail matters here: the test and bench stages pipe through tee so
 # the log survives in the build dir, and without pipefail a pipeline's exit
@@ -17,8 +24,12 @@ cd "$(dirname "$0")/.."
 trap 'echo "check.sh: FAILED at line $LINENO: $BASH_COMMAND" >&2' ERR
 
 SANITIZE=0
+TSAN=0
 if [[ "${1:-}" == "--sanitize" ]]; then
   SANITIZE=1
+  shift
+elif [[ "${1:-}" == "--tsan" ]]; then
+  TSAN=1
   shift
 fi
 
@@ -37,6 +48,33 @@ if [[ "$SANITIZE" == 1 ]]; then
   ASAN_OPTIONS=detect_leaks=0 ctest --test-dir "$ASAN_DIR" -j "$JOBS" \
     --output-on-failure 2>&1 | tee "$ASAN_DIR/ctest.log"
   echo "check.sh: OK (sanitize)"
+  exit 0
+fi
+
+if [[ "$TSAN" == 1 ]]; then
+  TSAN_DIR="${1:-build-tsan}"
+  GEN=()
+  if [[ ! -f "$TSAN_DIR/CMakeCache.txt" ]] && command -v ninja >/dev/null 2>&1; then
+    GEN=(-G Ninja)
+  fi
+  cmake -S . -B "$TSAN_DIR" "${GEN[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread"
+  TSAN_TESTS=(server_test parallel_test support_test obs_test trace_determinism_test)
+  cmake --build "$TSAN_DIR" -j "$JOBS" --target "${TSAN_TESTS[@]}" pbse-worker
+  # Each process writes its reports to its own <prefix>.<pid> file, so a
+  # report from a pbse-worker child fails the gate like one from a test.
+  REPORTS="$PWD/$TSAN_DIR/tsan-report"
+  rm -f "$REPORTS".*
+  for test in "${TSAN_TESTS[@]}"; do
+    TSAN_OPTIONS="log_path=$REPORTS" "./$TSAN_DIR/tests/$test" 2>&1 \
+      | tee "$TSAN_DIR/$test.log"
+  done
+  if compgen -G "$REPORTS.*" >/dev/null; then
+    cat "$REPORTS".* >&2
+    echo "check.sh: FAILED: ThreadSanitizer reports in $TSAN_DIR" >&2
+    exit 1
+  fi
+  echo "check.sh: OK (tsan)"
   exit 0
 fi
 

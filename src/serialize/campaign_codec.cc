@@ -497,17 +497,34 @@ void CampaignCodec::restore(core::PbseDriver& driver,
   decode_solver(codec, dec, *driver.solver_);
   driver.c_time_ = dec.u64();
   driver.p_time_ = dec.u64();
+  // step_turn appends one phase per new bug, and the reports index this
+  // list by bug: it holds exactly one entry per executor bug.
   const std::uint32_t nbugphases = dec.count(4);
+  if (nbugphases != driver.executor_->bugs_.size())
+    throw SnapshotError("pbss: " + std::to_string(nbugphases) +
+                        " bug phases for " +
+                        std::to_string(driver.executor_->bugs_.size()) +
+                        " bugs");
   driver.bug_phases_.clear();
   driver.bug_phases_.reserve(nbugphases);
   for (std::uint32_t i = 0; i < nbugphases; ++i)
     driver.bug_phases_.push_back(dec.u32());
+  // step_turn indexes runtimes_ by the live indices, and the rotation only
+  // ever erases from 0..n-1: they strictly increase and stay below n.
   driver.cursor_.i = dec.u64();
   const std::uint32_t nlive = dec.count(4);
   driver.cursor_.live.clear();
   driver.cursor_.live.reserve(nlive);
-  for (std::uint32_t i = 0; i < nlive; ++i)
-    driver.cursor_.live.push_back(dec.u32());
+  for (std::uint32_t i = 0; i < nlive; ++i) {
+    const std::uint32_t idx = dec.u32();
+    if (idx >= driver.runtimes_.size() ||
+        (i > 0 && idx <= driver.cursor_.live.back()))
+      throw SnapshotError("pbss: turn cursor names phase " +
+                          std::to_string(idx) + " out of order or past " +
+                          std::to_string(driver.runtimes_.size()) +
+                          " phases");
+    driver.cursor_.live.push_back(idx);
+  }
 
   const std::uint32_t nruntimes = dec.u32();
   if (nruntimes != driver.runtimes_.size())

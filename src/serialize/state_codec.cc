@@ -149,31 +149,31 @@ void StateCodec::encode_expr(Encoder& enc, const ExprRef& e) {
     enc.u32(kNullId);    // null root
     return;
   }
-  // Iterative post-order over the not-yet-emitted portion of the DAG:
-  // every node is visited once (the emitted-check prunes shared subtrees),
-  // and kids always receive ids before their parents.
+  if (const std::uint32_t* id = expr_ids_.find(e.get())) {
+    enc.u32(0);  // zero new definitions
+    enc.u32(*id);
+    return;
+  }
+  // Iterative post-order over the not-yet-emitted portion of the DAG. A
+  // node takes its id when the walk finishes it, so kids have ids before
+  // their parents and the id table alone prunes shared subtrees: a node
+  // still on the stack is an ancestor of the top, never one of its kids.
   std::vector<const Expr*> order;
-  std::vector<std::pair<const Expr*, std::size_t>> stack;
-  if (expr_ids_.find(e.get()) == expr_ids_.end())
-    stack.emplace_back(e.get(), 0);
-  std::unordered_map<const Expr*, bool> scheduled;
-  if (!stack.empty()) scheduled[e.get()] = true;
+  std::vector<std::pair<const Expr*, std::size_t>> stack{{e.get(), 0}};
   while (!stack.empty()) {
     auto& [node, next_kid] = stack.back();
     if (next_kid == node->num_kids()) {
+      expr_ids_.insert(node, static_cast<std::uint32_t>(expr_ids_.size()));
       order.push_back(node);
       stack.pop_back();
       continue;
     }
     const Expr* kid = node->kid(next_kid++).get();
-    if (expr_ids_.find(kid) == expr_ids_.end() && !scheduled[kid])
-      stack.emplace_back(kid, 0), scheduled[kid] = true;
+    if (!expr_ids_.contains(kid)) stack.emplace_back(kid, 0);
   }
 
   enc.u32(static_cast<std::uint32_t>(order.size()));
   for (const Expr* node : order) {
-    const auto id = static_cast<std::uint32_t>(expr_ids_.size());
-    expr_ids_.emplace(node, id);
     enc.u8(static_cast<std::uint8_t>(node->kind()));
     enc.u8(static_cast<std::uint8_t>(node->width()));
     enc.u64(node->kind() == ExprKind::kConstant ? node->constant_value()
@@ -184,9 +184,9 @@ void StateCodec::encode_expr(Encoder& enc, const ExprRef& e) {
     array_id(enc, node->array());
     enc.u32(static_cast<std::uint32_t>(node->num_kids()));
     for (std::size_t k = 0; k < node->num_kids(); ++k)
-      enc.u32(expr_ids_.at(node->kid(k).get()));
+      enc.u32(*expr_ids_.find(node->kid(k).get()));
   }
-  enc.u32(expr_ids_.at(e.get()));
+  enc.u32(*expr_ids_.find(e.get()));
 }
 
 ExprRef StateCodec::decode_expr(Decoder& dec) {

@@ -6,7 +6,9 @@
 // plus an optional pbss snapshot — so it can be checkpointed to disk,
 // survive a kill -9, and migrate between worker threads (expr interning is
 // thread-local; materializing from bytes on the executing worker is what
-// makes stealing safe).
+// makes stealing safe). The thread that ran a slice may keep the campaign
+// resident to continue it (slice_runner.h), but only a record carrying
+// the exact bytes it emitted continues it, so the record alone decides.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +48,8 @@ struct JobSpec {
   /// Ticks per scheduler slice (0 = kDefaultSliceTicks). Slicing
   /// granularity never changes results — only checkpoint/steal latency.
   std::uint64_t slice_ticks = 0;
+
+  bool operator==(const JobSpec&) const = default;
 
   Json to_json() const;
   /// Throws ProtocolError on unknown mode/searcher/target-less specs.

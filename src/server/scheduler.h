@@ -8,7 +8,8 @@
 // ids:
 //
 //   * the owner pushes/pops at the BACK (LIFO — a job it just checkpointed
-//     is hot in cache and likely to be re-run immediately),
+//     is still resident on the slot's thread or worker process, which
+//     continues it instead of rebuilding it; slice_runner.h),
 //   * thieves steal from the FRONT (FIFO — the victim's oldest, coldest
 //     job), one job per raid, picking victims round-robin from a shared
 //     cursor.

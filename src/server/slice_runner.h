@@ -3,10 +3,16 @@
 // Extracted from the scheduler so BOTH execution tiers share one
 // implementation: the daemon's inline worker threads call run_job_slice
 // directly, and the pbse-worker process calls it on a record it received
-// as a pbsf kJobAssign frame. Whatever tier runs the slice, the campaign
-// is materialized from rec.snapshot, advanced, and re-serialized — the
-// determinism argument (batch/turn cut points, full-budget deadlines,
-// tick-exact restore) lives HERE, once.
+// as a pbsf kJobAssign frame. The determinism argument (batch/turn cut
+// points, full-budget deadlines, tick-exact restore) lives HERE, once.
+//
+// Each thread keeps the campaign its last slice ran resident, with the
+// snapshot bytes that slice emitted. A record carrying exactly those bytes
+// under an equal spec and analysis flag is that campaign, so its slice
+// continues the resident; any other record drops the resident and
+// materializes the campaign from rec.snapshot. Every slice still encodes
+// its checkpoint into the record, so the record alone decides the result
+// and a thread holds at most one campaign.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,9 @@
 // runs the slice via the same run_job_slice the daemon's inline workers
 // use, and ships back a kJobResult. While a slice computes, a sidecar
 // thread emits kHeartbeat beacons so the daemon can tell "slow" from
-// "dead". Between slices the worker holds no campaign state at all, which
+// "dead". Between slices the worker keeps at most its last slice's
+// campaign resident, to continue it if the job's next slice comes back
+// here (slice_runner.h); every result carries the full checkpoint, which
 // is why killing one loses at most the slice in flight.
 //
 // Attachment modes:

@@ -7,6 +7,7 @@
 //    run — same coverage, same clock, same final snapshot bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 
@@ -841,6 +842,59 @@ TEST(Serialize, ForgedCountsThrowSnapshotError) {
     ASSERT_TRUE(b.prepare(pipeline_seed()));
     sweep_forged_counts(b, CampaignCodec::snapshot(a), SnapshotFlavor::kPbse);
   }
+}
+
+TEST(Serialize, RejectsForgedTurnCursor) {
+  // step_turn indexes the phase runtimes by the cursor's live indices, and
+  // step_turn and the bug reports index the bug-phase list per executor
+  // bug: a restore must refuse values that would index past either.
+  const ir::Module module = targets::build_target(targets::readelf_source());
+  const auto seed = targets::make_melf_seed(4);
+  core::PbseDriver a(module, "main");
+  ASSERT_TRUE(a.prepare(seed));
+  a.begin_run();
+  ASSERT_EQ(a.bug_phases().size(), 1u);  // the seed path's own bug
+  const auto snap = CampaignCodec::snapshot(a);
+  const auto payload = serialize::unframe_snapshot(snap, SnapshotFlavor::kPbse);
+
+  // After begin_run the cursor is u64 0, u32 n, the live indices 0..n-1,
+  // and the phase count n follows it; the one bug phase precedes it.
+  const auto n = static_cast<std::uint32_t>(a.phases().phases.size());
+  ASSERT_GE(n, 2u);
+  Encoder cursor;
+  cursor.u64(0);
+  cursor.u32(n);
+  for (std::uint32_t i = 0; i < n; ++i) cursor.u32(i);
+  cursor.u32(n);
+  const auto found = std::search(payload.begin(), payload.end(),
+                                 cursor.data().begin(), cursor.data().end());
+  ASSERT_NE(found, payload.end());
+  const auto at = static_cast<std::size_t>(found - payload.begin());
+  ASSERT_EQ(u32_at(payload, at - 8), 1u);
+  ASSERT_EQ(u32_at(payload, at - 4), ~std::uint32_t{0});
+  const std::size_t live_at = at + 12;
+
+  core::PbseDriver b(module, "main");
+  ASSERT_TRUE(b.prepare(seed));
+  auto restore = [&b](const std::vector<std::uint8_t>& forged) {
+    CampaignCodec::restore(
+        b, serialize::frame_snapshot(SnapshotFlavor::kPbse, forged));
+  };
+  auto forged = payload;
+  put_u32(forged, live_at, n + 1000);  // names no phase
+  EXPECT_THROW(restore(forged), SnapshotError);
+  forged = payload;
+  put_u32(forged, live_at + 4, 0);  // repeats phase 0
+  EXPECT_THROW(restore(forged), SnapshotError);
+  forged = payload;  // no phase for the seed path's bug
+  forged.erase(forged.begin() + static_cast<std::ptrdiff_t>(at - 4),
+               forged.begin() + static_cast<std::ptrdiff_t>(at));
+  put_u32(forged, at - 8, 0);
+  EXPECT_THROW(restore(forged), SnapshotError);
+
+  // The intact image still restores losslessly afterwards.
+  restore(payload);
+  EXPECT_EQ(CampaignCodec::snapshot(b), snap);
 }
 
 TEST(Serialize, CorruptedCampaignSnapshotFailsLoudly) {

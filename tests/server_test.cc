@@ -8,7 +8,10 @@
 //  * a job resumed from a mid-run checkpoint (the crash-recovery path)
 //    finishes identically to one that was never interrupted;
 //  * work stealing migrates jobs between workers without changing results
-//    (jobs are pure snapshot bytes between slices).
+//    (jobs are pure snapshot bytes between slices);
+//  * a slice that continues its thread's resident campaign leaves the same
+//    record as one that restores the campaign from the record's bytes, and
+//    any other record takes the restoring path.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -27,6 +30,9 @@
 
 #include "core/driver.h"
 #include "core/pbse.h"
+#include "obs/metrics.h"
+#include "obs/sink.h"
+#include "obs/trace.h"
 #include "serialize/campaign_codec.h"
 #include "serialize/frame.h"
 #include "serialize/pbss.h"
@@ -679,6 +685,127 @@ TEST(JobWire, RecordRoundTripAndCorruption) {
   auto trailing = wire;
   trailing.push_back(0);
   EXPECT_THROW(JobRecord::wire_decode(trailing), serialize::SnapshotError);
+}
+
+// --- Resident campaigns (slice_runner.cc) ------------------------------------
+
+JobSpec small_klee_spec() {
+  JobSpec spec;
+  spec.mode = JobMode::kKlee;
+  spec.target = "readelf";
+  spec.budget_ticks = 120'000;
+  spec.sym_size = 100;
+  spec.slice_ticks = 30'000;
+  return spec;
+}
+
+/// A pbSE turn runs on past its slice while it covers new code, so a
+/// pbSE slice holds one turn or more; this job takes at least four.
+JobSpec sliced_pbse_spec() {
+  JobSpec spec = small_pbse_spec();
+  spec.budget_ticks = 600'000;
+  spec.slice_ticks = 10'000;
+  return spec;
+}
+
+SliceContext context_for(const JobSpec& spec) {
+  SliceContext ctx;
+  ctx.slice_ticks = spec.slice_ticks;
+  return ctx;
+}
+
+/// The job of `spec` run to the end, one record per slice. With `cold`,
+/// every slice runs on a fresh thread, which holds no resident campaign.
+std::vector<JobRecord> records_per_slice(const JobSpec& spec, bool cold) {
+  JobRecord rec;
+  rec.id = 1;
+  rec.spec = spec;
+  const SliceContext ctx = context_for(spec);
+  std::vector<JobRecord> out;
+  bool done = false;
+  while (!done && out.size() < 64) {
+    auto slice = [&] {
+      try {
+        done = run_job_slice(rec, ctx);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << e.what();
+        done = true;
+      }
+    };
+    if (cold)
+      std::thread(slice).join();
+    else
+      slice();
+    out.push_back(rec);
+  }
+  EXPECT_TRUE(done) << "slicing must terminate";
+  return out;
+}
+
+TEST(SliceRunner, ResidentSlicesMatchColdSlices) {
+  // On one thread every slice after the first continues the resident
+  // campaign; on a fresh thread per slice every slice restores the record.
+  // Both must leave the same record after every slice.
+  for (const JobSpec& spec : {small_klee_spec(), sliced_pbse_spec()}) {
+    SCOPED_TRACE(job_mode_name(spec.mode));
+    const std::vector<JobRecord> warm = records_per_slice(spec, false);
+    const std::vector<JobRecord> cold = records_per_slice(spec, true);
+    ASSERT_GE(warm.size(), 4u);
+    ASSERT_EQ(warm.size(), cold.size());
+    for (std::size_t i = 0; i < warm.size(); ++i) {
+      SCOPED_TRACE("slice " + std::to_string(i + 1));
+      EXPECT_EQ(warm[i].snapshot, cold[i].snapshot);
+      EXPECT_EQ(warm[i].progress.to_json().dump(),
+                cold[i].progress.to_json().dump());
+      EXPECT_EQ(warm[i].counters, cold[i].counters);
+      EXPECT_EQ(warm[i].run_end_ticks, cold[i].run_end_ticks);
+    }
+  }
+}
+
+TEST(SliceRunner, StaleRecordTakesTheColdPath) {
+  // A thread that ran slices 1 and 2 is handed the record as it was after
+  // slice 1 (a requeued slice, an older checkpoint): it must re-run slice
+  // 2, not continue its resident into slice 3.
+  for (const JobSpec& spec : {small_klee_spec(), sliced_pbse_spec()}) {
+    SCOPED_TRACE(job_mode_name(spec.mode));
+    JobRecord rec;
+    rec.id = 1;
+    rec.spec = spec;
+    const SliceContext ctx = context_for(spec);
+    ASSERT_FALSE(run_job_slice(rec, ctx));
+    JobRecord stale = rec;
+    ASSERT_FALSE(run_job_slice(rec, ctx));
+    run_job_slice(stale, ctx);
+    EXPECT_EQ(stale.snapshot, rec.snapshot);
+    EXPECT_EQ(stale.progress.to_json().dump(), rec.progress.to_json().dump());
+    EXPECT_EQ(stale.counters, rec.counters);
+  }
+}
+
+TEST(SliceRunner, ConcolicRunsOncePerJob) {
+  // Algorithm 1 runs the concolic step once per campaign; a job whose
+  // slices all run on one thread must not repeat it per slice.
+  JobRecord rec;
+  rec.id = 1;
+  rec.spec = sliced_pbse_spec();
+  const SliceContext ctx = context_for(rec.spec);
+  obs::Tracer::instance().start(std::make_unique<obs::MemorySink>());
+  std::size_t slices = 0;
+  bool done = false;
+  while (!done && slices < 64) {
+    done = run_job_slice(rec, ctx);
+    ++slices;
+  }
+  auto sink = obs::Tracer::instance().stop();
+  const obs::MetricId concolic_run = obs::intern_metric("concolic_run");
+  std::size_t runs = 0;
+  for (const obs::TraceEvent& ev :
+       static_cast<obs::MemorySink*>(sink.get())->events())
+    if (ev.name == concolic_run && ev.phase == obs::EventPhase::kBegin) ++runs;
+  EXPECT_TRUE(done);
+  EXPECT_GE(slices, 4u);
+  EXPECT_EQ(runs, 1u);
 }
 
 /// Runs the slice in-process — an external endpoint without the transport,
