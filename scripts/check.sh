@@ -63,15 +63,22 @@ if [[ "$TSAN" == 1 ]]; then
   cmake --build "$TSAN_DIR" -j "$JOBS" --target "${TSAN_TESTS[@]}" pbse-worker
   # Each process writes its reports to its own <prefix>.<pid> file, so a
   # report from a pbse-worker child fails the gate like one from a test.
+  # The report files decide (exitcode=0), and a failing test does not end
+  # the loop, so every suite runs and every report reaches the log.
   REPORTS="$PWD/$TSAN_DIR/tsan-report"
   rm -f "$REPORTS".*
+  STATUS=0
   for test in "${TSAN_TESTS[@]}"; do
-    TSAN_OPTIONS="log_path=$REPORTS" "./$TSAN_DIR/tests/$test" 2>&1 \
-      | tee "$TSAN_DIR/$test.log"
+    TSAN_OPTIONS="log_path=$REPORTS exitcode=0" "./$TSAN_DIR/tests/$test" \
+      2>&1 | tee "$TSAN_DIR/$test.log" || STATUS=1
   done
   if compgen -G "$REPORTS.*" >/dev/null; then
     cat "$REPORTS".* >&2
     echo "check.sh: FAILED: ThreadSanitizer reports in $TSAN_DIR" >&2
+    exit 1
+  fi
+  if [[ "$STATUS" != 0 ]]; then
+    echo "check.sh: FAILED: a test failed under ThreadSanitizer" >&2
     exit 1
   fi
   echo "check.sh: OK (tsan)"

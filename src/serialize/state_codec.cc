@@ -149,9 +149,9 @@ void StateCodec::encode_expr(Encoder& enc, const ExprRef& e) {
     enc.u32(kNullId);    // null root
     return;
   }
-  if (const std::uint32_t* id = expr_ids_.find(e.get())) {
+  if (auto it = expr_ids_.find(e.get()); it != expr_ids_.end()) {
     enc.u32(0);  // zero new definitions
-    enc.u32(*id);
+    enc.u32(it->second);
     return;
   }
   // Iterative post-order over the not-yet-emitted portion of the DAG. A
@@ -163,13 +163,13 @@ void StateCodec::encode_expr(Encoder& enc, const ExprRef& e) {
   while (!stack.empty()) {
     auto& [node, next_kid] = stack.back();
     if (next_kid == node->num_kids()) {
-      expr_ids_.insert(node, static_cast<std::uint32_t>(expr_ids_.size()));
+      expr_ids_.emplace(node, static_cast<std::uint32_t>(expr_ids_.size()));
       order.push_back(node);
       stack.pop_back();
       continue;
     }
     const Expr* kid = node->kid(next_kid++).get();
-    if (!expr_ids_.contains(kid)) stack.emplace_back(kid, 0);
+    if (!expr_ids_.count(kid)) stack.emplace_back(kid, 0);
   }
 
   enc.u32(static_cast<std::uint32_t>(order.size()));
@@ -184,9 +184,9 @@ void StateCodec::encode_expr(Encoder& enc, const ExprRef& e) {
     array_id(enc, node->array());
     enc.u32(static_cast<std::uint32_t>(node->num_kids()));
     for (std::size_t k = 0; k < node->num_kids(); ++k)
-      enc.u32(*expr_ids_.find(node->kid(k).get()));
+      enc.u32(expr_ids_.at(node->kid(k).get()));
   }
-  enc.u32(*expr_ids_.find(e.get()));
+  enc.u32(expr_ids_.at(e.get()));
 }
 
 ExprRef StateCodec::decode_expr(Decoder& dec) {

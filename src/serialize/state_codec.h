@@ -26,7 +26,6 @@
 
 #include "expr/evaluator.h"
 #include "expr/expr.h"
-#include "expr/node_map.h"
 #include "serialize/pbss.h"
 #include "solver/cache.h"
 #include "solver/constraint_set.h"
@@ -99,7 +98,7 @@ class StateCodec {
   vm::Pointer decode_pointer(Decoder& dec);
 
   // Encode-side tables: node -> id, in emission order.
-  NodeMap<std::uint32_t> expr_ids_;
+  std::unordered_map<const Expr*, std::uint32_t> expr_ids_;
   std::unordered_map<const Array*, std::uint32_t> array_ids_;
   std::unordered_map<const Assignment*, std::uint32_t> assignment_ids_;
   std::unordered_map<const vm::MemObject*, std::uint32_t> mem_object_ids_;

@@ -143,6 +143,7 @@ void Scheduler::emit(JobEvent::Kind kind, const JobRecord& rec,
 
 bool Scheduler::next_job(unsigned me, std::uint64_t& id, bool& stolen) {
   std::unique_lock<std::mutex> lock(mu_);
+  bool released = false;
   while (true) {
     if (!slots_[me]->alive) return false;
     if (!slots_[me]->jobs.empty()) {
@@ -172,6 +173,16 @@ bool Scheduler::next_job(unsigned me, std::uint64_t& id, bool& stolen) {
       return true;
     }
     if (stopping_) return false;
+    if (!released) {
+      // Going idle: the job this thread's resident campaign belongs to has
+      // finished or runs elsewhere, so nothing can continue it. Free it
+      // outside the lock, then look for work again.
+      released = true;
+      lock.unlock();
+      release_resident();
+      lock.lock();
+      continue;
+    }
     work_cv_.wait(lock);
   }
 }
@@ -298,17 +309,9 @@ bool Scheduler::run_slice(unsigned me, std::uint64_t id, bool stolen) {
         if (value > prev) self->counters[name] += value - prev;
       }
     }
-    if (!done) {
-      // Re-queue at our own back: LIFO keeps the job on this worker while
-      // it is idle enough, and an overloaded worker's front is exactly
-      // where thieves look.
-      self->jobs.push_back(id);
-    } else {
-      if (inflight_ > 0) --inflight_;
-    }
+    if (done && inflight_ > 0) --inflight_;
     jobs_[id] = rec;
     if (done && inflight_ == 0) idle_cv_.notify_all();
-    if (!done) work_cv_.notify_one();
   }
 
   emit(JobEvent::Kind::kMetrics, rec, me, stolen);
@@ -316,6 +319,16 @@ bool Scheduler::run_slice(unsigned me, std::uint64_t id, bool stolen) {
   if (rec.state == JobState::kDone) emit(JobEvent::Kind::kDone, rec, me, stolen);
   if (rec.state == JobState::kFailed)
     emit(JobEvent::Kind::kFailed, rec, me, stolen);
+
+  if (!done) {
+    // Re-queue at our own back, after the events: the job's campaign is
+    // resident on this thread or worker process, and a thief that took it
+    // while we emitted would rebuild it cold. We pop the back next, so
+    // wake a thief only when an older job waits at the front.
+    std::lock_guard<std::mutex> lock(mu_);
+    self->jobs.push_back(id);
+    if (self->jobs.size() > 1) work_cv_.notify_one();
+  }
   return true;
 }
 

@@ -9,7 +9,12 @@
 //
 //   * the owner pushes/pops at the BACK (LIFO — a job it just checkpointed
 //     is still resident on the slot's thread or worker process, which
-//     continues it instead of rebuilding it; slice_runner.h),
+//     continues it instead of rebuilding it; slice_runner.h). The owner
+//     re-queues a job only after the slice's events, and wakes a thief
+//     only when an older job waits in front of it: a woken thief takes
+//     that older job, not the one the owner is about to continue. A slot
+//     thread that finds no work drops its resident campaign before it
+//     sleeps.
 //   * thieves steal from the FRONT (FIFO — the victim's oldest, coldest
 //     job), one job per raid, picking victims round-robin from a shared
 //     cursor.

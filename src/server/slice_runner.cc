@@ -174,4 +174,6 @@ bool run_job_slice(JobRecord& rec, const SliceContext& ctx) {
   }
 }
 
+void release_resident() { resident = Resident{}; }
+
 }  // namespace pbse::server

@@ -12,7 +12,8 @@
 // continues the resident; any other record drops the resident and
 // materializes the campaign from rec.snapshot. Every slice still encodes
 // its checkpoint into the record, so the record alone decides the result
-// and a thread holds at most one campaign.
+// and a thread holds at most one campaign. The scheduler calls
+// release_resident() when one of its threads goes idle.
 #pragma once
 
 #include <cstdint>
@@ -34,5 +35,10 @@ struct SliceContext {
 /// Returns true when the job has finished its budget. Throws on unknown
 /// targets or corrupt snapshots — the caller owns the kFailed transition.
 bool run_job_slice(JobRecord& rec, const SliceContext& ctx);
+
+/// Drops the campaign the calling thread keeps resident, if any. A thread
+/// calls it when it goes idle: the job that campaign belongs to has
+/// finished or moved on, and an idle thread should hold no campaign.
+void release_resident();
 
 }  // namespace pbse::server

@@ -808,6 +808,69 @@ TEST(SliceRunner, ConcolicRunsOncePerJob) {
   EXPECT_EQ(runs, 1u);
 }
 
+TEST(SliceRunner, ReleasedResidentIsRebuiltCold) {
+  // release_resident() (what an idle scheduler thread calls) frees the
+  // campaign: the job's next slice on the same thread builds it again,
+  // concolic step included.
+  JobRecord rec;
+  rec.id = 1;
+  rec.spec = sliced_pbse_spec();
+  const SliceContext ctx = context_for(rec.spec);
+  obs::Tracer::instance().start(std::make_unique<obs::MemorySink>());
+  EXPECT_FALSE(run_job_slice(rec, ctx));
+  EXPECT_FALSE(run_job_slice(rec, ctx));  // continues the resident
+  release_resident();
+  run_job_slice(rec, ctx);
+  auto sink = obs::Tracer::instance().stop();
+  const obs::MetricId concolic_run = obs::intern_metric("concolic_run");
+  std::size_t runs = 0;
+  for (const obs::TraceEvent& ev :
+       static_cast<obs::MemorySink*>(sink.get())->events())
+    runs += ev.name == concolic_run && ev.phase == obs::EventPhase::kBegin;
+  EXPECT_EQ(runs, 2u);
+}
+
+TEST(Scheduler, SlicesOfAJobStayOnTheThreadThatHoldsIt) {
+  // One job, two inline workers: the idle worker must not take the job
+  // while its owner emits the slice's events, or the two alternate and
+  // every slice rebuilds the campaign cold. The event callback sleeps on
+  // kCheckpoint, as a daemon that persists the record would.
+  for (const JobSpec& spec : {small_klee_spec(), sliced_pbse_spec()}) {
+    SCOPED_TRACE(job_mode_name(spec.mode));
+    SchedulerOptions options;
+    options.workers = 2;
+    EventLog log;
+    Scheduler::EventFn record = log.fn();
+    obs::Tracer::instance().start(std::make_unique<obs::MemorySink>());
+    Scheduler scheduler(options, [&record](const JobEvent& ev) {
+      record(ev);
+      if (ev.kind == JobEvent::Kind::kCheckpoint)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    });
+    const std::uint64_t id = scheduler.submit(spec);
+    scheduler.wait_idle();
+    scheduler.stop();
+    auto sink = obs::Tracer::instance().stop();
+
+    JobRecord rec;
+    ASSERT_TRUE(scheduler.query(id, rec));
+    ASSERT_EQ(rec.state, JobState::kDone) << rec.error;
+    std::vector<unsigned> workers;
+    for (const JobEvent& ev : log.events)
+      if (ev.kind == JobEvent::Kind::kMetrics) workers.push_back(ev.worker);
+    ASSERT_GE(workers.size(), 4u);
+    for (unsigned w : workers) EXPECT_EQ(w, workers.front());
+    if (spec.mode == JobMode::kPbse) {
+      const obs::MetricId concolic_run = obs::intern_metric("concolic_run");
+      std::size_t runs = 0;
+      for (const obs::TraceEvent& ev :
+           static_cast<obs::MemorySink*>(sink.get())->events())
+        runs += ev.name == concolic_run && ev.phase == obs::EventPhase::kBegin;
+      EXPECT_EQ(runs, 1u);
+    }
+  }
+}
+
 /// Runs the slice in-process — an external endpoint without the transport,
 /// isolating the scheduler's endpoint plumbing from socket mechanics.
 class InlineEndpoint : public SliceEndpoint {
