@@ -10,10 +10,6 @@
 //      Writes BENCH_ablation_subsumption.json so check.sh can pin both
 //      modes against a committed golden. --only=subsumption runs just
 //      this section.
-//   6. static pre-analysis (DESIGN.md §12): pbSE and KLEE with the
-//      infeasible-edge/phase-target pruning on vs off; fails (exit 1) if
-//      the pruned run loses coverage OR bugs. Writes
-//      BENCH_ablation_static.json; --only=static runs just this section.
 #include "bench_common.h"
 #include "bench_json.h"
 #include "concolic/concolic_executor.h"
@@ -206,99 +202,6 @@ int ablation_subsumption(const BenchConfig& config) {
   return rc;
 }
 
-int ablation_static(const BenchConfig& config) {
-  print_header("Ablation 6: static pre-analysis (edge kills + target pruning)");
-  // (pbSE, KLEE-default) pairs on readelf, analysis on vs off. The off
-  // campaign IS the pre-analysis engine (no edge kills, no phase-target
-  // pruning, no turn renormalization — bit-identical ticks), so pinning
-  // its numbers against the golden proves the off path didn't drift. An
-  // on campaign may never lose covered blocks OR bugs: the analysis only
-  // removes solver work on provably-dead edges.
-  const auto seed = targets::make_melf_seed(6);
-  std::vector<core::Campaign> campaigns;
-  for (const bool pruning : {true, false}) {
-    const char* suffix = pruning ? "on" : "off";
-    campaigns.push_back(
-        {std::string("pbse-") + suffix,
-         [pruning, &seed, &config](const core::CampaignContext& ctx) {
-           ir::Module module = build_by_driver("readelf");
-           core::PbseOptions options;
-           options.static_analysis = pruning && config.static_analysis;
-           options.solver.shared_cache = ctx.shared_cache;
-           config.apply_pruning(options.executor);
-           core::PbseDriver driver(module, "main", options);
-           core::CampaignOutcome out;
-           if (!driver.prepare(seed)) return out;
-           driver.run(config.hour10 - driver.clock().now());
-           out.covered = driver.executor().num_covered();
-           out.ticks = driver.clock().now();
-           out.bugs = driver.executor().bugs().size();
-           out.stats = driver.stats();
-           return out;
-         }});
-    campaigns.push_back(
-        {std::string("klee-default-") + suffix,
-         [pruning, &config](const core::CampaignContext& ctx) {
-           ir::Module module = build_by_driver("readelf");
-           core::KleeRunOptions options;
-           options.static_analysis = pruning && config.static_analysis;
-           options.sym_file_size = 100;
-           options.solver.shared_cache = ctx.shared_cache;
-           config.apply_pruning(options.executor);
-           core::KleeRun run(module, "main", options);
-           run.run(config.hour10);
-           core::CampaignOutcome out;
-           out.covered = run.executor().num_covered();
-           out.ticks = run.clock().now();
-           out.bugs = run.executor().bugs().size();
-           out.stats = run.stats();
-           return out;
-         }});
-  }
-  core::ParallelCampaignRunner runner(config.parallel());
-  const auto outcomes = runner.run(campaigns);
-
-  TextTable table;
-  table.header({"campaign", "covered BBs", "bugs", "ticks", "edge kills",
-                "targets", "pruned"});
-  for (const auto& o : outcomes) {
-    table.row({o.name, std::to_string(o.covered), std::to_string(o.bugs),
-               std::to_string(o.ticks),
-               std::to_string(o.stats.get("executor.static_edge_kills")),
-               std::to_string(o.stats.get("pbse.phase_targets")),
-               std::to_string(o.stats.get("pbse.pruned_phase_targets"))});
-  }
-  std::printf("%s", table.render().c_str());
-
-  write_bench_json("BENCH_ablation_static.json", "ablation_static",
-                   config.jobs, config.share_cache, runner, outcomes);
-
-  // Campaigns come in (pbse-on, klee-on, pbse-off, klee-off) order: an on
-  // campaign may never lose coverage or bugs against its off twin.
-  int rc = 0;
-  for (std::size_t i = 0; i + 2 < outcomes.size(); ++i) {
-    if (outcomes[i].name.rfind("-on") != outcomes[i].name.size() - 3) continue;
-    const core::CampaignOutcome& off = outcomes[i + 2];
-    if (outcomes[i].covered < off.covered) {
-      std::fprintf(stderr, "FAIL: %s covered %llu < %s %llu\n",
-                   outcomes[i].name.c_str(),
-                   static_cast<unsigned long long>(outcomes[i].covered),
-                   off.name.c_str(),
-                   static_cast<unsigned long long>(off.covered));
-      rc = 1;
-    }
-    if (outcomes[i].bugs < off.bugs) {
-      std::fprintf(stderr, "FAIL: %s bugs %llu < %s %llu\n",
-                   outcomes[i].name.c_str(),
-                   static_cast<unsigned long long>(outcomes[i].bugs),
-                   off.name.c_str(),
-                   static_cast<unsigned long long>(off.bugs));
-      rc = 1;
-    }
-  }
-  return rc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -310,8 +213,5 @@ int main(int argc, char** argv) {
   if (want("trap-threshold")) ablation_trap_threshold();
   if (want("time-period")) ablation_time_period(config);
   if (want("seed-scale")) ablation_seed_scale(config);
-  int rc = 0;
-  if (want("subsumption")) rc = ablation_subsumption(config);
-  if (want("static")) rc |= ablation_static(config);
-  return rc;
+  return want("subsumption") ? ablation_subsumption(config) : 0;
 }

@@ -34,10 +34,6 @@ struct BenchConfig {
   /// Interpolant-based state subsumption (--no-subsumption turns it off;
   /// off reproduces the pre-subsumption engine tick-for-tick).
   bool subsumption = true;
-  /// Static pre-analysis feeding edge pruning, phase-target pruning and
-  /// the sink-directed searcher (--no-static-analysis turns it off; off
-  /// reproduces the pre-analysis engine tick-for-tick).
-  bool static_analysis = true;
   /// When non-empty, run only the section with this name (ablation
   /// harnesses; other benches ignore it).
   std::string only;
@@ -75,8 +71,6 @@ inline BenchConfig parse_args(int argc, char** argv) {
       config.share_cache = false;
     } else if (std::strcmp(argv[i], "--no-subsumption") == 0) {
       config.subsumption = false;
-    } else if (std::strcmp(argv[i], "--no-static-analysis") == 0) {
-      config.static_analysis = false;
     } else if (std::strncmp(argv[i], "--only=", 7) == 0) {
       config.only = argv[i] + 7;
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
@@ -84,8 +78,7 @@ inline BenchConfig parse_args(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--jobs=N] [--no-share-cache] "
-                   "[--no-subsumption] [--no-static-analysis] "
-                   "[--only=SECTION] [--trace=PATH]\n",
+                   "[--no-subsumption] [--only=SECTION] [--trace=PATH]\n",
                    argv[0]);
       std::exit(2);
     }

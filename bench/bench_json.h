@@ -43,12 +43,6 @@ inline constexpr SolverCacheRow kSolverCacheRows[] = {
     // Subsumption kill class (executor.cc, DESIGN.md §10): states
     // terminated at block entry without solver work.
     {"subsumed_barren", "executor.subsumed_barren"},
-    // Static-analysis pruning (DESIGN.md §12): forks killed on statically-
-    // infeasible edges (no solver query at all) and the phase scheduler's
-    // target universe before/after dropping statically-unreachable blocks.
-    {"static_edge_kills", "executor.static_edge_kills"},
-    {"phase_targets", "pbse.phase_targets"},
-    {"pruned_phase_targets", "pbse.pruned_phase_targets"},
     // Denominator (forked states) the pruning fraction is measured against.
     {"states_forked", "executor.forks"},
     {"queries", "solver.queries"},

@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
         options.searcher = kind;
         options.sym_file_size = size;
         options.solver.shared_cache = ctx.shared_cache;
-        options.static_analysis = config.static_analysis;
         config.apply_pruning(options.executor);
         core::KleeRun run(module, "main", options);
         run.run(config.hour1);
@@ -75,7 +74,6 @@ int main(int argc, char** argv) {
       const auto seed = targets::make_melf_seed(scale);
       core::PbseOptions options;
       options.solver.shared_cache = ctx.shared_cache;
-      options.static_analysis = config.static_analysis;
       config.apply_pruning(options.executor);
       core::PbseDriver driver(module, "main", options);
       core::CampaignOutcome out;

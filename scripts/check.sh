@@ -133,16 +133,6 @@ cp BENCH_ablation_subsumption.json "$BUILD_DIR/BENCH_abl_golden.json"
 python3 scripts/bench_diff.py "$BUILD_DIR/BENCH_abl_golden.json" BENCH_ablation_subsumption.json
 mv "$BUILD_DIR/BENCH_abl_golden.json" BENCH_ablation_subsumption.json
 
-# Static-analysis ablation gate (DESIGN.md §12): pbSE and KLEE with the
-# infeasible-edge/phase-target pruning on vs off. The binary exits nonzero
-# if the pruned run loses coverage OR bugs; the diff pins both modes (the
-# off campaign IS the pre-analysis engine) against the committed golden.
-cp BENCH_ablation_static.json "$BUILD_DIR/BENCH_static_golden.json"
-"./$BUILD_DIR/bench/ablation_pbse" --quick --only=static --jobs=2 --no-share-cache 2>&1 \
-  | tee "$BUILD_DIR/ablation_static.log"
-python3 scripts/bench_diff.py "$BUILD_DIR/BENCH_static_golden.json" BENCH_ablation_static.json
-mv "$BUILD_DIR/BENCH_static_golden.json" BENCH_ablation_static.json
-
 # Server smoke (DESIGN.md §11): daemon up, job over the socket, kill -9
 # mid-job, restart, and the recovered job's final coverage must match the
 # uninterrupted reference run of the same spec.

@@ -21,7 +21,12 @@ trap cleanup EXIT
 [ -x "$SERVE" ] || { echo "server_smoke: $SERVE not built"; exit 1; }
 [ -x "$CLIENT" ] || { echo "server_smoke: $CLIENT not built"; exit 1; }
 
-JOB_ARGS=(readelf --mode=pbse --budget=200000 --slice=50000)
+# Phases 1-2 need a job that still has work left well after its first
+# checkpoint: a kill -9 that lands after the job finished leaves the
+# restart nothing to recover. A 200k-tick job ends 40-70 ms after
+# job-1.pbsf first appears, about one poll interval; a 1M-tick job has a
+# few hundred ms left.
+JOB_ARGS=(readelf --mode=pbse --budget=1000000 --slice=50000)
 
 wait_for_socket() {
   local sock="$1" i
@@ -61,9 +66,9 @@ SERVER_PID=$!
 wait_for_socket "$SOCK_B"
 "$CLIENT" --socket="$SOCK_B" submit "${JOB_ARGS[@]}" >/dev/null
 
-for i in $(seq 1 200); do
+for i in $(seq 1 1000); do
   [ -f "$STATE_B/job-1.pbsf" ] && break
-  sleep 0.05
+  sleep 0.01
 done
 [ -f "$STATE_B/job-1.pbsf" ] || { echo "server_smoke: no checkpoint appeared"; exit 1; }
 kill -9 "$SERVER_PID"
@@ -126,9 +131,9 @@ SERVER_PID=$!
 wait_for_socket "$SOCK_F"
 "$CLIENT" --socket="$SOCK_F" submit "${WORKER_JOB[@]}" >/dev/null
 
-for i in $(seq 1 200); do
+for i in $(seq 1 1000); do
   [ -f "$STATE_F/job-1.pbsf" ] && break
-  sleep 0.05
+  sleep 0.01
 done
 [ -f "$STATE_F/job-1.pbsf" ] || { echo "server_smoke: no worker-tier checkpoint appeared"; exit 1; }
 

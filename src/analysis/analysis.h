@@ -12,11 +12,9 @@
 //     verdict per site.
 //
 // Everything here is a pure function of the module: no clock, no RNG, no
-// solver. Consumers (VM pruning, phase-target pruning, the sink-directed
-// searcher, pbse-analyze) treat the result as read-only shared state, so
-// one ModuleAnalysis can back any number of campaigns over the same
-// module. Soundness contract: an edge in `infeasible_edges` is never taken
-// by any concrete or symbolic execution, and a block in
+// solver. It is a diagnostic: pbse-analyze reports it, and no campaign
+// reads it. Soundness contract: an edge in `infeasible_edges` is never
+// taken by any concrete or symbolic execution, and a block in
 // `unreachable_blocks` is never entered (tests/analysis_test.cc holds the
 // engine to this).
 #pragma once
@@ -194,7 +192,7 @@ class ModuleAnalysis {
   }
 
   /// GLOBAL block ids of lint sites with a non-safe verdict, sorted and
-  /// deduplicated — the sink-directed searcher's target universe.
+  /// deduplicated.
   std::vector<std::uint32_t> sink_blocks() const;
 
  private:

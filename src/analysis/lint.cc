@@ -12,8 +12,8 @@
 // gep chain over an alloca or global, which is where the seeded bugs live.
 //
 // Findings in statically-unreachable blocks are skipped (their facts are
-// bottom and the site cannot execute). Non-safe findings' blocks feed the
-// sink-directed searcher via ModuleAnalysis::sink_blocks().
+// bottom and the site cannot execute). ModuleAnalysis::sink_blocks() lists
+// the blocks of the non-safe findings.
 #include <string>
 
 #include "analysis/analysis.h"

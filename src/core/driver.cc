@@ -8,14 +8,6 @@ KleeRun::KleeRun(const ir::Module& module, const std::string& entry,
                  KleeRunOptions options)
     : options_(options), rng_(options.rng_seed) {
   solver_ = std::make_unique<Solver>(clock_, stats_, options_.solver);
-  if (options_.static_analysis) {
-    // Pure pre-computation: no clock charge, no solver, no RNG — the same
-    // module always yields the same analysis (DESIGN.md §12).
-    analysis::AnalysisOptions aopts;
-    aopts.entry = entry;
-    analysis_ = analysis::analyze_module(module, aopts);
-    options_.executor.static_analysis = analysis_.get();
-  }
   executor_ = std::make_unique<vm::Executor>(module, *solver_, clock_, stats_,
                                              options_.executor);
   searcher_ = search::make_searcher(options_.searcher, *executor_, rng_);

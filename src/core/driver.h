@@ -20,10 +20,6 @@ struct KleeRunOptions {
   /// Size of the whole-file symbolic input ("sym-10" ... "sym-10000").
   std::uint32_t sym_file_size = 100;
   std::uint64_t rng_seed = 1;
-  /// Runs the static pre-analysis (DESIGN.md §12) and feeds it to the
-  /// executor (infeasible-edge pruning) and the sink-directed searcher.
-  /// Off is bit-identical to an engine without the analysis subsystem.
-  bool static_analysis = true;
   SolverOptions solver;
   vm::ExecutorOptions executor;
   search::EngineOptions engine;
@@ -51,10 +47,6 @@ class KleeRun {
   VClock& clock() { return clock_; }
   Stats& stats() { return stats_; }
   std::size_t num_states() const { return engine_->num_states(); }
-  /// Null when the run was built with static_analysis off.
-  const analysis::ModuleAnalysis* static_analysis() const {
-    return analysis_.get();
-  }
 
  private:
   friend class pbse::serialize::CampaignCodec;
@@ -64,7 +56,6 @@ class KleeRun {
   Stats stats_;
   Rng rng_;
   std::unique_ptr<Solver> solver_;
-  std::unique_ptr<analysis::ModuleAnalysis> analysis_;
   std::unique_ptr<vm::Executor> executor_;
   std::unique_ptr<search::Searcher> searcher_;
   std::unique_ptr<search::SymbolicEngine> engine_;

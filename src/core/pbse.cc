@@ -18,16 +18,10 @@ struct CoreIds {
   obs::MetricId seed_states_activated =
       obs::intern_metric("pbse.seed_states_activated");
   obs::MetricId turns = obs::intern_metric("pbse.turns");
-  /// Uncovered-block targets across all phases after static pruning, and
-  /// the candidates the static analysis removed (DESIGN.md §12).
-  obs::MetricId phase_targets = obs::intern_metric("pbse.phase_targets");
-  obs::MetricId pruned_phase_targets =
-      obs::intern_metric("pbse.pruned_phase_targets");
   /// Log2 histogram: live states in a phase at the end of each turn.
   obs::MetricId states_per_phase =
       obs::intern_metric("pbse.states_per_phase");
   obs::MetricId ev_analysis = obs::intern_metric("phase_analysis");
-  obs::MetricId ev_targets = obs::intern_metric("phase_targets");
   obs::MetricId ev_turn = obs::intern_metric("turn");
   obs::MetricId ev_activate = obs::intern_metric("phase_activate");
   obs::MetricId ev_retired = obs::intern_metric("phase_retired");
@@ -38,8 +32,6 @@ struct CoreIds {
   obs::MetricId arg_states = obs::intern_metric("states");
   obs::MetricId arg_cover = obs::intern_metric("cover");
   obs::MetricId arg_reason = obs::intern_metric("reason");
-  obs::MetricId arg_targets = obs::intern_metric("targets");
-  obs::MetricId arg_pruned = obs::intern_metric("pruned");
 };
 
 const CoreIds& ids() {
@@ -59,14 +51,6 @@ PbseDriver::PbseDriver(const ir::Module& module, const std::string& entry,
       options_(options),
       rng_(options.rng_seed) {
   solver_ = std::make_unique<Solver>(clock_, stats_, options_.solver);
-  if (options_.static_analysis) {
-    // Pure pre-computation: no clock charge, no solver, no RNG — the same
-    // module always yields the same analysis (DESIGN.md §12).
-    analysis::AnalysisOptions aopts;
-    aopts.entry = entry_;
-    static_analysis_ = analysis::analyze_module(module_, aopts);
-    options_.executor.static_analysis = static_analysis_.get();
-  }
   executor_ = std::make_unique<vm::Executor>(module_, *solver_, clock_,
                                              stats_, options_.executor);
 }
@@ -137,21 +121,6 @@ bool PbseDriver::prepare(const std::vector<std::uint8_t>& seed) {
   // Restore the per-phase lists for introspection (copy from runtimes).
   for (std::size_t i = 0; i < runtimes_.size(); ++i)
     phase_seed_states_[runtimes_[i].phase_id] = runtimes_[i].pending;
-
-  if (static_analysis_ != nullptr) {
-    // Per-phase coverage targets, pruned of statically-unreachable blocks.
-    // Free of clock charge like the analysis itself: a pure function of
-    // the module, the phase division and the seed walk's coverage.
-    targets_ = phase::compute_phase_targets(module_, analysis_,
-                                            concolic_.bbvs,
-                                            executor_->covered(),
-                                            static_analysis_.get());
-    stats_.add(ids().phase_targets, targets_.total_targets);
-    stats_.add(ids().pruned_phase_targets, targets_.pruned);
-    obs::trace_instant(obs::Category::kPhase, ids().ev_targets, clock_.now(),
-                       targets_.total_targets, ids().arg_targets,
-                       targets_.pruned, ids().arg_pruned);
-  }
   return true;
 }
 
@@ -170,30 +139,6 @@ void PbseDriver::activate_pending(PhaseRuntime& phase) {
                      phase.engine->num_states(), ids().arg_states);
   phase.pending.clear();
   phase.started = true;
-}
-
-std::uint64_t PbseDriver::turn_period(std::uint64_t turn,
-                                      std::size_t live_index) const {
-  const std::uint64_t base = turn * options_.time_period_ticks;
-  if (targets_.targets.empty()) return base;  // no analysis ran
-
-  // Count live phases with and without remaining (unpruned) targets.
-  std::size_t with = 0, without = 0;
-  for (std::uint32_t r : cursor_.live) {
-    const bool has = !targets_.targets[runtimes_[r].phase_id].empty();
-    (has ? with : without) += 1;
-  }
-  // Identity unless BOTH classes are represented: if every live phase has
-  // targets there is nothing to renormalize, and if none has, halving all
-  // budgets would only slow the whole rotation down.
-  if (with == 0 || without == 0) return base;
-
-  const std::uint32_t phase_id =
-      runtimes_[cursor_.live[live_index]].phase_id;
-  const std::uint64_t freed = base - base / 2;
-  if (targets_.targets[phase_id].empty()) return base / 2;
-  // Conserves the rotation total up to the integer division remainder.
-  return base + freed * without / with;
 }
 
 std::vector<const vm::ExecutionState*> PbseDriver::states() const {
@@ -237,7 +182,7 @@ bool PbseDriver::step_turn(const Deadline& overall) {
   }
 
   const std::uint64_t phase_start = clock_.now();
-  const std::uint64_t period = turn_period(turn, phase_index);
+  const std::uint64_t period = turn * options_.time_period_ticks;
   const std::uint64_t covered_before = executor_->num_covered();
   obs::trace_begin(obs::Category::kSched, ids().ev_turn, phase_start,
                    phase.phase_id, ids().arg_phase, turn, ids().arg_turn);

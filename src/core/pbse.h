@@ -18,10 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analysis.h"
 #include "concolic/concolic_executor.h"
 #include "phase/phase_analysis.h"
-#include "phase/phase_targets.h"
 #include "searchers/engine.h"
 #include "searchers/searcher.h"
 #include "solver/solver.h"
@@ -50,11 +48,6 @@ struct PbseOptions {
   vm::ExecutorOptions executor;
   SolverOptions solver;
   std::uint64_t rng_seed = 1;
-  /// Runs the static pre-analysis (DESIGN.md §12): infeasible-edge pruning
-  /// in the executor, unreachable-target pruning and turn-budget
-  /// renormalization in the scheduler. Off is bit-identical to an engine
-  /// without the analysis subsystem.
-  bool static_analysis = true;
 };
 
 class PbseDriver {
@@ -93,13 +86,6 @@ class PbseDriver {
   vm::Executor& executor() { return *executor_; }
   const concolic::ConcolicResult& concolic_result() const { return concolic_; }
   const phase::PhaseAnalysisResult& phases() const { return analysis_; }
-  /// Null when the driver was built with static_analysis off.
-  const analysis::ModuleAnalysis* static_analysis() const {
-    return static_analysis_.get();
-  }
-  /// Per-phase uncovered-block targets, pruned of statically-unreachable
-  /// candidates. Empty until prepare() succeeds.
-  const phase::PhaseTargets& phase_targets() const { return targets_; }
   VClock& clock() { return clock_; }
   Stats& stats() { return stats_; }
 
@@ -140,14 +126,6 @@ class PbseDriver {
 
   void activate_pending(PhaseRuntime& phase);
 
-  /// Algorithm 3's per-turn budget for the live phase at `live_index`,
-  /// renormalized by the static target sets: a phase whose every remaining
-  /// target was pruned keeps half its period, and the freed ticks are
-  /// split over the live phases that still have targets. Identity (turn *
-  /// time_period_ticks) when every live phase has targets or no analysis
-  /// ran — the off-mode determinism contract rides on that.
-  std::uint64_t turn_period(std::uint64_t turn, std::size_t live_index) const;
-
   const ir::Module& module_;
   std::string entry_;
   PbseOptions options_;
@@ -156,12 +134,10 @@ class PbseDriver {
   Stats stats_;
   Rng rng_;
   std::unique_ptr<Solver> solver_;
-  std::unique_ptr<analysis::ModuleAnalysis> static_analysis_;
   std::unique_ptr<vm::Executor> executor_;
 
   concolic::ConcolicResult concolic_;
   phase::PhaseAnalysisResult analysis_;
-  phase::PhaseTargets targets_;
   std::vector<std::vector<vm::ForkRecord>> phase_seed_states_;
   std::vector<PhaseRuntime> runtimes_;
   std::vector<std::uint32_t> bug_phases_;

@@ -57,11 +57,11 @@ BlockGraph::BlockGraph(const Module& module)
   }
 }
 
-void DistanceMap::recompute(const std::vector<std::uint32_t>& sources) {
+void DistanceToUncovered::recompute(const std::vector<bool>& covered) {
   std::fill(distance_.begin(), distance_.end(), kUnreachable);
   std::deque<std::uint32_t> queue;
-  for (std::uint32_t b : sources) {
-    if (b >= distance_.size() || distance_[b] == 0) continue;
+  for (std::uint32_t b = 0; b < graph_.num_blocks(); ++b) {
+    if (b < covered.size() && covered[b]) continue;
     distance_[b] = 0;
     queue.push_back(b);
   }
@@ -74,13 +74,6 @@ void DistanceMap::recompute(const std::vector<std::uint32_t>& sources) {
       queue.push_back(pred);
     }
   }
-}
-
-void DistanceToUncovered::recompute(const std::vector<bool>& covered) {
-  std::vector<std::uint32_t> sources;
-  for (std::uint32_t b = 0; b < graph_.num_blocks(); ++b)
-    if (b >= covered.size() || !covered[b]) sources.push_back(b);
-  map_.recompute(sources);
 }
 
 }  // namespace pbse::ir

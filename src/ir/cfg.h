@@ -37,21 +37,18 @@ class BlockGraph {
 };
 
 /// Minimum forward-path distance (in blocks) from every block to the
-/// nearest block of an arbitrary source set — multi-source BFS over the
-/// reverse block graph. Generic machinery behind DistanceToUncovered (the
-/// md2u/covnew searchers) and the sink-directed searcher (sources = the
-/// lint's unresolved bug-sink blocks).
-class DistanceMap {
+/// nearest uncovered block — multi-source BFS over the reverse block
+/// graph. Recomputed lazily when coverage changes.
+class DistanceToUncovered {
  public:
-  explicit DistanceMap(const BlockGraph& graph)
-      : graph_(graph),
-        distance_(graph.num_blocks(), kUnreachable) {}
+  explicit DistanceToUncovered(const BlockGraph& graph)
+      : graph_(graph), distance_(graph.num_blocks(), kUnreachable) {}
 
-  /// Recomputes distances from scratch, with `sources` at distance 0.
-  /// Out-of-range ids are ignored.
-  void recompute(const std::vector<std::uint32_t>& sources);
+  /// Recomputes every distance given per-global-block coverage flags;
+  /// blocks past the end of `covered` count as uncovered.
+  void recompute(const std::vector<bool>& covered);
 
-  /// Distance of `global_bb`; kUnreachable if no source block is
+  /// Distance of `global_bb`; kUnreachable if no uncovered block is
   /// forward-reachable.
   std::uint32_t distance(std::uint32_t global_bb) const {
     return distance_[global_bb];
@@ -62,27 +59,6 @@ class DistanceMap {
  private:
   const BlockGraph& graph_;
   std::vector<std::uint32_t> distance_;
-};
-
-/// DistanceMap with sources = every uncovered block. Recomputed lazily
-/// when coverage changes.
-class DistanceToUncovered {
- public:
-  explicit DistanceToUncovered(const BlockGraph& graph)
-      : graph_(graph), map_(graph) {}
-
-  /// Recomputes distances given per-global-block coverage flags.
-  void recompute(const std::vector<bool>& covered);
-
-  std::uint32_t distance(std::uint32_t global_bb) const {
-    return map_.distance(global_bb);
-  }
-
-  static constexpr std::uint32_t kUnreachable = DistanceMap::kUnreachable;
-
- private:
-  const BlockGraph& graph_;
-  DistanceMap map_;
 };
 
 }  // namespace pbse::ir

@@ -12,8 +12,6 @@ std::unique_ptr<Searcher> make_random_state_searcher(Rng& rng);
 std::unique_ptr<Searcher> make_random_path_searcher(Rng& rng);
 std::unique_ptr<Searcher> make_covnew_searcher(vm::Executor& executor, Rng& rng);
 std::unique_ptr<Searcher> make_md2u_searcher(vm::Executor& executor, Rng& rng);
-std::unique_ptr<Searcher> make_sink_directed_searcher(vm::Executor& executor,
-                                                      Rng& rng);
 
 namespace {
 
@@ -72,7 +70,6 @@ const char* searcher_kind_name(SearcherKind kind) {
     case SearcherKind::kCovNew: return "covnew";
     case SearcherKind::kMD2U: return "md2u";
     case SearcherKind::kDefault: return "default";
-    case SearcherKind::kSinkDirected: return "sink-directed";
   }
   return "?";
 }
@@ -81,7 +78,7 @@ bool parse_searcher_kind(const std::string& name, SearcherKind& out) {
   for (SearcherKind kind :
        {SearcherKind::kDFS, SearcherKind::kBFS, SearcherKind::kRandomState,
         SearcherKind::kRandomPath, SearcherKind::kCovNew, SearcherKind::kMD2U,
-        SearcherKind::kDefault, SearcherKind::kSinkDirected}) {
+        SearcherKind::kDefault}) {
     if (name == searcher_kind_name(kind)) {
       out = kind;
       return true;
@@ -99,8 +96,6 @@ std::unique_ptr<Searcher> make_searcher(SearcherKind kind,
     case SearcherKind::kRandomPath: return make_random_path_searcher(rng);
     case SearcherKind::kCovNew: return make_covnew_searcher(executor, rng);
     case SearcherKind::kMD2U: return make_md2u_searcher(executor, rng);
-    case SearcherKind::kSinkDirected:
-      return make_sink_directed_searcher(executor, rng);
     case SearcherKind::kDefault: {
       std::vector<std::unique_ptr<Searcher>> subs;
       subs.push_back(make_random_path_searcher(rng));

@@ -62,15 +62,12 @@ enum class SearcherKind {
   kCovNew,
   kMD2U,
   kDefault,  // interleaved random-path + covnew (KLEE's default)
-  /// Weighted by CFG distance to the static lint's unresolved bug sinks
-  /// (DESIGN.md §12); uniform random when no analysis or sinks exist.
-  kSinkDirected,
 };
 
 const char* searcher_kind_name(SearcherKind kind);
 
 /// Parses "dfs" / "bfs" / "random-state" / "random-path" / "covnew" /
-/// "md2u" / "default" / "sink-directed". Returns false on unknown names.
+/// "md2u" / "default". Returns false on unknown names.
 bool parse_searcher_kind(const std::string& name, SearcherKind& out);
 
 /// Creates a searcher. `executor` supplies coverage information for the

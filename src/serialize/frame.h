@@ -25,7 +25,7 @@
 
 namespace pbse::serialize {
 
-inline constexpr std::uint32_t kPbsfVersion = 1;
+inline constexpr std::uint32_t kPbsfVersion = 2;
 
 /// What the payload holds. Values are wire format — never renumber.
 enum class FrameKind : std::uint32_t {

@@ -225,8 +225,7 @@ bool Scheduler::run_slice(unsigned me, std::uint64_t id, bool stolen) {
   SliceEndpoint* endpoint = self->endpoint.get();
   if (endpoint) {
     std::string error;
-    switch (endpoint->run_slice(rec, slice, options_.static_analysis, done,
-                                error)) {
+    switch (endpoint->run_slice(rec, slice, done, error)) {
       case SliceOutcome::kOk:
         rec.state = done ? JobState::kDone : JobState::kCheckpointed;
         break;
@@ -284,7 +283,6 @@ bool Scheduler::run_slice(unsigned me, std::uint64_t id, bool stolen) {
   } else {
     SliceContext ctx;
     ctx.slice_ticks = slice;
-    ctx.static_analysis = options_.static_analysis;
     try {
       done = run_job_slice(rec, ctx);
       rec.state = done ? JobState::kDone : JobState::kCheckpointed;

@@ -55,10 +55,6 @@ namespace pbse::server {
 
 struct SchedulerOptions {
   unsigned workers = 2;
-  /// Static pre-analysis (DESIGN.md §12) for every job this daemon runs.
-  /// Daemon-global: a checkpoint written with the flag on must be resumed
-  /// with it on (and vice versa) or the tick streams diverge.
-  bool static_analysis = true;
   /// A job re-queued this many times by worker deaths is declared
   /// poisoned and fails instead of re-queueing forever.
   unsigned max_requeues = 3;
@@ -82,8 +78,7 @@ class SliceEndpoint {
   /// Ships `rec`, blocks for the result (policing liveness), applies it to
   /// `rec` on success. `done` is the job-finished flag on kOk.
   virtual SliceOutcome run_slice(JobRecord& rec, std::uint64_t slice_ticks,
-                                 bool static_analysis, bool& done,
-                                 std::string& error) = 0;
+                                 bool& done, std::string& error) = 0;
 };
 
 /// One scheduler event, delivered on the slot thread that produced it.

@@ -1,7 +1,10 @@
 #include "server/slice_runner.h"
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "core/driver.h"
 #include "core/pbse.h"
@@ -48,13 +51,14 @@ struct Held {
 /// interning is: the campaign never leaves the thread that built it.
 struct Resident {
   JobSpec spec;
-  bool static_analysis = true;
   std::vector<std::uint8_t> snapshot;
   std::unique_ptr<Held<core::KleeRun>> klee;
   std::unique_ptr<Held<core::PbseDriver>> pbse;
 };
 
 thread_local Resident resident;
+/// Set by every slice; cleared by release_resident().
+thread_local bool ran_slice_since_release = false;
 
 /// Runs one slice of a klee-mode job against `rec`, updating snapshot,
 /// progress and run_end_ticks in place. Continues `held` when set, else
@@ -66,7 +70,6 @@ bool slice_klee(JobRecord& rec, const SliceContext& ctx,
     options.searcher = rec.spec.searcher;
     options.sym_file_size = rec.spec.sym_size;
     options.rng_seed = rec.spec.rng_seed;
-    options.static_analysis = ctx.static_analysis;
     held = std::make_unique<Held<core::KleeRun>>(
         resolve_target(rec.spec.target), options);
     if (!rec.snapshot.empty())
@@ -104,7 +107,6 @@ bool slice_pbse(JobRecord& rec, const SliceContext& ctx,
     core::PbseOptions options;
     options.phase_searcher = rec.spec.searcher;
     options.rng_seed = rec.spec.rng_seed;
-    options.static_analysis = ctx.static_analysis;
     held = std::make_unique<Held<core::PbseDriver>>(info, options);
     core::PbseDriver& driver = held->campaign;
     const bool prepared = driver.prepare(info.seed(rec.spec.seed_scale));
@@ -146,12 +148,12 @@ bool slice_pbse(JobRecord& rec, const SliceContext& ctx,
 }  // namespace
 
 bool run_job_slice(JobRecord& rec, const SliceContext& ctx) {
+  ran_slice_since_release = true;
   Resident& r = resident;
   // Byte equality, never a job id or a hash: a requeued slice, an older
   // checkpoint restored after a crash, or a job that came back from
   // another thread carries other bytes and takes the cold path.
   const bool warm = !rec.snapshot.empty() && rec.spec == r.spec &&
-                    ctx.static_analysis == r.static_analysis &&
                     rec.snapshot == r.snapshot;
   // Dropped before a cold build, so a thread never holds two campaigns.
   if (!warm) r = Resident{};
@@ -163,7 +165,6 @@ bool run_job_slice(JobRecord& rec, const SliceContext& ctx) {
       r = Resident{};
     } else {
       r.spec = rec.spec;
-      r.static_analysis = ctx.static_analysis;
       r.snapshot = rec.snapshot;
     }
     return done;
@@ -174,6 +175,12 @@ bool run_job_slice(JobRecord& rec, const SliceContext& ctx) {
   }
 }
 
-void release_resident() { resident = Resident{}; }
+void release_resident() {
+  resident = Resident{};
+  // glibc keeps freed campaigns' pages in the thread's arena, so an idle
+  // daemon would otherwise sit near its peak RSS. A thread that ran no
+  // slice since it last went idle has freed nothing to return.
+  if (std::exchange(ran_slice_since_release, false)) malloc_trim(0);
+}
 
 }  // namespace pbse::server

@@ -8,12 +8,12 @@
 //
 // Each thread keeps the campaign its last slice ran resident, with the
 // snapshot bytes that slice emitted. A record carrying exactly those bytes
-// under an equal spec and analysis flag is that campaign, so its slice
-// continues the resident; any other record drops the resident and
-// materializes the campaign from rec.snapshot. Every slice still encodes
-// its checkpoint into the record, so the record alone decides the result
-// and a thread holds at most one campaign. The scheduler calls
-// release_resident() when one of its threads goes idle.
+// under an equal spec is that campaign, so its slice continues the
+// resident; any other record drops the resident and materializes the
+// campaign from rec.snapshot. Every slice still encodes its checkpoint
+// into the record, so the record alone decides the result and a thread
+// holds at most one campaign. The scheduler calls release_resident() when
+// one of its threads goes idle.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +25,6 @@ namespace pbse::server {
 struct SliceContext {
   /// Ticks of budget for this scheduling quantum.
   std::uint64_t slice_ticks = kDefaultSliceTicks;
-  /// Static pre-analysis (DESIGN.md §12); must match the rest of the
-  /// job's slices or the tick streams diverge.
-  bool static_analysis = true;
 };
 
 /// Runs one slice of `rec` in-process, updating snapshot, progress,
@@ -36,9 +33,11 @@ struct SliceContext {
 /// targets or corrupt snapshots — the caller owns the kFailed transition.
 bool run_job_slice(JobRecord& rec, const SliceContext& ctx);
 
-/// Drops the campaign the calling thread keeps resident, if any. A thread
-/// calls it when it goes idle: the job that campaign belongs to has
-/// finished or moved on, and an idle thread should hold no campaign.
+/// Drops the campaign the calling thread keeps resident, if any, and, if
+/// the thread ran a slice since its last call, hands the freed memory back
+/// to the OS. A thread calls it when it goes idle: the job that campaign
+/// belongs to has finished or moved on, and an idle thread should hold no
+/// campaign.
 void release_resident();
 
 }  // namespace pbse::server

@@ -28,21 +28,17 @@ std::uint64_t monotonic_ms() {
 }  // namespace
 
 std::vector<std::uint8_t> encode_assign_payload(const JobRecord& rec,
-                                                std::uint64_t slice_ticks,
-                                                bool static_analysis) {
+                                                std::uint64_t slice_ticks) {
   serialize::Encoder enc;
   enc.u64(slice_ticks);
-  enc.u8(static_analysis ? 1 : 0);
   enc.blob(rec.wire_encode());
   return enc.data();
 }
 
 void decode_assign_payload(const std::vector<std::uint8_t>& payload,
-                           JobRecord& rec, std::uint64_t& slice_ticks,
-                           bool& static_analysis) {
+                           JobRecord& rec, std::uint64_t& slice_ticks) {
   serialize::Decoder dec(payload);
   slice_ticks = dec.u64();
-  static_analysis = dec.u8() != 0;
   rec = JobRecord::wire_decode(dec.blob());
   if (!dec.done())
     throw serialize::SnapshotError("pbsf: trailing bytes in job assignment");
@@ -98,14 +94,13 @@ SocketEndpoint::~SocketEndpoint() {
 
 SliceOutcome SocketEndpoint::run_slice(JobRecord& rec,
                                        std::uint64_t slice_ticks,
-                                       bool static_analysis, bool& done,
-                                       std::string& error) {
+                                       bool& done, std::string& error) {
   if (fd_ < 0) {
     error = "endpoint already closed";
     return SliceOutcome::kEndpointDead;
   }
   const std::vector<std::uint8_t> payload =
-      encode_assign_payload(rec, slice_ticks, static_analysis);
+      encode_assign_payload(rec, slice_ticks);
   try {
     send_frame_bytes(
         fd_, serialize::encode_frame(serialize::FrameKind::kJobAssign,

@@ -35,11 +35,9 @@ namespace pbse::server {
 
 /// kJobAssign payload: slice parameters + the wire-encoded record.
 std::vector<std::uint8_t> encode_assign_payload(const JobRecord& rec,
-                                                std::uint64_t slice_ticks,
-                                                bool static_analysis);
+                                                std::uint64_t slice_ticks);
 void decode_assign_payload(const std::vector<std::uint8_t>& payload,
-                           JobRecord& rec, std::uint64_t& slice_ticks,
-                           bool& static_analysis);
+                           JobRecord& rec, std::uint64_t& slice_ticks);
 
 /// kJobResult payload.
 struct SliceResult {
@@ -73,8 +71,7 @@ class SocketEndpoint : public SliceEndpoint {
 
   std::string describe() const override { return name_; }
   SliceOutcome run_slice(JobRecord& rec, std::uint64_t slice_ticks,
-                         bool static_analysis, bool& done,
-                         std::string& error) override;
+                         bool& done, std::string& error) override;
 
  private:
   int fd_ = -1;

@@ -44,7 +44,6 @@ struct Args {
   unsigned jobs = 1;
   bool share_cache = true;
   bool subsumption = true;
-  bool static_analysis = true;
   std::string trace_path;
 };
 
@@ -53,15 +52,13 @@ int usage() {
                "usage: pbse <list|klee|run|concolic|phases> [target]\n"
                "  <target> for klee/run: driver name, comma-list, or 'all'\n"
                "  --searcher=dfs|bfs|random-state|random-path|covnew|md2u|"
-               "sink-directed|default\n"
+               "default\n"
                "  --sym-size=N   symbolic file size for 'klee' (default 1000)\n"
                "  --budget=T     tick budget (default 1000000)\n"
                "  --seed-scale=K seed generator scale (default 6)\n"
                "  --jobs=N       worker threads for multi-target campaigns\n"
                "  --no-share-cache  per-campaign private solver caches\n"
                "  --no-subsumption  disable interpolant state subsumption\n"
-               "  --no-static-analysis  disable the static pre-analysis "
-               "(edge/target pruning)\n"
                "  --target=NAME  alternative to the positional <target>\n"
                "  --trace=PATH   capture a trace (.json -> Chrome "
                "trace_event,\n"
@@ -114,8 +111,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.share_cache = false;
     } else if (arg == "--no-subsumption") {
       args.subsumption = false;
-    } else if (arg == "--no-static-analysis") {
-      args.static_analysis = false;
     } else {
       return false;
     }
@@ -221,7 +216,6 @@ int cmd_klee(const Args& args) {
       core::KleeRunOptions options;
       options.searcher = args.searcher;
       options.sym_file_size = args.sym_size;
-      options.static_analysis = args.static_analysis;
       options.solver.shared_cache = ctx.shared_cache;
       options.executor.use_subsumption = args.subsumption;
       core::KleeRun run(module, "main", options);
@@ -257,7 +251,6 @@ int cmd_run(const Args& args) {
       ir::Module module = targets::build_target(info->source());
       const auto seed = info->seed(args.seed_scale);
       core::PbseOptions options;
-      options.static_analysis = args.static_analysis;
       options.solver.shared_cache = ctx.shared_cache;
       options.executor.use_subsumption = args.subsumption;
       core::PbseDriver driver(module, "main", options);

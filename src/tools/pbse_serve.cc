@@ -41,9 +41,6 @@ int usage() {
       "(default 3)\n"
       "  --worker-rss-mb=N RLIMIT_AS per worker process (default off)\n"
       "  --worker-exe=PATH pbse-worker binary (default: sibling)\n"
-      "  --no-static-analysis  disable the static pre-analysis for every\n"
-      "                    job (checkpoints are only portable between\n"
-      "                    daemons with the same setting)\n"
       "  --oneshot         exit once every queued job is done (smoke tests)\n");
   return 2;
 }
@@ -125,8 +122,6 @@ int main(int argc, char** argv) {
       }
     } else if (const char* v = value_of("--worker-exe=")) {
       options.worker_exe = v;
-    } else if (arg == "--no-static-analysis") {
-      options.scheduler.static_analysis = false;
     } else if (arg == "--oneshot") {
       oneshot = true;
     } else {

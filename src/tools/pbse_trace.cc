@@ -175,29 +175,6 @@ int cmd_summarize(const std::string& path) {
   std::printf("  %-12s %8" PRIu64 " results (search budget exhausted)\n",
               "unknown", unknowns);
 
-  // --- Static pruning (DESIGN.md §12) ----------------------------------
-  // static_kill instants mark forks suppressed without a solver query;
-  // the phase_targets instant carries the scheduler's pruned-target count.
-  std::uint64_t static_kills = 0, phase_targets = 0, pruned_targets = 0;
-  bool have_targets = false;
-  for (const auto& e : events) {
-    if (e.cat == "vm" && e.name == "static_kill") ++static_kills;
-    if (e.cat == "phase" && e.name == "phase_targets") {
-      have_targets = true;
-      phase_targets += e.arg("targets");
-      pruned_targets += e.arg("pruned");
-    }
-  }
-  if (static_kills != 0 || have_targets) {
-    std::printf("\nstatic pruning:\n");
-    std::printf("  %-14s %8" PRIu64 " forks suppressed without a query\n",
-                "static-kill", static_kills);
-    if (have_targets)
-      std::printf("  %-14s %8" PRIu64 " phase targets (%" PRIu64
-                  " statically pruned)\n",
-                  "phase-targets", phase_targets, pruned_targets);
-  }
-
   // --- Scheduler decision log ------------------------------------------
   constexpr std::size_t kMaxLog = 40;
   std::printf("\nscheduler decisions (%" PRIu64 " turn events):\n",

@@ -210,16 +210,13 @@ int main(int argc, char** argv) {
 
       pbse::server::JobRecord rec;
       std::uint64_t slice_ticks = 0;
-      bool static_analysis = true;
-      pbse::server::decode_assign_payload(payload, rec, slice_ticks,
-                                          static_analysis);
+      pbse::server::decode_assign_payload(payload, rec, slice_ticks);
 
       pbse::server::SliceResult result;
       {
         HeartbeatThread beat(fd, write_mu, heartbeat_ms);
         pbse::server::SliceContext ctx;
         ctx.slice_ticks = slice_ticks;
-        ctx.static_analysis = static_analysis;
         try {
           result.done = pbse::server::run_job_slice(rec, ctx);
         } catch (const std::exception& e) {

@@ -55,16 +55,11 @@ struct VmIds {
   /// Barren interpolant entries filed (dead states x ring snapshots).
   obs::MetricId barren_recorded =
       obs::intern_metric("executor.barren_recorded");
-  /// Off-model fork directions discarded without a solver query because
-  /// static analysis proved the edge infeasible (DESIGN.md §12).
-  obs::MetricId static_edge_kills =
-      obs::intern_metric("executor.static_edge_kills");
   // Trace event / argument names.
   obs::MetricId ev_new_cover = obs::intern_metric("new_cover");
   obs::MetricId ev_bug = obs::intern_metric("bug");
   obs::MetricId ev_terminate = obs::intern_metric("terminate");
   obs::MetricId ev_fork = obs::intern_metric("fork");
-  obs::MetricId ev_static_kill = obs::intern_metric("static_kill");
   obs::MetricId ev_seed_state = obs::intern_metric("seed_state");
   obs::MetricId arg_bb = obs::intern_metric("bb");
   obs::MetricId arg_total = obs::intern_metric("total");
@@ -525,23 +520,10 @@ void Executor::execute_branch(
     // scheduling re-enters seed-path code through the flipped states'
     // symbolic re-execution. Record-time dedup keeps only the EARLIEST
     // seedState per fork point — the paper's Sec. III-B3 selection.
-    // A flipped direction whose edge is statically infeasible would only
-    // fail model validation at activation — don't record the seedState.
-    const std::uint32_t flipped_local = dir ? inst.bb_else : inst.bb_then;
-    const bool statically_dead =
-        options_.static_analysis != nullptr &&
-        options_.static_analysis->edge_infeasible(
-            state.current_global_bb(),
-            state.frame().fn->block(flipped_local).global_id);
     const std::uint64_t fork_point =
         (std::uint64_t{state.current_global_bb()} << 32) |
         state.frame().inst;
-    if (statically_dead) {
-      stats_.add(ids().static_edge_kills);
-      obs::trace_instant(obs::Category::kVm, ids().ev_static_kill,
-                         clock_.now(), state.current_global_bb(),
-                         ids().arg_bb);
-    } else if (concolic_seen_forks_.insert(fork_point).second) {
+    if (concolic_seen_forks_.insert(fork_point).second) {
       ForkRecord record;
       record.fork_ticks = clock_.now();
       record.fork_bb = state.current_global_bb();
@@ -574,23 +556,6 @@ void Executor::execute_branch(
   const ExprRef other = mk_lnot(taken);
 
   if (forked != nullptr && live_states_ < options_.max_live_states) {
-    // Static pruning (DESIGN.md §12): if the pre-analysis proved the
-    // off-model edge infeasible, the fork cannot survive a feasibility
-    // query — skip the query AND the fork. A distinct kill class from
-    // fork_unsat: no solver work happened at all.
-    const std::uint32_t other_local = dir ? inst.bb_else : inst.bb_then;
-    if (options_.static_analysis != nullptr &&
-        options_.static_analysis->edge_infeasible(
-            state.current_global_bb(),
-            state.frame().fn->block(other_local).global_id)) {
-      stats_.add(ids().static_edge_kills);
-      obs::trace_instant(obs::Category::kVm, ids().ev_static_kill,
-                         clock_.now(), state.current_global_bb(),
-                         ids().arg_bb);
-      state.constraints.add(taken);
-      enter_block(state, dir ? inst.bb_then : inst.bb_else);
-      return;
-    }
     Assignment other_model(*state.model);
     const SolverResult r = solver_.check_sat(state.constraints, other,
                                              &other_model, state.model);

@@ -26,7 +26,6 @@
 #include <optional>
 #include <unordered_set>
 
-#include "analysis/analysis.h"
 #include "ir/ir.h"
 #include "solver/interpolant.h"
 #include "solver/solver.h"
@@ -66,12 +65,6 @@ struct ExecutorOptions {
   /// unconditional (used by tests to exercise the mechanism
   /// determinately).
   std::uint64_t subsumption_min_stall = 16;
-  /// Static pre-analysis of the module (DESIGN.md §12), not owned; null
-  /// disables static pruning. When set, symbolic branches whose off-model
-  /// direction is a statically-infeasible edge skip the feasibility query
-  /// and never fork — a new kill class counted by
-  /// `executor.static_edge_kills`. Must outlive the executor.
-  const analysis::ModuleAnalysis* static_analysis = nullptr;
 };
 
 /// A seedState: the flipped (off-seed) fork recorded during concolic

@@ -258,9 +258,9 @@ TEST(AnalysisLint, SeededTargetsHaveSinksButNoProvablyBuggy) {
 
 // --- Soundness: infeasible edges are never taken ---------------------------
 
-// Runs the UNPRUNED engine (static pruning off) and checks every observed
-// block transition against the infeasible-edge set — the contract that
-// lets the executor kill those forks without a solver query.
+// Runs the engine and checks every observed block transition against the
+// infeasible-edge set: an edge the analysis calls infeasible is never
+// taken, and no block it calls unreachable is ever entered.
 class EdgeSoundnessChecker {
  public:
   explicit EdgeSoundnessChecker(const analysis::ModuleAnalysis& analysis)
@@ -290,7 +290,7 @@ class EdgeSoundnessChecker {
 
 TEST(AnalysisSoundness, InfeasibleEdgesNeverTakenByUnprunedEngine) {
   // The table1 workload target: readelf carries both a natural infeasible
-  // edge and the masked-guard one the pruned engine kills at runtime.
+  // edge and a masked-guard one.
   const targets::TargetInfo* info = nullptr;
   for (const auto& t : targets::all_targets())
     if (t.driver == "readelf") info = &t;
@@ -299,10 +299,8 @@ TEST(AnalysisSoundness, InfeasibleEdgesNeverTakenByUnprunedEngine) {
   const auto analysis = analysis::analyze_module(module);
   ASSERT_GE(analysis->num_infeasible_edges(), 1u);
 
-  {  // KLEE-style run, pruning off.
-    core::KleeRunOptions options;
-    options.static_analysis = false;
-    core::KleeRun run(module, "main", options);
+  {  // KLEE-style run.
+    core::KleeRun run(module, "main");
     EdgeSoundnessChecker checker(*analysis);
     run.executor().on_block_entered =
         [&](const vm::ExecutionState& s, std::uint32_t gid) {
@@ -313,10 +311,8 @@ TEST(AnalysisSoundness, InfeasibleEdgesNeverTakenByUnprunedEngine) {
     EXPECT_EQ(checker.unreachable_entered, 0u);
   }
 
-  {  // pbSE run (concolic + phases), pruning off.
-    core::PbseOptions options;
-    options.static_analysis = false;
-    core::PbseDriver driver(module, "main", options);
+  {  // pbSE run (concolic + phases).
+    core::PbseDriver driver(module, "main");
     EdgeSoundnessChecker checker(*analysis);
     auto prev = driver.executor().on_block_entered;  // BBV gathering hook
     driver.executor().on_block_entered =
@@ -329,31 +325,6 @@ TEST(AnalysisSoundness, InfeasibleEdgesNeverTakenByUnprunedEngine) {
     EXPECT_EQ(checker.violations, 0u);
     EXPECT_EQ(checker.unreachable_entered, 0u);
   }
-}
-
-// --- Pruned-engine equivalence gate ----------------------------------------
-
-// The static kill class must only remove solver work, never coverage or
-// bugs: an on/off pair over the same budget has to agree on both.
-TEST(AnalysisPruning, PrunedKleeRunLosesNoCoverageOrBugs) {
-  const targets::TargetInfo* info = nullptr;
-  for (const auto& t : targets::all_targets())
-    if (t.driver == "readelf") info = &t;
-  ASSERT_NE(info, nullptr);
-  const ir::Module module = targets::build_target(info->source());
-
-  auto run_once = [&](bool pruned) {
-    core::KleeRunOptions options;
-    options.static_analysis = pruned;
-    core::KleeRun run(module, "main", options);
-    run.run(120000);
-    return std::pair<std::uint64_t, std::size_t>(
-        run.executor().num_covered(), run.executor().bugs().size());
-  };
-  const auto off = run_once(false);
-  const auto on = run_once(true);
-  EXPECT_GE(on.first, off.first);
-  EXPECT_GE(on.second, off.second);
 }
 
 }  // namespace

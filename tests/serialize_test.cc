@@ -144,17 +144,24 @@ TEST(Pbss, FlavorMismatchCaught) {
   }
 }
 
+/// Rewrites the u32 version after the 4-byte magic of a pbss or pbsf frame
+/// and re-stamps its FNV-1a footer, so the result is well formed apart
+/// from the version.
+void set_frame_version(std::vector<std::uint8_t>& framed,
+                       std::uint32_t version) {
+  for (int i = 0; i < 4; ++i)
+    framed[4 + i] = static_cast<std::uint8_t>(version >> (8 * i));
+  const std::uint64_t sum = serialize::fnv1a(framed.data(), framed.size() - 8);
+  for (int i = 0; i < 8; ++i)
+    framed[framed.size() - 8 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+}
+
 TEST(Pbss, OlderVersionIsRejected) {
   // No reader for an older layout is kept: a well-formed frame (valid
   // footer) that carries the previous version number must still throw.
   auto framed =
       serialize::frame_snapshot(SnapshotFlavor::kKlee, some_payload());
-  const std::uint32_t old_version = serialize::kPbssVersion - 1;
-  for (int i = 0; i < 4; ++i)
-    framed[4 + i] = static_cast<std::uint8_t>(old_version >> (8 * i));
-  const std::uint64_t sum = serialize::fnv1a(framed.data(), framed.size() - 8);
-  for (int i = 0; i < 8; ++i)
-    framed[framed.size() - 8 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  set_frame_version(framed, serialize::kPbssVersion - 1);
   try {
     serialize::unframe_snapshot(framed, SnapshotFlavor::kKlee);
     FAIL() << "an older version must throw";
@@ -970,6 +977,22 @@ TEST(Pbsf, FrameTruncationAndBadMagicCaught) {
   auto trailing = framed;
   trailing.push_back(0);
   EXPECT_THROW(serialize::decode_frame(trailing, sink), SnapshotError);
+}
+
+TEST(Pbsf, OlderVersionIsRejected) {
+  // Version 1 job assignments carried one more byte, so no reader for it
+  // is kept: a daemon skips a version-1 checkpoint instead of resuming it.
+  auto framed =
+      serialize::encode_frame(serialize::FrameKind::kJobRecord, some_payload());
+  set_frame_version(framed, 1);
+  std::vector<std::uint8_t> sink;
+  try {
+    serialize::decode_frame(framed, sink);
+    FAIL() << "an older version must throw";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -174,9 +174,11 @@ TEST(Protocol, JobSpecRoundTripAndValidation) {
   Json bad_mode = spec.to_json();
   bad_mode.set("mode", Json::string("fuzz"));
   EXPECT_THROW(JobSpec::from_json(bad_mode), ProtocolError);
-  Json bad_searcher = spec.to_json();
-  bad_searcher.set("searcher", Json::string("astar"));
-  EXPECT_THROW(JobSpec::from_json(bad_searcher), ProtocolError);
+  for (const char* name : {"astar", "sink-directed"}) {
+    Json bad_searcher = spec.to_json();
+    bad_searcher.set("searcher", Json::string(name));
+    EXPECT_THROW(JobSpec::from_json(bad_searcher), ProtocolError) << name;
+  }
   Json no_target = spec.to_json();
   no_target.set("target", Json::string(""));
   EXPECT_THROW(JobSpec::from_json(no_target), ProtocolError);
@@ -877,11 +879,9 @@ class InlineEndpoint : public SliceEndpoint {
  public:
   std::string describe() const override { return "fake:inline"; }
   SliceOutcome run_slice(JobRecord& rec, std::uint64_t slice_ticks,
-                         bool static_analysis, bool& done,
-                         std::string& error) override {
+                         bool& done, std::string& error) override {
     SliceContext ctx;
     ctx.slice_ticks = slice_ticks;
-    ctx.static_analysis = static_analysis;
     try {
       done = run_job_slice(rec, ctx);
     } catch (const std::exception& e) {
@@ -897,7 +897,7 @@ class InlineEndpoint : public SliceEndpoint {
 class DeadOnArrivalEndpoint : public SliceEndpoint {
  public:
   std::string describe() const override { return "fake:doa"; }
-  SliceOutcome run_slice(JobRecord&, std::uint64_t, bool, bool&,
+  SliceOutcome run_slice(JobRecord&, std::uint64_t, bool&,
                          std::string&) override {
     return SliceOutcome::kEndpointDead;
   }
@@ -1007,7 +1007,7 @@ TEST(WorkerTier, SocketEndpointDeclaresSilentWorkerDead) {
   bool done = false;
   std::string error;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(endpoint.run_slice(rec, 10'000, true, done, error),
+  EXPECT_EQ(endpoint.run_slice(rec, 10'000, done, error),
             SliceOutcome::kEndpointDead);
   const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
@@ -1036,8 +1036,7 @@ TEST(WorkerTier, SocketEndpointSurvivesSlowButBeatingWorker) {
               serialize::FrameKind::kJobAssign);
     JobRecord rec;
     std::uint64_t slice_ticks = 0;
-    bool static_analysis = true;
-    decode_assign_payload(payload, rec, slice_ticks, static_analysis);
+    decode_assign_payload(payload, rec, slice_ticks);
 
     // Beat from a side thread while computing — the same shape as the
     // real pbse-worker's HeartbeatThread. The slice (first-run concolic +
@@ -1053,7 +1052,6 @@ TEST(WorkerTier, SocketEndpointSurvivesSlowButBeatingWorker) {
     });
     SliceContext ctx;
     ctx.slice_ticks = slice_ticks;
-    ctx.static_analysis = static_analysis;
     SliceResult result;
     result.done = run_job_slice(rec, ctx);
     result.peak_rss_kb = 1234;
@@ -1079,7 +1077,7 @@ TEST(WorkerTier, SocketEndpointSurvivesSlowButBeatingWorker) {
   rec.spec = small_pbse_spec();
   bool done = false;
   std::string error;
-  EXPECT_EQ(endpoint.run_slice(rec, 30'000, true, done, error),
+  EXPECT_EQ(endpoint.run_slice(rec, 30'000, done, error),
             SliceOutcome::kOk)
       << error;
   EXPECT_GT(rec.progress.ticks, 0u);
