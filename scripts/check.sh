@@ -36,6 +36,19 @@ fi
 BUILD_DIR="${1:-build}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
+# Prints the five slowest tests of a ctest log from ctest's own timing
+# lines, so the suite's long pole shows in every CI log. Informational:
+# it checks nothing.
+slowest_tests() {
+  echo "check.sh: slowest tests in $1:"
+  awk 'match($0, /Test +#[0-9]+: /) && / sec$/ {
+         name = substr($0, RSTART + RLENGTH)
+         sub(/ \.\.\.+.*$/, "", name)
+         print $(NF - 1) "\t" name
+       }' "$1" | sort -t "$(printf '\t')" -k1,1 -rn |
+    awk -F '\t' 'NR <= 5 { printf "  %7.2f s  %s\n", $1, $2 }'
+}
+
 if [[ "$SANITIZE" == 1 ]]; then
   ASAN_DIR="${1:-build-asan}"
   GEN=()
@@ -47,6 +60,7 @@ if [[ "$SANITIZE" == 1 ]]; then
   cmake --build "$ASAN_DIR" -j "$JOBS"
   ASAN_OPTIONS=detect_leaks=0 ctest --test-dir "$ASAN_DIR" -j "$JOBS" \
     --output-on-failure 2>&1 | tee "$ASAN_DIR/ctest.log"
+  slowest_tests "$ASAN_DIR/ctest.log"
   echo "check.sh: OK (sanitize)"
   exit 0
 fi
@@ -96,6 +110,7 @@ cmake -S . -B "$BUILD_DIR" "${GEN[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" -j "$JOBS" --output-on-failure 2>&1 \
   | tee "$BUILD_DIR/ctest.log"
+slowest_tests "$BUILD_DIR/ctest.log"
 
 # Micro-benchmark smoke: every BM_* body runs once, so a benchmark that
 # breaks after a refactor fails the gate. Timings are not checked. The

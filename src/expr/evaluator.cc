@@ -4,6 +4,7 @@
 
 #include "expr/node_map.h"
 #include "expr/semantics.h"
+#include "expr/tape.h"
 
 namespace pbse {
 
@@ -62,14 +63,6 @@ std::uint64_t CachingEvaluator::evaluate(const ExprRef& e) {
   return eval_impl(e.get(), *assignment_, memo_);
 }
 
-std::size_t expr_cost(const ExprRef& e) {
-  // Hash-consing keeps nodes alive for the thread, so a thread-local memo
-  // keyed by node pointer is stable (the interner is thread-local too).
-  thread_local auto* memo = new NodeMap<std::size_t>();
-  if (const std::size_t* hit = memo->find(e.get())) return *hit;
-  const std::size_t cost = expr_dag_size(e);
-  memo->insert(e.get(), cost);
-  return cost;
-}
+std::size_t expr_cost(const ExprRef& e) { return compiled(e).cost(); }
 
 }  // namespace pbse

@@ -1,8 +1,11 @@
 // Concrete evaluation of symbolic expressions under a byte assignment.
 //
 // Used by: the concolic executor (concrete half of the lockstep), the
-// solver's cache re-verification and validation, and test-case replay. The
-// backtracking search's candidate checks run on a Tape (expr/tape.h).
+// solver's hint and all-zeros fast paths, seedState validation and
+// test-case replay. A CachingEvaluator is one model's memo: every state
+// that carries the same model may share it, as a campaign's seedStates do
+// when they are validated. The backtracking search's candidate checks and
+// domain propagation run on compiled tapes instead (expr/tape.h).
 #pragma once
 
 #include <cstdint>
@@ -74,14 +77,17 @@ class CachingEvaluator {
     return assignment_;
   }
 
+  /// Number of nodes memoized so far (tests).
+  std::size_t memo_size() const { return memo_.size(); }
+
  private:
   std::shared_ptr<const Assignment> assignment_;
   NodeMap<std::uint64_t> memo_;
 };
 
-/// Deterministic work measure of an expression: its DAG node count,
-/// memoized process-globally. The solver charges this per evaluation so
-/// virtual time reflects real constraint complexity.
+/// Deterministic work measure of an expression: its DAG node count, read
+/// from its compiled form (expr/tape.h). The solver charges this per
+/// evaluation so virtual time reflects real constraint complexity.
 std::size_t expr_cost(const ExprRef& e);
 
 }  // namespace pbse

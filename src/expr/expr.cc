@@ -6,7 +6,6 @@
 #include <initializer_list>
 #include <span>
 #include <sstream>
-#include <unordered_map>
 
 #include "expr/node_map.h"
 #include "expr/semantics.h"
@@ -496,7 +495,7 @@ ExprRef mk_lor(ExprRef a, ExprRef b) {
 
 // --- Traversals -----------------------------------------------------------
 
-void collect_reads(const ExprRef& e, std::vector<ReadSite>& out) {
+std::size_t collect_reads(const ExprRef& e, std::vector<ReadSite>& out) {
   // Iterative: chains can be deeper than the C++ stack allows.
   NodeMap<bool> seen;
   std::vector<const Expr*> stack{e.get()};
@@ -511,18 +510,7 @@ void collect_reads(const ExprRef& e, std::vector<ReadSite>& out) {
     for (std::size_t i = 0; i < node->num_kids(); ++i)
       stack.push_back(node->kid(i).get());
   }
-}
-
-const std::vector<ReadSite>& cached_reads(const ExprRef& e) {
-  // Thread-local like the interner: keyed by node pointers, which are only
-  // meaningful within the thread that interned them.
-  thread_local auto* memo =
-      new std::unordered_map<const Expr*, std::vector<ReadSite>>();
-  auto it = memo->find(e.get());
-  if (it != memo->end()) return it->second;
-  std::vector<ReadSite> reads;
-  collect_reads(e, reads);
-  return memo->emplace(e.get(), std::move(reads)).first->second;
+  return seen.size();
 }
 
 std::size_t expr_dag_size(const ExprRef& e) {

@@ -209,17 +209,15 @@ ExprRef mk_raw(ExprKind kind, unsigned width, std::uint64_t value,
                ArrayRef array, std::vector<ExprRef> kids);
 
 /// Collects the distinct (array, index) byte reads appearing in `e`,
-/// appending to `out` (deduplicated). Used by the solver's independence
-/// slicing and the backtracking search.
+/// appending to `out` (deduplicated within the call) in a fixed
+/// depth-first order. Returns the DAG's node count, expr_dag_size(). The
+/// solver reads each constraint's list from its compiled form
+/// (expr/tape.h), which this walk builds.
 struct ReadSite {
   ArrayRef array;
   std::uint32_t index;
 };
-void collect_reads(const ExprRef& e, std::vector<ReadSite>& out);
-
-/// Memoized variant: the deduplicated read sites of `e`, cached
-/// process-globally by node identity (hash-consing keeps nodes alive).
-const std::vector<ReadSite>& cached_reads(const ExprRef& e);
+std::size_t collect_reads(const ExprRef& e, std::vector<ReadSite>& out);
 
 /// Number of nodes in the DAG (each shared node counted once).
 std::size_t expr_dag_size(const ExprRef& e);

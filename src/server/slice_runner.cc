@@ -8,6 +8,7 @@
 
 #include "core/driver.h"
 #include "core/pbse.h"
+#include "expr/tape.h"
 #include "serialize/campaign_codec.h"
 #include "targets/targets.h"
 
@@ -179,8 +180,12 @@ void release_resident() {
   resident = Resident{};
   // glibc keeps freed campaigns' pages in the thread's arena, so an idle
   // daemon would otherwise sit near its peak RSS. A thread that ran no
-  // slice since it last went idle has freed nothing to return.
-  if (std::exchange(ran_slice_since_release, false)) malloc_trim(0);
+  // slice since it last went idle has freed nothing to return. The
+  // compiled constraints go too: the next job brings its own.
+  if (std::exchange(ran_slice_since_release, false)) {
+    clear_compiled_cache();
+    malloc_trim(0);
+  }
 }
 
 }  // namespace pbse::server

@@ -34,10 +34,10 @@ struct SliceContext {
 bool run_job_slice(JobRecord& rec, const SliceContext& ctx);
 
 /// Drops the campaign the calling thread keeps resident, if any, and, if
-/// the thread ran a slice since its last call, hands the freed memory back
-/// to the OS. A thread calls it when it goes idle: the job that campaign
-/// belongs to has finished or moved on, and an idle thread should hold no
-/// campaign.
+/// the thread ran a slice since its last call, its compiled-constraint
+/// cache (expr/tape.h), handing the freed memory back to the OS. A thread
+/// calls it when it goes idle: the job that campaign belongs to has
+/// finished or moved on, and an idle thread should hold no campaign.
 void release_resident();
 
 }  // namespace pbse::server

@@ -1,5 +1,7 @@
 #include "solver/cache.h"
 
+#include "expr/tape.h"
+
 namespace pbse {
 
 namespace {
@@ -9,7 +11,7 @@ std::vector<ArrayRef> constraint_arrays(
     const std::vector<ExprRef>& constraints) {
   std::vector<ArrayRef> arrays;
   for (const auto& c : constraints) {
-    for (const auto& r : cached_reads(c)) {
+    for (const auto& r : compiled(c).reads()) {
       bool seen = false;
       for (const auto& a : arrays) seen = seen || a.get() == r.array.get();
       if (!seen) arrays.push_back(r.array);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "expr/tape.h"
+
 namespace pbse {
 
 namespace {
@@ -64,7 +66,7 @@ bool ConstraintSet::add(const ExprRef& c) {
   // Union every site the constraint reads into one partition. A width-1
   // non-constant expression always contains at least one read, but guard
   // with a private node so a read-free constraint still owns a partition.
-  const auto& reads = cached_reads(c);
+  const auto& reads = compiled(c).reads();
   std::uint32_t node = kNoNode;
   for (const auto& r : reads) {
     const std::uint32_t n = node_for_site(site_key(r));
@@ -89,7 +91,7 @@ ConstraintSet::Slice ConstraintSet::slice(const ExprRef& query) const {
   // partitions at most, so a linear small-vector membership test beats a
   // hash set here. Unconstrained sites have no partition yet.
   std::vector<std::uint32_t> roots;
-  for (const auto& r : cached_reads(query)) {
+  for (const auto& r : compiled(query).reads()) {
     const std::uint32_t* node = site_node_.find(site_key(r));
     if (node == nullptr) continue;
     const std::uint32_t root = find_root(*node);

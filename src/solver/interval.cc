@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "expr/evaluator.h"
 #include "expr/node_map.h"
 #include "expr/tape.h"
 
@@ -248,14 +247,41 @@ void prune_ule_assembly(const ExprRef& assembly, std::uint64_t bound,
   }
 }
 
+namespace {
+
+/// Scratch arrays for running compiled tapes, reused across constraints.
+struct TapeScratch {
+  std::vector<URange> ranges, range_slots;
+  std::vector<std::uint64_t> slots;
+};
+
+/// interval_of(c, domains), computed on c's compiled tape: Read i ranges
+/// over the domain of c's i-th read.
+URange tape_interval(CompiledExpr& cc, const DomainMap& domains,
+                     TapeScratch& scratch) {
+  const Tape& tape = cc.tape();
+  const std::vector<ReadSite>& reads = cc.reads();
+  if (scratch.ranges.size() < reads.size()) scratch.ranges.resize(reads.size());
+  for (std::size_t i = 0; i < reads.size(); ++i)
+    scratch.ranges[i] =
+        read_range(domains, reads[i].array.get(), reads[i].index);
+  if (scratch.range_slots.size() < tape.size())
+    scratch.range_slots.resize(tape.size());
+  return tape.interval(scratch.ranges.data(), scratch.range_slots.data());
+}
+
+}  // namespace
+
 bool propagate_domains(const std::vector<ExprRef>& constraints,
                        DomainMap& domains, std::uint64_t& cost_out) {
+  TapeScratch scratch;
   // Two rounds so that pins discovered by later constraints feed back into
   // the interval checks of earlier ones (cheap fixpoint approximation).
   for (int round = 0; round < 2; ++round) {
     for (const auto& c : constraints) {
-      cost_out += expr_cost(c);
-      const URange range = interval_of(c, domains);
+      CompiledExpr& cc = compiled(c);
+      cost_out += cc.cost();
+      const URange range = tape_interval(cc, domains, scratch);
       if (range.hi == 0) return false;  // constraint can never hold
       // Upper-bound pruning for assembly <= const / assembly < const.
       if (c->kind() == ExprKind::kUle || c->kind() == ExprKind::kUlt) {
@@ -273,11 +299,7 @@ bool propagate_domains(const std::vector<ExprRef>& constraints,
     }
     if (domains.any_empty()) return false;
   }
-  std::vector<std::uint64_t> slots;
   for (const auto& c : constraints) {
-    std::vector<ReadSite> reads;
-    collect_reads(c, reads);
-
     // Propagator 2: Eq(assembly, constant) pins every lane.
     if (c->kind() == ExprKind::kEq) {
       const ExprRef& lhs = c->kid(0);
@@ -301,18 +323,19 @@ bool propagate_domains(const std::vector<ExprRef>& constraints,
       }
     }
 
-    // Propagator 1: single-byte constraints enumerated exactly, on one
-    // tape whose every Read is that byte (variable 0).
-    if (reads.size() == 1) {
-      const ReadSite& site = reads[0];
+    // Propagator 1: single-byte constraints enumerated exactly on the
+    // constraint's tape, whose one Read is that byte.
+    CompiledExpr& cc = compiled(c);
+    if (cc.reads().size() == 1) {
+      const ReadSite& site = cc.reads()[0];
       ByteDomain& d = domains.domain(site.array, site.index);
-      const Tape tape(c, [](const Expr&) { return 0u; });
-      slots.resize(std::max(slots.size(), tape.size()));
+      const Tape& tape = cc.tape();
+      if (scratch.slots.size() < tape.size()) scratch.slots.resize(tape.size());
       cost_out += 256;
       for (unsigned v = 0; v < 256; ++v) {
         const auto byte = static_cast<std::uint8_t>(v);
         const std::uint64_t var = byte;
-        if (d.allows(byte) && tape.value(&var, slots.data()) == 0)
+        if (d.allows(byte) && tape.value(&var, scratch.slots.data()) == 0)
           d.remove(byte);
       }
       if (d.empty()) return false;
@@ -328,9 +351,11 @@ bool propagate_delta(const std::vector<ExprRef>& prefix,
   // One interval pass over the prefix: the added constraints' pins may
   // contradict an already-propagated constraint even though each byte
   // domain is individually non-empty.
+  TapeScratch scratch;
   for (const auto& c : prefix) {
-    cost_out += expr_cost(c);
-    if (interval_of(c, domains).hi == 0) return false;
+    CompiledExpr& cc = compiled(c);
+    cost_out += cc.cost();
+    if (tape_interval(cc, domains, scratch).hi == 0) return false;
   }
   return !domains.any_empty();
 }

@@ -175,9 +175,10 @@ URange read_range(const DomainMap& domains, const Array* array,
                   std::uint32_t index);
 
 /// Conservative unsigned range of `e` under the current byte domains
-/// (op_interval's transfer at every node, read_range() at every Read).
-/// Used to refute infeasible inequality guards (e.g. loop bounds) without
-/// search.
+/// (op_interval's transfer at every node, read_range() at every Read),
+/// by a memoized walk of the DAG. The reference definition: propagation
+/// and the search compute the same range on compiled tapes
+/// (expr/tape.h), and the tests compare the two.
 URange interval_of(const ExprRef& e, const DomainMap& domains);
 
 /// Prunes the domains of assembly lanes under `assembly <= bound`

@@ -1,22 +1,15 @@
 #include "solver/search_solver.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
-#include <unordered_map>
 
-#include "expr/tape.h"
+#include "expr/node_map.h"
 
 namespace pbse {
 
 namespace {
-
-struct Var {
-  ArrayRef array;
-  std::uint32_t index;
-  std::vector<std::uint8_t> candidates;  // value order to try
-  std::vector<std::size_t> closing;      // constraints fully assigned here
-  std::vector<std::size_t> involved;     // constraints mentioning this var
-};
 
 std::uint64_t site_key(const Array* array, std::uint32_t index) {
   return (reinterpret_cast<std::uintptr_t>(array) << 20) ^ index;
@@ -24,135 +17,148 @@ std::uint64_t site_key(const Array* array, std::uint32_t index) {
 
 }  // namespace
 
-SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
-                                 const DomainMap& domains,
-                                 const Assignment* hint, bool hint_first,
-                                 std::size_t candidate_cap,
-                                 std::uint64_t max_nodes,
-                                 std::uint64_t max_evals,
-                                 std::uint64_t& cost_out,
-                                 Assignment& model_out) {
-  const std::uint64_t eval_limit = cost_out + max_evals;
-  // Collect distinct variables (read sites) across all constraints.
-  std::vector<Var> vars;
-  std::unordered_map<std::uint64_t, std::uint32_t> var_of_site;
-  std::vector<std::vector<std::size_t>> constraint_vars(constraints.size());
-  for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
-    std::vector<ReadSite> reads;
-    collect_reads(constraints[ci], reads);
-    assert(!reads.empty() && "constant constraints must be folded away");
-    for (const auto& r : reads) {
-      const std::uint64_t key = site_key(r.array.get(), r.index);
-      auto it = var_of_site.find(key);
-      if (it == var_of_site.end()) {
-        it = var_of_site
-                 .emplace(key, static_cast<std::uint32_t>(vars.size()))
-                 .first;
-        vars.push_back(Var{r.array, r.index, {}, {}, {}});
+SearchSpace::SearchSpace(const std::vector<ExprRef>& constraints,
+                         const DomainMap& domains) {
+  // Collect distinct variables (read sites) across all constraints, and
+  // bind each constraint's reads to them.
+  NodeMap<std::uint32_t, std::uint64_t> var_of_site;
+  tapes_.reserve(constraints.size());
+  read_at_.reserve(constraints.size() + 1);
+  read_at_.push_back(0);
+  for (const ExprRef& c : constraints) {
+    CompiledExpr& cc = compiled(c);
+    assert(!cc.reads().empty() && "constant constraints must be folded away");
+    for (const ReadSite& r : cc.reads()) {
+      const auto [var, added] = var_of_site.try_emplace(
+          site_key(r.array.get(), r.index),
+          static_cast<std::uint32_t>(vars_.size()));
+      if (added) {
+        Var v;
+        v.array = r.array;
+        v.index = r.index;
+        if (const ByteDomain* d = domains.find(r.array.get(), r.index))
+          v.domain = *d;
+        v.range = read_range(domains, r.array.get(), r.index);
+        empty_domain_ = empty_domain_ || v.domain.empty();
+        vars_.push_back(std::move(v));
       }
-      constraint_vars[ci].push_back(it->second);
+      var_of_read_.push_back(*var);
     }
-  }
-
-  if (vars.empty()) {
-    // All constraints were constant-true (folded); trivially SAT.
-    return SolverResult::kSat;
+    read_at_.push_back(var_of_read_.size());
+    tapes_.push_back(&cc.tape());
+    longest_ = std::max(longest_, tapes_.back()->size());
   }
 
   // Order variables: smallest domain first (most constrained). Stable so
   // ties keep discovery order (deterministic).
-  std::vector<std::size_t> order(vars.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  auto domain_size = [&](std::size_t vi) {
-    const ByteDomain* d = domains.find(vars[vi].array.get(), vars[vi].index);
-    return d != nullptr ? d->size() : std::size_t{256};
-  };
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return domain_size(a) < domain_size(b);
+  order_.resize(vars_.size());
+  std::vector<std::size_t> domain_size(vars_.size());
+  for (std::uint32_t vi = 0; vi < vars_.size(); ++vi) {
+    order_[vi] = vi;
+    domain_size[vi] = vars_[vi].domain.size();
+  }
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return domain_size[a] < domain_size[b];
                    });
 
   // position of each var in the assignment order
-  std::vector<std::size_t> pos_of_var(vars.size());
-  for (std::size_t p = 0; p < order.size(); ++p) pos_of_var[order[p]] = p;
+  std::vector<std::size_t> pos_of_var(vars_.size());
+  for (std::size_t p = 0; p < order_.size(); ++p) pos_of_var[order_[p]] = p;
 
   // A constraint is checkable once its last (deepest) variable is assigned;
   // every variable additionally forward-checks the constraints it appears
   // in via interval evaluation.
-  for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
+  for (std::uint32_t ci = 0; ci < constraints.size(); ++ci) {
     std::size_t deepest = 0;
-    for (std::size_t vi : constraint_vars[ci]) {
+    for (std::size_t r = read_at_[ci]; r < read_at_[ci + 1]; ++r) {
+      const std::uint32_t vi = var_of_read_[r];
       deepest = std::max(deepest, pos_of_var[vi]);
-      auto& inv = vars[vi].involved;
+      auto& inv = vars_[vi].involved;
       if (inv.empty() || inv.back() != ci) inv.push_back(ci);
     }
-    vars[order[deepest]].closing.push_back(ci);
+    if (!vars_.empty()) vars_[order_[deepest]].closing.push_back(ci);
   }
+}
 
-  // Candidate value order per variable: hint value first, then the
-  // boundary values 0, 0xff, 1, 0x80, 0x7f, then the rest of the domain
-  // ascending. Boundary-first ordering makes wraparound/overflow and
-  // make-this-count-small queries cheap.
-  for (auto& v : vars) {
-    const ByteDomain* d = domains.find(v.array.get(), v.index);
-    std::vector<std::uint8_t> dom =
-        d != nullptr ? d->values() : [] {
-          std::vector<std::uint8_t> all(256);
-          for (unsigned i = 0; i < 256; ++i) all[i] = static_cast<std::uint8_t>(i);
-          return all;
-        }();
-    if (dom.empty()) return SolverResult::kUnsat;
-    std::vector<std::uint8_t> cand;
-    cand.reserve(dom.size());
-    auto push_unique = [&cand, &dom](std::uint8_t val) {
-      if (!std::binary_search(dom.begin(), dom.end(), val)) return;
-      if (std::find(cand.begin(), cand.end(), val) == cand.end())
-        cand.push_back(val);
-    };
-    if (hint_first && hint != nullptr)
-      push_unique(hint->byte(v.array.get(), v.index));
-    for (std::uint8_t boundary : {std::uint8_t{0}, std::uint8_t{0xff},
-                                  std::uint8_t{1}, std::uint8_t{0x80},
-                                  std::uint8_t{0x7f}})
-      push_unique(boundary);
-    if (!hint_first && hint != nullptr)
-      push_unique(hint->byte(v.array.get(), v.index));
-    for (std::uint8_t val : dom) push_unique(val);
-    if (candidate_cap > 0 && cand.size() > candidate_cap)
-      cand.resize(candidate_cap);
-    v.candidates = std::move(cand);
+void SearchSpace::append_candidates(const Var& v, const Assignment* hint,
+                                    bool hint_first, std::size_t cap,
+                                    std::vector<std::uint8_t>& out) {
+  const std::size_t start = out.size();
+  const std::size_t limit = cap > 0 ? cap : 256;
+  ByteDomain left = v.domain;  // allowed values not yet listed
+  auto push = [&](std::uint8_t val) {
+    if (out.size() - start >= limit || !left.allows(val)) return;
+    out.push_back(val);
+    left.remove(val);
+  };
+  if (hint_first && hint != nullptr)
+    push(hint->byte(v.array.get(), v.index));
+  for (std::uint8_t boundary : {std::uint8_t{0}, std::uint8_t{0xff},
+                                std::uint8_t{1}, std::uint8_t{0x80},
+                                std::uint8_t{0x7f}})
+    push(boundary);
+  if (!hint_first && hint != nullptr)
+    push(hint->byte(v.array.get(), v.index));
+  const std::array<std::uint64_t, 4>& words = left.words();
+  for (unsigned w = 0; w < 4; ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      if (out.size() - start >= limit) return;
+      out.push_back(static_cast<std::uint8_t>(64 * w + std::countr_zero(bits)));
+    }
   }
+}
 
-  // Compile every constraint once for this call. Each Read indexes the
-  // per-variable arrays below, so a check is one pass over a flat tape.
-  std::vector<Tape> tapes;
-  tapes.reserve(constraints.size());
-  std::size_t longest = 0;
-  for (const auto& c : constraints) {
-    tapes.emplace_back(c, [&](const Expr& read) {
-      return var_of_site.at(site_key(read.array().get(), read.read_index()));
-    });
-    longest = std::max(longest, tapes.back().size());
+SolverResult SearchSpace::search(const Assignment* hint, bool hint_first,
+                                 std::size_t candidate_cap,
+                                 std::uint64_t max_nodes,
+                                 std::uint64_t max_evals,
+                                 std::uint64_t& cost_out,
+                                 Assignment& model_out) const {
+  const std::uint64_t eval_limit = cost_out + max_evals;
+  if (vars_.empty()) {
+    // All constraints were constant-true (folded); trivially SAT.
+    return SolverResult::kSat;
   }
+  if (empty_domain_) return SolverResult::kUnsat;
+
+  // Candidate value order per variable, for this pass.
+  std::vector<std::uint8_t> candidates;
+  candidates.reserve(vars_.size() * (candidate_cap > 0 ? candidate_cap : 256));
+  std::vector<std::size_t> cand_at(vars_.size() + 1, 0);
+  for (std::size_t vi = 0; vi < vars_.size(); ++vi) {
+    append_candidates(vars_[vi], hint, hint_first, candidate_cap, candidates);
+    cand_at[vi + 1] = candidates.size();
+  }
+  auto num_candidates = [&](std::size_t vi) {
+    return cand_at[vi + 1] - cand_at[vi];
+  };
+  auto candidate = [&](std::size_t vi, std::size_t i) {
+    return candidates[cand_at[vi] + i];
+  };
+
   // bytes[vi]: variable vi's value under the current probe or DFS path.
   // ranges[vi]: its interval — a pinned point once the DFS assigns it.
-  std::vector<std::uint64_t> bytes(vars.size(), 0), slots(longest, 0);
-  std::vector<URange> ranges(vars.size()), range_slots(longest);
-  for (std::size_t vi = 0; vi < vars.size(); ++vi)
-    ranges[vi] = read_range(domains, vars[vi].array.get(), vars[vi].index);
-  const std::vector<URange> domain_ranges = ranges;
+  std::vector<std::uint64_t> bytes(vars_.size(), 0), slots(longest_, 0);
+  std::vector<URange> ranges(vars_.size()), range_slots(longest_);
+  for (std::size_t vi = 0; vi < vars_.size(); ++vi)
+    ranges[vi] = vars_[vi].range;
   // Each check is charged its tape length, which is expr_cost().
   auto holds = [&](std::size_t ci) {
-    cost_out += tapes[ci].size();
-    return tapes[ci].value(bytes.data(), slots.data()) != 0;
+    cost_out += tapes_[ci]->size();
+    return tapes_[ci]->value(bytes.data(), var_of_read_.data() + read_at_[ci],
+                             slots.data()) != 0;
   };
   auto refuted = [&](std::size_t ci) {
-    cost_out += tapes[ci].size();
-    return tapes[ci].interval(ranges.data(), range_slots.data()).hi == 0;
+    cost_out += tapes_[ci]->size();
+    return tapes_[ci]
+               ->interval(ranges.data(), var_of_read_.data() + read_at_[ci],
+                          range_slots.data())
+               .hi == 0;
   };
   auto write_model = [&] {
-    for (std::size_t vi = 0; vi < vars.size(); ++vi)
-      model_out.mutable_bytes(vars[vi].array)[vars[vi].index] =
+    for (std::size_t vi = 0; vi < vars_.size(); ++vi)
+      model_out.mutable_bytes(vars_[vi].array)[vars_[vi].index] =
           static_cast<std::uint8_t>(bytes[vi]);
   };
 
@@ -162,25 +168,25 @@ SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
   // tiny" queries in O(#constraints).
   {
     auto try_probe = [&](auto pick) -> bool {
-      for (std::size_t vi = 0; vi < vars.size(); ++vi)
-        bytes[vi] = pick(vars[vi]);
-      for (std::size_t ci = 0; ci < constraints.size(); ++ci)
+      for (std::size_t vi = 0; vi < vars_.size(); ++vi) bytes[vi] = pick(vi);
+      for (std::size_t ci = 0; ci < tapes_.size(); ++ci)
         if (!holds(ci)) return false;
       write_model();
       return true;
     };
-    auto low = [](const Var& v) { return v.candidates.front(); };
-    auto high = [](const Var& v) {
+    auto low = [&](std::size_t vi) { return candidate(vi, 0); };
+    auto high = [&](std::size_t vi) {
       // Largest allowed value (domain values are ascending in candidates'
       // tail; use the max of the candidate list).
       std::uint8_t m = 0;
-      for (std::uint8_t c : v.candidates) m = std::max(m, c);
+      for (std::size_t i = 0; i < num_candidates(vi); ++i)
+        m = std::max(m, candidate(vi, i));
       return m;
     };
-    auto zeroish = [](const Var& v) {
-      for (std::uint8_t c : v.candidates)
-        if (c == 0) return std::uint8_t{0};
-      return v.candidates.front();
+    auto zeroish = [&](std::size_t vi) {
+      for (std::size_t i = 0; i < num_candidates(vi); ++i)
+        if (candidate(vi, i) == 0) return std::uint8_t{0};
+      return candidate(vi, 0);
     };
     if (try_probe(low) || try_probe(high) || try_probe(zeroish))
       return SolverResult::kSat;
@@ -193,27 +199,27 @@ SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
   // that depth restores its domain's range.
   std::uint64_t nodes = 0;
   // Iterative DFS with an explicit choice stack.
-  std::vector<std::size_t> choice(order.size(), 0);
+  std::vector<std::size_t> choice(order_.size(), 0);
   std::size_t depth = 0;
   while (true) {
-    if (depth == order.size()) {
+    if (depth == order_.size()) {
       // Full assignment found and verified incrementally.
       write_model();
       return SolverResult::kSat;
     }
-    const std::size_t vi = order[depth];
-    const Var& v = vars[vi];
+    const std::size_t vi = order_[depth];
+    const Var& v = vars_[vi];
     bool advanced = false;
-    while (choice[depth] < v.candidates.size()) {
+    while (choice[depth] < num_candidates(vi)) {
       if (++nodes > max_nodes || cost_out > eval_limit)
         return SolverResult::kUnknown;
-      const std::uint8_t val = v.candidates[choice[depth]];
+      const std::uint8_t val = candidate(vi, choice[depth]);
       ++choice[depth];
       bytes[vi] = val;
       ranges[vi] = URange{val, val};
       bool ok = true;
       // Exact check of constraints whose variables are all assigned.
-      for (std::size_t ci : v.closing) {
+      for (std::uint32_t ci : v.closing) {
         if (!holds(ci)) {
           ok = false;
           break;
@@ -221,7 +227,7 @@ SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
       }
       // Interval forward-check of the other constraints this var touches.
       if (ok) {
-        for (std::size_t ci : v.involved) {
+        for (std::uint32_t ci : v.involved) {
           if (refuted(ci)) {
             ok = false;
             break;
@@ -237,7 +243,7 @@ SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
     }
     if (advanced) continue;
     // Exhausted this variable: restore its range and backtrack.
-    ranges[vi] = domain_ranges[vi];
+    ranges[vi] = v.range;
     if (depth == 0) return SolverResult::kUnsat;
     --depth;
   }

@@ -9,39 +9,77 @@
 
 #include "expr/evaluator.h"
 #include "expr/expr.h"
+#include "expr/tape.h"
 #include "solver/cache.h"
 #include "solver/interval.h"
-#include "support/rng.h"
 
 namespace pbse {
 
-/// DFS over byte assignments with most-constrained-variable-first ordering
-/// and hint-value-first value ordering.
+/// One query's search problem, set up once and shared by the solver's
+/// staged passes: the variables (one per distinct read site, in order of
+/// first appearance), their assignment order (smallest domain first), each
+/// constraint's compiled tape and read-to-variable map, and the closing
+/// and involved lists. It holds a CompiledPin, so its tapes stay valid.
 ///
-/// `constraints`  conjunction to satisfy (each must contain >= 1 read).
-/// `domains`      pre-propagated per-byte domains.
-/// `hint`         optional assignment tried first for every byte (the
-///                state's last known model / the concolic seed).
-/// `max_nodes`    node budget; exhausting it yields kUnknown.
-/// `max_evals`    constraint-evaluation budget (same effect).
-/// `cost_out`     incremented by the number of constraint evaluations.
-/// `model_out`    filled with a satisfying assignment on kSat.
-/// `hint_first`   when true, each variable tries its hint value before the
-///                boundary values; when false the order is boundaries first.
-///                The solver facade runs both orders (split budget): hint-
-///                first converges near the current model, boundary-first
-///                escapes hint-poisoned subtrees.
-/// `candidate_cap` when nonzero, truncates every variable's candidate list
-///                to its first N values (hint + boundaries). A capped pass
-///                explores the "interesting corners" tree exhaustively and
-///                cheaply before any full-domain pass runs.
-SolverResult backtracking_search(const std::vector<ExprRef>& constraints,
-                                 const DomainMap& domains,
-                                 const Assignment* hint, bool hint_first,
-                                 std::size_t candidate_cap,
-                                 std::uint64_t max_nodes,
-                                 std::uint64_t max_evals,
-                                 std::uint64_t& cost_out,
-                                 Assignment& model_out);
+/// `constraints` must each contain >= 1 read; `domains` are the
+/// pre-propagated per-byte domains.
+class SearchSpace {
+ public:
+  SearchSpace(const std::vector<ExprRef>& constraints,
+              const DomainMap& domains);
+
+  /// DFS over byte assignments with most-constrained-variable-first
+  /// ordering and hint-value-first value ordering.
+  ///
+  /// `hint`         optional assignment tried first for every byte (the
+  ///                state's last known model / the concolic seed).
+  /// `hint_first`   when true, each variable tries its hint value before
+  ///                the boundary values; when false the order is
+  ///                boundaries first. The solver facade runs both orders
+  ///                (split budget): hint-first converges near the current
+  ///                model, boundary-first escapes hint-poisoned subtrees.
+  /// `candidate_cap` when nonzero, truncates every variable's candidate
+  ///                list to its first N values (hint + boundaries). A
+  ///                capped pass explores the "interesting corners" tree
+  ///                exhaustively and cheaply before any full-domain pass.
+  /// `max_nodes`    node budget; exhausting it yields kUnknown.
+  /// `max_evals`    constraint-evaluation budget (same effect).
+  /// `cost_out`     incremented by the number of constraint evaluations.
+  /// `model_out`    filled with a satisfying assignment on kSat.
+  SolverResult search(const Assignment* hint, bool hint_first,
+                      std::size_t candidate_cap, std::uint64_t max_nodes,
+                      std::uint64_t max_evals, std::uint64_t& cost_out,
+                      Assignment& model_out) const;
+
+ private:
+  struct Var {
+    ArrayRef array;
+    std::uint32_t index = 0;
+    ByteDomain domain;               // full when the byte has none
+    URange range;                    // the domain's [min, max]
+    std::vector<std::uint32_t> closing;   // constraints fully assigned here
+    std::vector<std::uint32_t> involved;  // constraints mentioning this var
+  };
+
+  /// Appends variable `v`'s value order for one pass to `out`: the hint
+  /// value first (when hint_first), then the boundary values 0, 0xff, 1,
+  /// 0x80, 0x7f, then the hint value (when not hint_first), then the rest
+  /// of the domain ascending; at most `cap` values when cap is nonzero.
+  /// Boundary-first ordering makes wraparound/overflow and
+  /// make-this-count-small queries cheap.
+  static void append_candidates(const Var& v, const Assignment* hint,
+                                bool hint_first, std::size_t cap,
+                                std::vector<std::uint8_t>& out);
+
+  CompiledPin pin_;
+  std::vector<const Tape*> tapes_;
+  /// Constraint ci's Read i is variable var_of_read_[read_at_[ci] + i].
+  std::vector<std::uint32_t> var_of_read_;
+  std::vector<std::size_t> read_at_;
+  std::vector<Var> vars_;
+  std::vector<std::uint32_t> order_;  // assignment order of the variables
+  std::size_t longest_ = 0;           // longest tape
+  bool empty_domain_ = false;         // some variable has no value left
+};
 
 }  // namespace pbse

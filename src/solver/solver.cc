@@ -96,23 +96,22 @@ CachingEvaluator& zeros_evaluator() {
 void copy_into(const Assignment& from, Assignment* to,
                const std::vector<ExprRef>& constraints) {
   if (to == nullptr) return;
-  std::vector<ReadSite> reads;
-  for (const auto& c : constraints) collect_reads(c, reads);
-  for (const auto& r : reads)
-    to->mutable_bytes(r.array)[r.index] = from.byte(r.array.get(), r.index);
+  for (const auto& c : constraints)
+    for (const auto& r : compiled(c).reads())
+      to->mutable_bytes(r.array)[r.index] = from.byte(r.array.get(), r.index);
 }
 
 /// The per-array byte vectors of `found` restricted to the arrays that
 /// `constraints` read — the persistable model for cache entries.
 ModelBytes collect_model_bytes(const std::vector<ExprRef>& constraints,
                                Assignment& found) {
-  std::vector<ReadSite> reads;
-  for (const auto& c : constraints) collect_reads(c, reads);
   std::vector<ArrayRef> arrays;
-  for (const auto& r : reads) {
-    bool seen = false;
-    for (const auto& a : arrays) seen = seen || a.get() == r.array.get();
-    if (!seen) arrays.push_back(r.array);
+  for (const auto& c : constraints) {
+    for (const auto& r : compiled(c).reads()) {
+      bool seen = false;
+      for (const auto& a : arrays) seen = seen || a.get() == r.array.get();
+      if (!seen) arrays.push_back(r.array);
+    }
   }
   ModelBytes mb;
   mb.reserve(arrays.size());
@@ -149,7 +148,7 @@ std::vector<DeferredEquality> extract_deferred(
   // Occurrence count of every site across the list.
   std::unordered_map<std::uint64_t, unsigned> occurrences;
   for (const auto& c : constraints)
-    for (const auto& r : cached_reads(c)) ++occurrences[read_site_key(r)];
+    for (const auto& r : compiled(c).reads()) ++occurrences[read_site_key(r)];
 
   std::vector<DeferredEquality> deferred;
   std::vector<ExprRef> kept;
@@ -176,7 +175,7 @@ std::vector<DeferredEquality> extract_deferred(
         for (const auto& lane : lanes)
           exclusive = exclusive && occurrences[lane_site_key(lane)] == 1;
         if (!exclusive) continue;
-        for (const auto& r : cached_reads(other))
+        for (const auto& r : compiled(other).reads())
           for (const auto& lane : lanes)
             if (r.array.get() == lane.array.get() && r.index == lane.index)
               exclusive = false;
@@ -376,25 +375,26 @@ SolverResult Solver::solve_core(const std::vector<ExprRef>& constraints,
   //      subtrees).
   // A kUnsat from a CAPPED pass is not conclusive; only full passes may
   // report kUnsat.
+  // The three passes share one setup: variables, their order, the
+  // constraints' tapes and read maps.
   Assignment found;
   const Assignment* hint_raw = hint.get();
-  SolverResult result = backtracking_search(
-      constraints, domains, hint_raw, /*hint_first=*/true, /*candidate_cap=*/6,
-      kMaxSearchNodes / 4, kMaxSearchEvals / 4, evals, found);
+  const SearchSpace space(constraints, domains);
+  SolverResult result =
+      space.search(hint_raw, /*hint_first=*/true, /*candidate_cap=*/6,
+                   kMaxSearchNodes / 4, kMaxSearchEvals / 4, evals, found);
   if (result == SolverResult::kUnsat) result = SolverResult::kUnknown;
   if (result == SolverResult::kUnknown) {
     stats_.add(ids().search_full_pass);
-    result = backtracking_search(constraints, domains, hint_raw,
-                                 /*hint_first=*/true, /*candidate_cap=*/0,
-                                 kMaxSearchNodes / 2, kMaxSearchEvals / 2,
-                                 evals, found);
+    result = space.search(hint_raw, /*hint_first=*/true, /*candidate_cap=*/0,
+                          kMaxSearchNodes / 2, kMaxSearchEvals / 2, evals,
+                          found);
   }
   if (result == SolverResult::kUnknown && hint != nullptr) {
     stats_.add(ids().search_restarts);
-    result = backtracking_search(constraints, domains, hint_raw,
-                                 /*hint_first=*/false, /*candidate_cap=*/0,
-                                 kMaxSearchNodes / 4, kMaxSearchEvals / 4,
-                                 evals, found);
+    result = space.search(hint_raw, /*hint_first=*/false, /*candidate_cap=*/0,
+                          kMaxSearchNodes / 4, kMaxSearchEvals / 4, evals,
+                          found);
   }
   charge(evals);
 
@@ -441,6 +441,7 @@ SolverResult Solver::check_sat(const ConstraintSet& cs, const ExprRef& query,
   stats_.add(ids().queries);
 
   if (query->is_false()) return SolverResult::kUnsat;
+  const CompiledPin pin;  // keeps this query's compiled forms valid
 
   ConstraintSet::Slice slice =
       options_.use_independence ? cs.slice(query) : cs.whole();
@@ -475,6 +476,7 @@ SolverResult Solver::check_sat(const ConstraintSet& cs, const ExprRef& query,
 SolverResult Solver::solve_all(const ConstraintSet& cs, Assignment* model,
                                const HintRef& hint) {
   stats_.add(ids().solve_all);
+  const CompiledPin pin;
   const std::vector<ExprRef>& constraints = cs.constraints();
   const std::uint64_t t0 = clock_.now();
   obs::trace_begin(obs::Category::kSolver, ids().ev_solve_all, t0,

@@ -623,6 +623,13 @@ std::uint64_t Executor::eval_model(ExecutionState& state, const ExprRef& e) {
 }
 
 bool Executor::validate_model(ExecutionState& state) {
+  if (state.model_eval == nullptr ||
+      state.model_eval->assignment() != state.model) {
+    if (validation_eval_ == nullptr ||
+        validation_eval_->assignment() != state.model)
+      validation_eval_ = std::make_shared<CachingEvaluator>(state.model);
+    state.model_eval = validation_eval_;
+  }
   // Fast path: the recorded model may already satisfy the constraints.
   std::vector<ExprRef> violated;
   for (const auto& c : state.constraints.constraints()) {

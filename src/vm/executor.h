@@ -144,7 +144,8 @@ class Executor {
   /// Re-establishes the model invariant of a seedState before symbolic
   /// execution (paper: "lazy pass through"). Returns false (and sets
   /// termination) if the recorded constraints are unsatisfiable or the
-  /// solver exceeds its budget.
+  /// solver exceeds its budget. States that carry the same model share
+  /// one evaluator, so a path prefix they share is evaluated once.
   bool validate_model(ExecutionState& state);
 
  private:
@@ -250,6 +251,11 @@ class Executor {
   /// recording only apply to symbolic exploration; the concolic seed walk
   /// and initial-state construction must never be pruned.
   bool symbolic_mode_ = false;
+  /// The evaluator validate_model() last bound to a state without one.
+  /// A campaign's seedStates all carry the seed's model, so they share it
+  /// and their common path prefix is evaluated once. Created on first use;
+  /// a pure memo, so it is not snapshotted.
+  std::shared_ptr<CachingEvaluator> validation_eval_;
 };
 
 }  // namespace pbse::vm

@@ -56,8 +56,11 @@ class ExecutionState {
   std::shared_ptr<const Assignment> model = std::make_shared<Assignment>();
 
   /// Memoized evaluator bound to `model` (lazily [re]created by the
-  /// executor when the model is replaced). Shared across forks while the
-  /// model is shared; purely a cache, never semantics.
+  /// executor when the model is replaced). Shared by every state that holds
+  /// the same model: across forks, and across the seedStates that
+  /// Executor::validate_model() checks against the seed's model, so their
+  /// shared path prefix is evaluated once. Purely a cache, never semantics;
+  /// pbss does not carry it.
   std::shared_ptr<CachingEvaluator> model_eval;
 
   TerminationReason termination = TerminationReason::kRunning;

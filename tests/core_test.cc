@@ -4,8 +4,11 @@
 
 #include "core/driver.h"
 #include "core/seed_select.h"
+#include "expr/node_map.h"
 #include "ir/verifier.h"
 #include "lang/codegen.h"
+#include "serialize/campaign_codec.h"
+#include "targets/targets.h"
 
 namespace pbse {
 namespace {
@@ -99,6 +102,57 @@ TEST(PbseDriver, PrepareProducesPhasesAndSeedStates) {
   for (const auto& list : driver.phase_seed_states())
     total_seed_states += list.size();
   EXPECT_GT(total_seed_states, 0u);
+}
+
+// Every seedState of a campaign carries the seed's model. Validating them
+// on one evaluator walks the path prefix they share once: each seedState
+// adds memo entries only for the nodes no earlier seedState reached. Both
+// a prepared driver and a driver restored from its snapshot validate this
+// way; their pending seedStates are checked in activation order.
+TEST(PbseDriver, SeedStatesValidateTheirSharedPrefixOnce) {
+  const ir::Module module = targets::build_target(targets::readelf_source());
+  const std::vector<std::uint8_t> seed = targets::make_melf_seed(4);
+  core::PbseDriver warm(module, "main");
+  ASSERT_TRUE(warm.prepare(seed));
+  core::PbseDriver restored(module, "main");
+  ASSERT_TRUE(restored.prepare(seed));
+  serialize::CampaignCodec::restore(restored,
+                                    serialize::CampaignCodec::snapshot(warm));
+
+  for (core::PbseDriver* driver : {&warm, &restored}) {
+    SCOPED_TRACE(driver == &warm ? "warm" : "restored");
+    const std::vector<const vm::ExecutionState*> pending = driver->states();
+    ASSERT_GE(pending.size(), 20u);
+    NodeMap<bool> reached;  // nodes under an earlier seedState's path
+    std::size_t path_nodes = 0, fresh_nodes = 0;
+    const CachingEvaluator* shared = nullptr;
+    for (const vm::ExecutionState* s : pending) {
+      auto state = std::make_unique<vm::ExecutionState>(*s);
+      std::size_t fresh = 0;
+      NodeMap<bool> in_path;
+      std::vector<const Expr*> stack;
+      for (const ExprRef& c : state->constraints.constraints())
+        stack.push_back(c.get());
+      while (!stack.empty()) {
+        const Expr* e = stack.back();
+        stack.pop_back();
+        if (!in_path.insert(e, true)) continue;
+        ++path_nodes;
+        if (reached.insert(e, true)) ++fresh;
+        for (std::size_t i = 0; i < e->num_kids(); ++i)
+          stack.push_back(e->kid(i).get());
+      }
+      fresh_nodes += fresh;
+      const std::size_t before = shared != nullptr ? shared->memo_size() : 0;
+      driver->executor().validate_model(*state);
+      ASSERT_NE(state->model_eval, nullptr);
+      if (shared == nullptr) shared = state->model_eval.get();
+      ASSERT_EQ(state->model_eval.get(), shared);
+      EXPECT_EQ(shared->memo_size() - before, fresh);
+    }
+    // Non-vacuity: the paths do share most of their nodes.
+    EXPECT_LT(2 * fresh_nodes, path_nodes);
+  }
 }
 
 TEST(PbseDriver, FindsTheDeepBugAndTagsItsPhase) {

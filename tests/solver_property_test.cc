@@ -7,6 +7,7 @@
 // --no-subsumption path must be bit-identical to the pre-change engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <set>
 
@@ -193,7 +194,10 @@ class TapeEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 // the solver charges per check. Random DAGs of every kind at widths 1..64
 // exercise the slot wiring, shared subterms and Read binding; the
 // reference paths walk the DAG with their own memo, so a miscompiled
-// tape cannot agree with them by construction.
+// tape cannot agree with them by construction. Both a freshly compiled
+// tape and the thread's cached one are checked, with each Read bound
+// through a read map as the search binds it: byte i of the array is
+// variable var_of_byte[i], a permutation that changes every trial.
 TEST_P(TapeEquivalence, MatchesEvaluatorAndIntervalOf) {
   Rng rng(GetParam());
   auto array = std::make_shared<Array>("tape" + std::to_string(GetParam()), 6);
@@ -209,20 +213,47 @@ TEST_P(TapeEquivalence, MatchesEvaluatorAndIntervalOf) {
             : random_term(array, width,
                           static_cast<unsigned>(1 + rng.below(5)), rng);
     collect_kinds(e.get(), kinds);
-    // Byte i of the array is variable i.
-    const Tape tape(e, [](const Expr& read) { return read.read_index(); });
-    ASSERT_EQ(tape.size(), expr_cost(e)) << e->to_string();
-    std::vector<std::uint64_t> slots(tape.size());
-    std::vector<URange> range_slots(tape.size());
+
+    // The cached form: the reads in collect_reads() order, the DAG size as
+    // the cost, and a tape whose Read k is reads()[k].
+    const CompiledPin pin;
+    CompiledExpr& cached = compiled(e);
+    std::vector<ReadSite> reads;
+    ASSERT_EQ(collect_reads(e, reads), expr_dag_size(e)) << e->to_string();
+    ASSERT_EQ(cached.reads().size(), reads.size()) << e->to_string();
+    for (std::size_t k = 0; k < reads.size(); ++k) {
+      EXPECT_EQ(cached.reads()[k].array.get(), reads[k].array.get());
+      EXPECT_EQ(cached.reads()[k].index, reads[k].index) << e->to_string();
+    }
+    ASSERT_EQ(cached.cost(), expr_dag_size(e)) << e->to_string();
+    ASSERT_EQ(expr_cost(e), expr_dag_size(e)) << e->to_string();
+    const Tape fresh(e.get());
+    ASSERT_EQ(fresh.size(), expr_cost(e)) << e->to_string();
+    ASSERT_EQ(cached.tape().size(), expr_cost(e)) << e->to_string();
+    ASSERT_EQ(&compiled(e), &cached) << "one entry per node";
+
+    std::vector<std::uint32_t> var_of_byte(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+      var_of_byte[i] = (i + static_cast<std::uint32_t>(trial)) % n;
+    if (trial % 2 == 1) std::reverse(var_of_byte.begin(), var_of_byte.end());
+    std::vector<std::uint32_t> read_map(reads.size());
+    for (std::size_t k = 0; k < reads.size(); ++k)
+      read_map[k] = var_of_byte[reads[k].index];
+    std::vector<std::uint64_t> slots(fresh.size());
+    std::vector<URange> range_slots(fresh.size());
 
     auto check_interval = [&](const DomainMap& domains, const char* what) {
       std::vector<URange> ranges(n);
       for (std::uint32_t i = 0; i < n; ++i)
-        ranges[i] = read_range(domains, array.get(), i);
-      const URange got = tape.interval(ranges.data(), range_slots.data());
+        ranges[var_of_byte[i]] = read_range(domains, array.get(), i);
       const URange want = interval_of(e, domains);
-      EXPECT_EQ(got.lo, want.lo) << what << ": " << e->to_string();
-      EXPECT_EQ(got.hi, want.hi) << what << ": " << e->to_string();
+      URange got{};
+      for (const Tape* tape : {&fresh, &cached.tape()}) {
+        got = tape->interval(ranges.data(), read_map.data(),
+                             range_slots.data());
+        EXPECT_EQ(got.lo, want.lo) << what << ": " << e->to_string();
+        EXPECT_EQ(got.hi, want.hi) << what << ": " << e->to_string();
+      }
       return got;
     };
 
@@ -230,9 +261,15 @@ TEST_P(TapeEquivalence, MatchesEvaluatorAndIntervalOf) {
       Assignment assignment;
       auto& bytes = assignment.mutable_bytes(array);
       std::vector<std::uint64_t> vars(n);
-      for (std::uint32_t i = 0; i < n; ++i) vars[i] = bytes[i] = random_byte(rng);
-      const std::uint64_t value = tape.value(vars.data(), slots.data());
+      for (std::uint32_t i = 0; i < n; ++i)
+        vars[var_of_byte[i]] = bytes[i] = random_byte(rng);
+      const std::uint64_t value =
+          fresh.value(vars.data(), read_map.data(), slots.data());
       EXPECT_EQ(value, evaluate(e, assignment)) << e->to_string();
+      EXPECT_EQ(cached.tape().value(vars.data(), read_map.data(),
+                                    slots.data()),
+                value)
+          << e->to_string();
 
       // Pinned domains: the interval must also contain the exact value.
       DomainMap pinned;

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
+#include "expr/tape.h"
 #include "solver/constraint_set.h"
 #include "solver/independence.h"
 #include "solver/interval.h"
@@ -138,13 +140,13 @@ std::vector<ExprRef> closure_slice(const std::vector<ExprRef>& list,
                                    const ExprRef& query,
                                    const ArrayRef& array) {
   std::vector<bool> site_in(array->size(), false);
-  for (const ReadSite& r : cached_reads(query)) site_in[r.index] = true;
+  for (const ReadSite& r : compiled(query).reads()) site_in[r.index] = true;
   std::vector<bool> in(list.size(), false);
   for (bool grew = true; grew;) {
     grew = false;
     for (std::size_t i = 0; i < list.size(); ++i) {
       if (in[i]) continue;
-      const auto& reads = cached_reads(list[i]);
+      const auto& reads = compiled(list[i]).reads();
       if (std::none_of(reads.begin(), reads.end(), [&](const ReadSite& r) {
             return site_in[r.index];
           }))
@@ -680,6 +682,76 @@ INSTANTIATE_TEST_SUITE_P(Values, SolverRoundTrip,
                          ::testing::Values(0ull, 1ull, 0xffull, 0x1234ull,
                                            0xdeadbeefull, 0xffffffffull,
                                            0x80000000ull, 0x00ff00ffull));
+
+// --- Compiled-constraint cache ---------------------------------------------
+
+struct QueryOutcome {
+  SolverResult result = SolverResult::kUnknown;
+  std::vector<std::uint8_t> model;
+  std::uint64_t ticks = 0;
+  std::size_t cache_bytes_after = 0;  // compiled-cache bytes on return
+};
+
+// One query over kChain chained constraints, c_k = k < file[0] + ... +
+// file[k], whose tapes together take more than kCompiledCacheBytes. Zeros
+// fail every c_k, so the query compiles every tape in propagation and runs
+// the search's probes (all-0xff satisfies it). `filler_bytes` of unrelated
+// compiled constraints are put in the thread's cache first.
+QueryOutcome run_chain_query(std::size_t filler_bytes) {
+  constexpr std::uint32_t kChain = 1024;
+  auto file = std::make_shared<Array>("file", kChain);
+  for (std::uint32_t i = 0; compiled_cache_bytes() < filler_bytes; ++i)
+    compiled(mk_ult(mk_const(i, 32), u16_at(file, i % (kChain - 1)))).tape();
+  ConstraintSet cs;
+  ExprRef sum = mk_const(0, 32);
+  for (std::uint32_t k = 0; k + 1 < kChain; ++k) {
+    sum = mk_add(sum, mk_zext(mk_read(file, k), 32));
+    cs.add(mk_ult(mk_const(k, 32), sum));
+  }
+  sum = mk_add(sum, mk_zext(mk_read(file, kChain - 1), 32));
+  const ExprRef query = mk_ult(mk_const(kChain - 1, 32), sum);
+
+  VClock clock;
+  Stats stats;
+  Solver solver(clock, stats);
+  Assignment model;
+  QueryOutcome out;
+  out.result = solver.check_sat(cs, query, &model);
+  out.model = model.mutable_bytes(file);
+  out.ticks = clock.now();
+  out.cache_bytes_after = compiled_cache_bytes();
+  return out;
+}
+
+TEST(CompiledCache, QueryPastTheBoundKeepsItsEntriesAndMatchesColdThread) {
+  // Each run gets a fresh thread, so a fresh interner and an empty cache.
+  auto on_fresh_thread = [](std::size_t filler_bytes) {
+    QueryOutcome out;
+    std::thread([&] { out = run_chain_query(filler_bytes); }).join();
+    return out;
+  };
+  const QueryOutcome cold = on_fresh_thread(0);
+  const QueryOutcome warm = on_fresh_thread(kCompiledCacheBytes / 2);
+  ASSERT_EQ(cold.result, SolverResult::kSat);
+  EXPECT_EQ(cold.model, std::vector<std::uint8_t>(1024, 0xff));
+  // The query alone overflows the bound, and nothing was cleared while it
+  // held its tapes.
+  EXPECT_GT(cold.cache_bytes_after, kCompiledCacheBytes);
+  EXPECT_GT(warm.cache_bytes_after,
+            kCompiledCacheBytes + kCompiledCacheBytes / 2);
+  EXPECT_EQ(warm.result, cold.result);
+  EXPECT_EQ(warm.model, cold.model);
+  EXPECT_EQ(warm.ticks, cold.ticks);
+
+  // Outside a query, the next miss clears the cache wholesale.
+  std::thread([] {
+    run_chain_query(0);
+    ASSERT_GT(compiled_cache_bytes(), kCompiledCacheBytes);
+    auto array = std::make_shared<Array>("other", 4);
+    compiled(mk_eq(mk_read(array, 0), mk_const(7, 8)));
+    EXPECT_LT(compiled_cache_bytes(), 1024u) << "one small entry is left";
+  }).join();
+}
 
 }  // namespace
 }  // namespace pbse
