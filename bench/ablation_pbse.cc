@@ -76,7 +76,7 @@ void ablation_time_period(const BenchConfig& config) {
   TextTable table;
   table.header({"TimePeriod (ticks)", "covered BBs", "bugs"});
   for (const std::uint64_t period : {5'000ull, 30'000ull, 120'000ull}) {
-    core::PbseOptions options;
+    core::PbseOptions options = config.pbse_options();
     options.time_period_ticks = period;
     core::PbseDriver driver(module, "main", options);
     if (!driver.prepare(seed)) continue;
@@ -95,7 +95,7 @@ void ablation_seed_scale(const BenchConfig& config) {
   table.header({"seed bytes", "c-time", "phases", "traps", "covered BBs"});
   for (const unsigned scale : {1u, 4u, 10u, 20u}) {
     const auto seed = targets::make_melf_seed(scale);
-    core::PbseDriver driver(module, "main");
+    core::PbseDriver driver(module, "main", config.pbse_options());
     if (!driver.prepare(seed)) continue;
     driver.run(config.hour1);
     table.row({std::to_string(seed.size()),
@@ -123,8 +123,7 @@ int ablation_subsumption(const BenchConfig& config) {
         {std::string("pbse-") + suffix,
          [pruning, &seed, &config](const core::CampaignContext& ctx) {
            ir::Module module = build_by_driver("readelf");
-           core::PbseOptions options;
-           options.solver.shared_cache = ctx.shared_cache;
+           core::PbseOptions options = config.pbse_options(ctx);
            options.executor.use_subsumption = pruning && config.subsumption;
            core::PbseDriver driver(module, "main", options);
            core::CampaignOutcome out;
@@ -142,9 +141,8 @@ int ablation_subsumption(const BenchConfig& config) {
         {std::string("klee-default-") + suffix,
          [pruning, &config](const core::CampaignContext& ctx) {
            ir::Module module = build_by_driver("readelf");
-           core::KleeRunOptions options;
+           core::KleeRunOptions options = config.klee_options(ctx);
            options.sym_file_size = 100;
-           options.solver.shared_cache = ctx.shared_cache;
            options.executor.use_subsumption = pruning && config.subsumption;
            core::KleeRun run(module, "main", options);
            run.run(config.hour10);

@@ -46,10 +46,23 @@ struct BenchConfig {
     return p;
   }
 
-  /// Applies the subsumption flag to a campaign's executor options. Every
-  /// campaign body should call this.
-  void apply_pruning(vm::ExecutorOptions& exec) const {
-    exec.use_subsumption = subsumption;
+  /// Options every KLEE campaign body starts from: the campaign's shared
+  /// solver cache (none outside a runner, or with --no-share-cache) and the
+  /// --no-subsumption flag.
+  core::KleeRunOptions klee_options(
+      const core::CampaignContext& ctx = {}) const {
+    core::KleeRunOptions options;
+    options.solver.shared_cache = ctx.shared_cache;
+    options.executor.use_subsumption = subsumption;
+    return options;
+  }
+
+  /// The same for a pbSE campaign.
+  core::PbseOptions pbse_options(const core::CampaignContext& ctx = {}) const {
+    core::PbseOptions options;
+    options.solver.shared_cache = ctx.shared_cache;
+    options.executor.use_subsumption = subsumption;
+    return options;
   }
 };
 

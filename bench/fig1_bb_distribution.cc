@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     const std::uint32_t concrete_max = next_index;
 
     // --- (b) symbolic execution (default searcher, 1h) ------------------
-    core::KleeRunOptions options;
+    core::KleeRunOptions options = config.klee_options();
     options.sym_file_size = 1000;
     core::KleeRun run(module, "main", options);
     // Sample the coverage log as the time series.

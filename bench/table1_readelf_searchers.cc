@@ -48,11 +48,9 @@ int main(int argc, char** argv) {
       campaigns.push_back({name, [kind, size, &config](
                                      const core::CampaignContext& ctx) {
         ir::Module module = build_by_driver("readelf");
-        core::KleeRunOptions options;
+        core::KleeRunOptions options = config.klee_options(ctx);
         options.searcher = kind;
         options.sym_file_size = size;
-        options.solver.shared_cache = ctx.shared_cache;
-        config.apply_pruning(options.executor);
         core::KleeRun run(module, "main", options);
         run.run(config.hour1);
         const std::uint64_t h1 = run.executor().num_covered();
@@ -72,10 +70,7 @@ int main(int argc, char** argv) {
                          [scale, &config](const core::CampaignContext& ctx) {
       ir::Module module = build_by_driver("readelf");
       const auto seed = targets::make_melf_seed(scale);
-      core::PbseOptions options;
-      options.solver.shared_cache = ctx.shared_cache;
-      config.apply_pruning(options.executor);
-      core::PbseDriver driver(module, "main", options);
+      core::PbseDriver driver(module, "main", config.pbse_options(ctx));
       core::CampaignOutcome out;
       if (!driver.prepare(seed)) return out;
       const std::uint64_t used = driver.clock().now();

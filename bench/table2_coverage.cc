@@ -53,10 +53,9 @@ int main(int argc, char** argv) {
         campaigns.push_back({name, [driver, kind, size, &config](
                                        const core::CampaignContext& ctx) {
           ir::Module module = build_by_driver(driver);
-          core::KleeRunOptions options;
+          core::KleeRunOptions options = config.klee_options(ctx);
           options.searcher = kind;
           options.sym_file_size = size;
-          options.solver.shared_cache = ctx.shared_cache;
           core::KleeRun run(module, "main", options);
           run.run(config.hour1);
           const std::uint64_t h1 = run.executor().num_covered();
@@ -78,9 +77,7 @@ int main(int argc, char** argv) {
       ir::Module module = build_by_driver(driver);
       const auto& info = target_by_driver(driver);
       const auto seed = info.seed(seed_scale);
-      core::PbseOptions options;
-      options.solver.shared_cache = ctx.shared_cache;
-      core::PbseDriver pbse_driver(module, "main", options);
+      core::PbseDriver pbse_driver(module, "main", config.pbse_options(ctx));
       core::CampaignOutcome out;
       out.rows = {{"0", "0"}};
       if (!pbse_driver.prepare(seed)) return out;

@@ -41,9 +41,7 @@ int main(int argc, char** argv) {
         const std::vector<std::uint8_t> seed =
             s == 0 ? tptr->seed(4)
                    : (s == 1 ? tptr->seed(9) : targets::make_mtif_buggy_seed());
-        core::PbseOptions options;
-        options.solver.shared_cache = ctx.shared_cache;
-        core::PbseDriver driver(module, "main", options);
+        core::PbseDriver driver(module, "main", config.pbse_options(ctx));
         core::CampaignOutcome out;
         if (!driver.prepare(seed)) return out;
         if (config.hour10 > driver.clock().now())

@@ -10,8 +10,8 @@
 # that catches an out-of-range double cast to an integer.
 #
 # --tsan: build the suites that run code on several threads (the scheduler's
-# record hand-off, the resident campaigns on its worker threads, the thread
-# pool, the tracer's per-thread rings) and pbse-worker with
+# record hand-off, the resident campaigns on its worker threads, the campaign
+# runner's threads, the tracer's per-thread rings) and pbse-worker with
 # -fsanitize=thread into build-tsan/, run them, and fail on any report,
 # including one from a pbse-worker child process.
 #

@@ -1,5 +1,6 @@
 // Parallel campaign runner: executes independent pbSE / KLEE campaigns
-// concurrently on a thread pool.
+// concurrently on up to `jobs` threads, each claiming the next unstarted
+// campaign until none is left.
 //
 // The unit of scale-out is a whole campaign (one target × searcher ×
 // configuration run), mirroring how the paper's experiments — and
@@ -34,7 +35,6 @@ struct ParallelOptions {
   unsigned jobs = 1;
   /// Cross-campaign solver-cache sharing (see the header comment).
   bool share_solver_cache = true;
-  unsigned cache_shards = 16;
 };
 
 /// Handed to every campaign body.
@@ -80,10 +80,6 @@ class ParallelCampaignRunner {
 
   /// Wall-clock of the last run() in seconds.
   double wall_seconds() const { return wall_seconds_; }
-
-  const std::shared_ptr<ShardedQueryCache>& shared_cache() const {
-    return shared_cache_;
-  }
 
  private:
   ParallelOptions options_;

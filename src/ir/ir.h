@@ -149,9 +149,6 @@ class Function {
   }
   std::size_t num_regs() const { return reg_types_.size(); }
   Type reg_type(std::uint32_t reg) const { return reg_types_[reg]; }
-  /// Re-types an already-allocated register (ir::parse allocates registers
-  /// on demand because textual block order differs from numbering order).
-  void set_reg_type(std::uint32_t reg, Type type) { reg_types_[reg] = type; }
 
   /// Mutable pointer-typed local slots (MiniC pointer variables). Memory
   /// cells hold symbolic bytes, so pointer values — (object, offset) pairs

@@ -57,7 +57,6 @@ std::string operand_str(const Operand& op) {
     case Operand::Kind::kNone:
       return "none";
     case Operand::Kind::kConst:
-      // Width-annotated so the text form round-trips through ir::parse.
       if (op.type.is_ptr()) return "null";
       return std::to_string(op.cval) + ":i" + std::to_string(op.type.width);
     case Operand::Kind::kReg:

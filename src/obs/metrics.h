@@ -70,9 +70,6 @@ class Histogram {
   std::uint64_t sum() const { return sum_; }
   std::uint64_t max() const { return count_ == 0 ? 0 : max_; }
   std::uint64_t min() const { return count_ == 0 ? 0 : min_; }
-  double mean() const {
-    return count_ == 0 ? 0.0 : static_cast<double>(sum_) / count_;
-  }
   std::uint64_t bucket(unsigned b) const { return buckets_[b]; }
 
   /// Upper bound of the bucket containing the p-quantile (p in [0, 1]) —

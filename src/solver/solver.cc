@@ -489,26 +489,4 @@ SolverResult Solver::solve_all(const ConstraintSet& cs, Assignment* model,
   return result;
 }
 
-std::optional<std::uint64_t> Solver::get_value(const ConstraintSet& cs,
-                                               const ExprRef& e,
-                                               const HintRef& hint) {
-  if (e->is_constant()) return e->constant_value();
-  if (hint != nullptr) {
-    // Prefer the hint's value when it is consistent with the constraints.
-    CachingEvaluator& eval = hint_evaluator(hint);
-    bool ok = true;
-    for (const auto& c : cs.constraints()) {
-      clock_.advance(kTicksPerEval);
-      if (!eval.evaluate_bool(c)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return eval.evaluate(e);
-  }
-  Assignment model;
-  if (solve_all(cs, &model, hint) != SolverResult::kSat) return std::nullopt;
-  return evaluate(e, model);
-}
-
 }  // namespace pbse

@@ -1,5 +1,5 @@
-// Solver facade: the engine's single entry point for satisfiability and
-// value queries. Pipeline per query (incremental across the queries of one
+// Solver facade: the engine's single entry point for satisfiability
+// queries. Pipeline per query (incremental across the queries of one
 // path — see DESIGN.md §9):
 //
 //   fast path (hint / all-zeros evaluation)
@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
 #include "expr/evaluator.h"
@@ -72,25 +71,12 @@ class Solver {
                          Assignment* model = nullptr,
                          const HintRef& hint = nullptr);
 
-  /// True iff `query` can be true under `cs` (kSat). kUnknown counts as
-  /// "no" — the engine's conservative treatment of solver timeouts.
-  bool may_be_true(const ConstraintSet& cs, const ExprRef& query,
-                   const HintRef& hint = nullptr) {
-    return check_sat(cs, query, nullptr, hint) == SolverResult::kSat;
-  }
-
   /// Satisfiability of the ENTIRE constraint set (no independence slicing
   /// relative to a query). check_sat assumes the path invariant "cs is
   /// already satisfiable" — use solve_all when that is not yet established,
   /// e.g. when activating a concolic seedState.
   SolverResult solve_all(const ConstraintSet& cs, Assignment* model,
                          const HintRef& hint = nullptr);
-
-  /// A concrete value `e` can take under `cs`, or nullopt if even finding
-  /// one model exceeds the budget.
-  std::optional<std::uint64_t> get_value(const ConstraintSet& cs,
-                                         const ExprRef& e,
-                                         const HintRef& hint = nullptr);
 
   const SolverOptions& options() const { return options_; }
   QueryCache& cache() { return cache_; }

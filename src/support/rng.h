@@ -60,9 +60,6 @@ class Rng {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
   }
 
-  /// Bernoulli trial with probability p.
-  bool chance(double p) { return uniform() < p; }
-
   /// Raw generator state, for snapshot/restore (src/serialize). A restored
   /// Rng continues the exact sequence the saved one would have produced.
   std::array<std::uint64_t, 4> state() const {

@@ -42,9 +42,6 @@ class Subprocess {
   /// Blocks until exit, reaps, returns the raw waitpid status (-1 if the
   /// child was never started or already reaped).
   int wait();
-  /// Raw status from the reap (valid once alive() turned false / wait()
-  /// returned).
-  int exit_status() const { return status_; }
 
  private:
   pid_t pid_ = -1;

@@ -1,122 +1,19 @@
-// Parallel campaign infrastructure: the thread pool, the sharded shared
-// solver cache, and the campaign runner — including the determinism
-// contract (a campaign's results are identical at any --jobs level when
-// cache sharing is off).
+// Parallel campaign infrastructure: the sharded shared solver cache and
+// the campaign runner — including the determinism contract (a campaign's
+// results are identical at any --jobs level when cache sharing is off).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
 #include <thread>
 
 #include "core/driver.h"
 #include "core/parallel.h"
 #include "solver/cache.h"
-#include "support/thread_pool.h"
 #include "targets/targets.h"
 
 namespace pbse {
 namespace {
-
-// --- ThreadPool -------------------------------------------------------------
-
-TEST(ThreadPool, RunsSubmittedTasksConcurrently) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i)
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPool, InlineModeRunsAtSubmit) {
-  ThreadPool pool(0);
-  int x = 0;
-  auto f = pool.submit([&x] { x = 7; });
-  // Inline mode executed the task synchronously inside submit().
-  EXPECT_EQ(x, 7);
-  f.get();
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionsThroughFutures) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, RunAllRethrowsFirstErrorBySubmissionOrder) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([&ran] { ++ran; });
-  tasks.push_back([] { throw std::logic_error("first"); });
-  tasks.push_back([] { throw std::runtime_error("second"); });
-  tasks.push_back([&ran] { ++ran; });
-  EXPECT_THROW(pool.run_all(std::move(tasks)), std::logic_error);
-  // Healthy tasks still ran to completion.
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i)
-      pool.submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        ++counter;
-      });
-  }  // destructor must wait for all 32, not drop queued work
-  EXPECT_EQ(counter.load(), 32);
-}
-
-TEST(ThreadPool, ThrowingTaskDoesNotWedgePool) {
-  ThreadPool pool(2);
-  auto bad = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The worker that ran the throwing task must still serve later tasks.
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i)
-    futures.push_back(pool.submit([&ran] { ++ran; }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(ran.load(), 16);
-}
-
-TEST(ThreadPool, SubmitDuringShutdownIsRejectedNotLost) {
-  std::promise<void> task_started;
-  std::promise<void> release_task;
-  bool late_submit_threw = false;
-  std::atomic<int> queued_ran{0};
-
-  auto* pool = new ThreadPool(1);
-  // Occupy the single worker so the destructor has to wait on us.
-  auto blocker = pool->submit([&] {
-    task_started.set_value();
-    release_task.get_future().wait();
-  });
-  // Queue more work behind the blocker; the destructor must run it all.
-  for (int i = 0; i < 4; ++i) pool->submit([&queued_ran] { ++queued_ran; });
-  task_started.get_future().wait();
-
-  std::thread destroyer([&] { delete pool; });
-  // Give the destructor time to flip the pool into shutdown, then try to
-  // submit from outside: the pool must REJECT it loudly (throw), never
-  // accept-and-drop it (a silently dropped task leaves a future pending
-  // forever).
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  try {
-    pool->submit([] {});
-  } catch (const std::runtime_error&) {
-    late_submit_threw = true;
-  }
-  release_task.set_value();
-  destroyer.join();
-
-  EXPECT_TRUE(late_submit_threw);
-  EXPECT_EQ(queued_ran.load(), 4);  // queued work survived shutdown
-}
 
 // --- ShardedQueryCache ------------------------------------------------------
 
@@ -261,6 +158,47 @@ TEST(ParallelRunner, NoSharedCacheWhenSharingDisabled) {
   }});
   runner.run(campaigns);
   EXPECT_EQ(runner.aggregate_stats().get("cache.shared_hits"), 0u);
+}
+
+TEST(ParallelRunner, SingleJobRunsInlineOnCallingThread) {
+  core::ParallelOptions options;
+  options.jobs = 1;
+  core::ParallelCampaignRunner runner(options);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  std::vector<core::Campaign> campaigns;
+  for (int i = 0; i < 3; ++i) {
+    campaigns.push_back({"c" + std::to_string(i),
+                         [caller, &order](const core::CampaignContext& ctx) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(ctx.index);
+      return core::CampaignOutcome{};
+    }});
+  }
+  runner.run(campaigns);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(ParallelRunner, MoreJobsThanCampaignsReturnsEveryOutcomeInOrder) {
+  core::ParallelOptions options;
+  options.jobs = 4;
+  core::ParallelCampaignRunner runner(options);
+  std::vector<core::Campaign> campaigns;
+  for (int i = 0; i < 2; ++i) {
+    campaigns.push_back({"c" + std::to_string(i),
+                         [i](const core::CampaignContext&) {
+      core::CampaignOutcome out;
+      out.covered = static_cast<std::uint64_t>(10 + i);
+      return out;
+    }});
+  }
+  const auto outcomes = runner.run(campaigns);
+  ASSERT_EQ(outcomes.size(), 2u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(outcomes[i].name, "c" + std::to_string(i));
+    EXPECT_EQ(outcomes[i].covered, static_cast<std::uint64_t>(10 + i));
+  }
+  EXPECT_EQ(runner.aggregate_stats().get("parallel.campaigns"), 2u);
 }
 
 // --- Determinism ------------------------------------------------------------

@@ -640,16 +640,6 @@ TEST(Solver, SolveAllValidatesWholeSet) {
   EXPECT_EQ(model.byte(array.get(), 5), 2);
 }
 
-TEST(Solver, GetValueRespectsConstraints) {
-  SolverFixture fx;
-  auto array = make_array();
-  ConstraintSet cs;
-  cs.add(mk_eq(mk_read(array, 0), mk_const(77, 8)));
-  const auto v = fx.solver.get_value(cs, mk_zext(mk_read(array, 0), 32));
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 77u);
-}
-
 TEST(Solver, ChargesVirtualTime) {
   SolverFixture fx;
   auto array = make_array();
