@@ -11,9 +11,10 @@
 #
 # --tsan: build the suites that run code on several threads (the scheduler's
 # record hand-off, the resident campaigns on its worker threads, the campaign
-# runner's threads, the tracer's per-thread rings) and pbse-worker with
-# -fsanitize=thread into build-tsan/, run them, and fail on any report,
-# including one from a pbse-worker child process.
+# runner's threads, the tracer's per-thread rings, expression handles read
+# after their thread has exited) and pbse-worker with -fsanitize=thread into
+# build-tsan/, run them, and fail on any report, including one from a
+# pbse-worker child process.
 #
 # -o pipefail matters here: the test and bench stages pipe through tee so
 # the log survives in the build dir, and without pipefail a pipeline's exit
@@ -73,7 +74,8 @@ if [[ "$TSAN" == 1 ]]; then
   fi
   cmake -S . -B "$TSAN_DIR" "${GEN[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread"
-  TSAN_TESTS=(server_test parallel_test support_test obs_test trace_determinism_test)
+  TSAN_TESTS=(server_test parallel_test support_test obs_test trace_determinism_test
+              expr_test)
   cmake --build "$TSAN_DIR" -j "$JOBS" --target "${TSAN_TESTS[@]}" pbse-worker
   # Each process writes its reports to its own <prefix>.<pid> file, so a
   # report from a pbse-worker child fails the gate like one from a test.

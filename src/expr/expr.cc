@@ -1,9 +1,10 @@
 #include "expr/expr.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
-#include <deque>
 #include <initializer_list>
+#include <new>
 #include <span>
 #include <sstream>
 
@@ -53,13 +54,16 @@ const char* expr_kind_name(ExprKind kind) {
 }
 
 Expr::Expr(ExprKind kind, unsigned width, std::uint64_t value, ArrayRef array,
-           std::vector<ExprRef> kids, std::size_t hash)
-    : kind_(kind),
-      width_(width),
+           std::span<const ExprRef> kids, std::size_t hash)
+    : hash_(hash),
       value_(value),
       array_(std::move(array)),
-      kids_(std::move(kids)),
-      hash_(hash) {}
+      kind_(kind),
+      width_(static_cast<std::uint8_t>(width)),
+      num_kids_(static_cast<std::uint8_t>(kids.size())) {
+  assert(kids.size() <= kMaxKids);
+  std::copy(kids.begin(), kids.end(), kids_);
+}
 
 namespace {
 
@@ -79,20 +83,27 @@ std::size_t content_hash(ExprKind kind, unsigned width, std::uint64_t value,
   return h;
 }
 
+}  // namespace
+
 // Thread-local interning table: each campaign thread hash-conses its own
-// nodes, so structural equality stays a pointer comparison within a thread
-// and construction needs no locks. Nodes are kept alive for the thread's
-// lifetime (they are tiny and heavily shared); results that outlive the
-// thread hold their own ExprRefs. Campaigns must therefore build and run
-// on a single thread — the ParallelDriver's campaign-per-worker model.
+// nodes, so structural equality stays a handle comparison within a thread
+// and construction needs no locks. Campaigns must therefore build and run
+// on a single thread — the ParallelCampaignRunner's campaign-per-thread
+// model.
+//
+// Nodes live in an arena of chunks of kChunkNodes nodes each. A chunk is
+// allocated when the previous one is full and never moves or is freed, and
+// the table itself is never destroyed (interner() leaks it), so a handle
+// stays valid for the life of the process: results that outlive their
+// thread simply keep their handles.
 //
 // The table is flat: a slot is a 32-bit tag of the content hash and the
-// 32-bit index (plus one; zero marks an empty slot) of its node in an
-// append-only deque that owns every node. A request hashes the node's
-// parts, probes linearly from the home slot and constructs a node only on
-// a miss, so the common case (most requests find an existing node)
-// allocates nothing. Nothing iterates the table, and the first node
-// interned for a content is the one every later request gets, so the
+// 32-bit number (plus one; zero marks an empty slot) of its node in the
+// arena, which a shift and a mask turn into the node's chunk and place. A
+// request hashes the node's parts, probes linearly from the home slot and
+// places a node only on a miss, so the common case (most requests find an
+// existing node) writes nothing. Nothing iterates the table, and the first
+// node interned for a content is the one every later request gets, so the
 // layout never reaches a result.
 class Interner {
  public:
@@ -108,21 +119,24 @@ class Interner {
       const Slot s = slots_[i];
       if (s.ref == 0) break;
       if (s.tag != tag) continue;
-      const ExprRef& node = nodes_[s.ref - 1];
-      if (node->hash() == hash && node->kind() == kind &&
-          node->width() == width && node->constant_value() == value &&
-          node->array() == array && same_kids(*node, kids))
-        return node;
+      const Expr& node = at(s.ref - 1);
+      if (node.hash() == hash && node.kind() == kind &&
+          node.width() == width && node.constant_value() == value &&
+          node.array() == array && same_kids(node, kids))
+        return ExprRef(&node);
     }
-    if (2 * (nodes_.size() + 1) > slots_.size()) {
+    if (2 * (size_ + 1) > slots_.size()) {
       grow();
       i = free_slot(hash);
     }
-    nodes_.push_back(std::make_shared<const Expr>(
-        kind, width, value, array,
-        std::vector<ExprRef>(kids.begin(), kids.end()), hash));
-    slots_[i] = Slot{tag, static_cast<std::uint32_t>(nodes_.size())};
-    return nodes_.back();
+    // Aligned to the node size, so that each node fills one cache line.
+    if ((size_ & kChunkMask) == 0)
+      chunks_.push_back(static_cast<Expr*>(::operator new(
+          kChunkNodes * sizeof(Expr), std::align_val_t{sizeof(Expr)})));
+    Expr* node = new (&chunks_.back()[size_ & kChunkMask])
+        Expr(kind, width, value, array, kids, hash);
+    slots_[i] = Slot{tag, ++size_};
+    return ExprRef(node);
   }
 
   /// The constant (value, width), through a direct-mapped cache: concrete
@@ -136,16 +150,25 @@ class Interner {
     return cached;
   }
 
-  std::size_t size() const { return nodes_.size(); }
+  std::size_t size() const { return size_; }
 
  private:
   struct Slot {
     std::uint32_t tag = 0;
-    std::uint32_t ref = 0;  // index into nodes_ plus one; 0 = empty
+    std::uint32_t ref = 0;  // node number plus one; 0 = empty
   };
   static constexpr unsigned kMinBits = 10;
   static constexpr unsigned kConstantBits = 12;
+  /// 4096 nodes, 256 KiB, per chunk.
+  static constexpr unsigned kChunkBits = 12;
+  static constexpr std::size_t kChunkNodes = std::size_t{1} << kChunkBits;
+  static constexpr std::uint32_t kChunkMask = kChunkNodes - 1;
   static constexpr std::uint64_t kFibonacci = 0x9E3779B97F4A7C15ULL;
+
+  /// Node number `n`.
+  const Expr& at(std::uint32_t n) const {
+    return chunks_[n >> kChunkBits][n & kChunkMask];
+  }
 
   static bool same_kids(const Expr& node, std::span<const ExprRef> kids) {
     if (node.num_kids() != kids.size()) return false;
@@ -171,20 +194,24 @@ class Interner {
   void grow() {
     slots_.assign(slots_.size() * 2, Slot{});
     ++bits_;
-    for (std::size_t n = 0; n < nodes_.size(); ++n) {
-      const std::size_t hash = nodes_[n]->hash();
-      slots_[free_slot(hash)] = Slot{static_cast<std::uint32_t>(hash),
-                                     static_cast<std::uint32_t>(n + 1)};
+    for (std::uint32_t n = 0; n < size_; ++n) {
+      const std::size_t hash = at(n).hash();
+      slots_[free_slot(hash)] = Slot{static_cast<std::uint32_t>(hash), n + 1};
     }
   }
 
   std::vector<Slot> slots_;
   unsigned bits_ = kMinBits;
-  std::deque<ExprRef> nodes_;
+  /// The arena: node n is chunks_[n >> kChunkBits][n & kChunkMask].
+  std::vector<Expr*> chunks_;
+  std::uint32_t size_ = 0;
   std::array<ExprRef, std::size_t{1} << kConstantBits> constants_;
 };
 
+namespace {
+
 Interner& interner() {
+  // Never destroyed: its arena holds every node any handle refers to.
   thread_local auto* table = new Interner();
   return *table;
 }
@@ -495,14 +522,80 @@ ExprRef mk_lor(ExprRef a, ExprRef b) {
 
 // --- Traversals -----------------------------------------------------------
 
+namespace {
+
+/// The visited set of collect_reads(): an open-addressing set of node
+/// pointers that remembers which slots it filled, so emptying it costs the
+/// last walk's nodes and not the table's capacity. One lives on each
+/// thread and keeps the largest capacity any walk there needed, so after
+/// the first few walks a walk allocates nothing.
+class WalkSet {
+ public:
+  /// Adds `node`; false if it is already in.
+  bool insert(const Expr* node) {
+    if (2 * (filled_.size() + 1) > slots_.size()) grow();
+    for (std::size_t i = home(node);; i = (i + 1) & mask()) {
+      if (slots_[i] == node) return false;
+      if (slots_[i] == nullptr) {
+        slots_[i] = node;
+        filled_.push_back(static_cast<std::uint32_t>(i));
+        return true;
+      }
+    }
+  }
+  std::size_t size() const { return filled_.size(); }
+  /// Empties the slots filled since the last clear().
+  void clear() {
+    for (const std::uint32_t i : filled_) slots_[i] = nullptr;
+    filled_.clear();
+  }
+
+ private:
+  static constexpr unsigned kMinBits = 10;
+
+  std::size_t mask() const { return slots_.size() - 1; }
+  /// Fibonacci hashing, as in NodeMap.
+  std::size_t home(const Expr* node) const {
+    const auto bits =
+        static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(node));
+    return static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ULL) >>
+                                    (64 - bits_));
+  }
+  /// Doubles the table (or allocates the first one), keeping the load at
+  /// most one half, and moves the filled slots over.
+  void grow() {
+    const unsigned bits = slots_.empty() ? kMinBits : bits_ + 1;
+    std::vector<const Expr*> old(std::size_t{1} << bits, nullptr);
+    old.swap(slots_);
+    bits_ = bits;
+    for (std::uint32_t& i : filled_) {
+      const Expr* node = old[i];
+      std::size_t j = home(node);
+      while (slots_[j] != nullptr) j = (j + 1) & mask();
+      slots_[j] = node;
+      i = static_cast<std::uint32_t>(j);
+    }
+  }
+
+  std::vector<const Expr*> slots_;
+  unsigned bits_ = kMinBits;
+  std::vector<std::uint32_t> filled_;
+};
+
+}  // namespace
+
 std::size_t collect_reads(const ExprRef& e, std::vector<ReadSite>& out) {
+  thread_local WalkSet seen;
+  thread_local std::vector<const Expr*> stack;
+  // Emptied first, so a walk that threw leaves nothing behind.
+  seen.clear();
+  stack.clear();
   // Iterative: chains can be deeper than the C++ stack allows.
-  NodeMap<bool> seen;
-  std::vector<const Expr*> stack{e.get()};
+  stack.push_back(e.get());
   while (!stack.empty()) {
     const Expr* node = stack.back();
     stack.pop_back();
-    if (!seen.insert(node, true)) continue;
+    if (!seen.insert(node)) continue;
     if (node->kind() == ExprKind::kRead) {
       out.push_back(ReadSite{node->array(), node->read_index()});
       continue;
@@ -530,18 +623,19 @@ std::string Expr::to_string() const {
   std::ostringstream out;
   switch (kind_) {
     case ExprKind::kConstant:
-      out << value_ << ":w" << width_;
+      out << value_ << ":w" << width();
       break;
     case ExprKind::kRead:
       out << "(Read " << array_->name() << ' ' << value_ << ')';
       break;
     case ExprKind::kExtract:
-      out << "(Extract w" << width_ << " off" << value_ << ' '
+      out << "(Extract w" << width() << " off" << value_ << ' '
           << kids_[0]->to_string() << ')';
       break;
     default: {
-      out << '(' << expr_kind_name(kind_) << " w" << width_;
-      for (const auto& k : kids_) out << ' ' << k->to_string();
+      out << '(' << expr_kind_name(kind_) << " w" << width();
+      for (std::size_t i = 0; i < num_kids_; ++i)
+        out << ' ' << kids_[i]->to_string();
       out << ')';
       break;
     }

@@ -5,33 +5,64 @@
 //   * byte reads from named symbolic arrays (the symbolic input file),
 //   * the usual arithmetic / bitwise / comparison / cast operators.
 //
-// Hash-consing makes structural equality a pointer comparison, which the
+// Hash-consing makes structural equality a handle comparison, which the
 // solver caches rely on. Construction performs constant folding and a set
 // of local simplifications, so the engine can build expressions naively.
 //
-// The interner is a flat open-addressing table of 8-byte slots (a 32-bit
-// tag of the node's content hash and a 32-bit index into an append-only
-// node list). A builder hashes the node's parts, probes, and allocates a
-// node only when the table has none with that content; a direct-mapped
-// cache in front of it answers most mk_const calls without probing.
+// Each thread interns its nodes into an arena of fixed-size chunks that
+// never move and are never freed, and an ExprRef is a plain 8-byte handle
+// to a node there: copying one costs nothing, and it stays valid for the
+// life of the process, also after the thread that made it has exited. The
+// interning table is a flat open-addressing table of 8-byte slots (a
+// 32-bit tag of the node's content hash and the node's 32-bit number in
+// the arena). A builder hashes the node's parts, probes, and places a node
+// only when the table has none with that content; a direct-mapped cache in
+// front of it answers most mk_const calls without probing.
 //
 // The interning table is THREAD-LOCAL: expressions built on different
 // threads never alias, so independent campaigns can run on worker threads
 // without locks. A single campaign (and all expressions it compares by
-// pointer) must stay on one thread.
+// handle) must stay on one thread.
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace pbse {
 
 class Expr;
-using ExprRef = std::shared_ptr<const Expr>;
+class Interner;
+
+/// Handle to an interned expression node, or null. Trivially copyable:
+/// nodes are never freed (see above), so a handle needs no reference
+/// count. Only the interner makes a non-null one.
+class ExprRef {
+ public:
+  constexpr ExprRef() = default;
+  constexpr ExprRef(std::nullptr_t) {}
+
+  const Expr* get() const { return node_; }
+  const Expr* operator->() const { return node_; }
+  const Expr& operator*() const { return *node_; }
+  explicit operator bool() const { return node_ != nullptr; }
+
+  friend bool operator==(ExprRef a, ExprRef b) { return a.node_ == b.node_; }
+  friend bool operator==(ExprRef a, std::nullptr_t) {
+    return a.node_ == nullptr;
+  }
+
+ private:
+  friend class Interner;
+  explicit ExprRef(const Expr* node) : node_(node) {}
+
+  const Expr* node_ = nullptr;
+};
 
 /// A named symbolic byte array, e.g. the symbolic input file "file".
 /// Arrays are compared by identity; create one per symbolic object.
@@ -88,8 +119,9 @@ enum class ExprKind : std::uint8_t {
 /// Returns a printable operator name ("Add", "Eq", ...).
 const char* expr_kind_name(ExprKind kind);
 
-/// Immutable expression node. Always held via ExprRef; construct through
-/// the mk_* builder functions below (which fold and intern).
+/// Immutable expression node, 64 bytes, in its thread's arena. Always
+/// held via ExprRef; construct through the mk_* builder functions below
+/// (which fold and intern).
 class Expr {
  public:
   ExprKind kind() const { return kind_; }
@@ -110,8 +142,11 @@ class Expr {
   /// Extract offset (valid only when kind() == kExtract).
   unsigned extract_offset() const { return static_cast<unsigned>(value_); }
 
-  std::size_t num_kids() const { return kids_.size(); }
-  const ExprRef& kid(std::size_t i) const { return kids_[i]; }
+  std::size_t num_kids() const { return num_kids_; }
+  const ExprRef& kid(std::size_t i) const {
+    assert(i < num_kids_);
+    return kids_[i];
+  }
 
   /// Structural hash, cached at construction.
   std::size_t hash() const { return hash_; }
@@ -119,19 +154,25 @@ class Expr {
   /// Renders the expression as an s-expression, e.g. "(Add w8 (Read file 3) 1)".
   std::string to_string() const;
 
-  // Internal: used by the interner, which passes the content hash it probed
-  // with. Prefer the mk_* functions.
-  Expr(ExprKind kind, unsigned width, std::uint64_t value, ArrayRef array,
-       std::vector<ExprRef> kids, std::size_t hash);
-
  private:
-  ExprKind kind_;
-  unsigned width_;
+  /// Most kids any kind has (Select).
+  static constexpr std::size_t kMaxKids = 3;
+
+  friend class Interner;
+  // The interner places nodes in its arena and passes the content hash it
+  // probed with.
+  Expr(ExprKind kind, unsigned width, std::uint64_t value, ArrayRef array,
+       std::span<const ExprRef> kids, std::size_t hash);
+
+  std::size_t hash_;
   std::uint64_t value_;  // constant value / read index / extract offset
   ArrayRef array_;
-  std::vector<ExprRef> kids_;
-  std::size_t hash_;
+  ExprRef kids_[kMaxKids];
+  ExprKind kind_;
+  std::uint8_t width_;
+  std::uint8_t num_kids_;
 };
+static_assert(sizeof(Expr) == 64, "an expression node is one cache line");
 
 // --- Width arithmetic helpers -------------------------------------------
 
@@ -212,14 +253,16 @@ ExprRef mk_raw(ExprKind kind, unsigned width, std::uint64_t value,
 /// appending to `out` (deduplicated within the call) in a fixed
 /// depth-first order. Returns the DAG's node count, expr_dag_size(). The
 /// solver reads each constraint's list from its compiled form
-/// (expr/tape.h), which this walk builds.
+/// (expr/tape.h), which this walk builds. The walk reuses one visited set
+/// per thread and allocates only when a DAG outgrows it.
 struct ReadSite {
   ArrayRef array;
   std::uint32_t index;
 };
 std::size_t collect_reads(const ExprRef& e, std::vector<ReadSite>& out);
 
-/// Number of nodes in the DAG (each shared node counted once).
+/// Number of nodes in the DAG (each shared node counted once). A plain
+/// walk with a fresh visited set: the tests' reference for collect_reads().
 std::size_t expr_dag_size(const ExprRef& e);
 
 /// Number of distinct nodes interned on this thread (for tests / benches).

@@ -119,8 +119,10 @@ struct URange {
 
 /// Range of a node from its kids' ranges x and y (no transfer reads a
 /// third kid). A Read's range is its byte's, passed as x. Kinds without a
-/// transfer rule yield the full range of their width.
-inline URange op_interval(const NodeOp& op, URange x, URange y) {
+/// transfer rule yield the full range of their width. Always inlined, as
+/// op_value() is: it is the body of the tape's interval loop.
+[[gnu::always_inline]] inline URange op_interval(const NodeOp& op, URange x,
+                                                 URange y) {
   const std::uint64_t full = truncate_to_width(~std::uint64_t{0}, op.width);
   const URange top{0, full};
   switch (op.kind) {

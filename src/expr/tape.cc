@@ -101,8 +101,8 @@ constexpr std::size_t kEntryBytes =
     sizeof(CompiledExpr) + 4 * sizeof(void*);
 
 struct CompiledCache {
-  /// Interned nodes live as long as their thread (expr.h), so a node
-  /// pointer is a stable key. The deque never moves its entries.
+  /// Interned nodes are never freed (expr.h), so a node pointer is a
+  /// stable key. The deque never moves its entries.
   NodeMap<CompiledExpr*> index;
   std::deque<CompiledExpr> entries;
   std::size_t bytes = 0;

@@ -17,6 +17,45 @@ double squared_distance(const std::vector<double>& a,
   return d;
 }
 
+namespace {
+
+/// Copies each full group of four centroids, 4q..4q+3, into
+/// packed[q * 4 * dims + 4 * d + j] (centroid 4q + j, dimension d), so that
+/// squared_distance4() reads the four values of a dimension together.
+void pack_quads(const std::vector<std::vector<double>>& centroids,
+                std::size_t dims, std::vector<double>& packed) {
+  for (std::size_t c = 0; c < centroids.size() / 4 * 4; ++c)
+    for (std::size_t d = 0; d < dims; ++d)
+      packed[c / 4 * 4 * dims + 4 * d + c % 4] = centroids[c][d];
+}
+
+/// Squared distances from `p` to four packed centroids (see pack_quads()).
+/// Each has its own accumulator and adds the same terms in the same order
+/// as squared_distance(), so out[j] equals squared_distance(p, centroid j)
+/// bit for bit; the four sums only run side by side.
+void squared_distance4(const std::vector<double>& p, const double* quad,
+                       double out[4]) {
+  double s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+  for (std::size_t d = 0; d < p.size(); ++d) {
+    const double x = p[d];
+    const double* c = quad + 4 * d;
+    const double d0 = x - c[0];
+    const double d1 = x - c[1];
+    const double d2 = x - c[2];
+    const double d3 = x - c[3];
+    s0 += d0 * d0;
+    s1 += d1 * d1;
+    s2 += d2 * d2;
+    s3 += d3 * d3;
+  }
+  out[0] = s0;
+  out[1] = s1;
+  out[2] = s2;
+  out[3] = s3;
+}
+
+}  // namespace
+
 KMeansResult kmeans(const std::vector<std::vector<double>>& points,
                     std::uint32_t k, Rng& rng, std::uint32_t max_iters) {
   KMeansResult result;
@@ -52,20 +91,30 @@ KMeansResult kmeans(const std::vector<std::vector<double>>& points,
   }
 
   std::vector<std::uint32_t> assignment(points.size(), 0);
+  const std::size_t quads = centroids.size() / 4;
+  std::vector<double> packed(quads * 4 * dims);
   for (std::uint32_t iter = 0; iter < max_iters; ++iter) {
     bool changed = false;
-    // Assign.
+    // Assign: centroids 4q..4q+3 four at a time, the rest one by one, each
+    // compared in index order, so ties break as in a plain loop.
     work += points.size() * centroids.size();
+    pack_quads(centroids, dims, packed);
     for (std::size_t i = 0; i < points.size(); ++i) {
       double best = std::numeric_limits<double>::infinity();
       std::uint32_t best_c = 0;
-      for (std::uint32_t c = 0; c < centroids.size(); ++c) {
-        const double d = squared_distance(points[i], centroids[c]);
+      const auto consider = [&](double d, std::size_t c) {
         if (d < best) {
           best = d;
-          best_c = c;
+          best_c = static_cast<std::uint32_t>(c);
         }
+      };
+      for (std::size_t q = 0; q < quads; ++q) {
+        double d[4];
+        squared_distance4(points[i], packed.data() + q * 4 * dims, d);
+        for (std::size_t j = 0; j < 4; ++j) consider(d[j], 4 * q + j);
       }
+      for (std::size_t c = 4 * quads; c < centroids.size(); ++c)
+        consider(squared_distance(points[i], centroids[c]), c);
       if (assignment[i] != best_c) {
         assignment[i] = best_c;
         changed = true;

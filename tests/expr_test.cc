@@ -2,6 +2,11 @@
 // and differential properties of the evaluator.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <unordered_set>
+#include <vector>
+
 #include "expr/evaluator.h"
 #include "expr/expr.h"
 #include "expr/node_map.h"
@@ -201,6 +206,87 @@ TEST(Expr, CollectReadsDeduplicates) {
   std::vector<ReadSite> reads;
   collect_reads(e, reads);
   EXPECT_EQ(reads.size(), 2u);
+}
+
+/// collect_reads() as specified, with a visited set of its own: a
+/// depth-first walk from the root, kids pushed in order and popped
+/// last-first, each node visited once.
+std::size_t reference_reads(const ExprRef& e, std::vector<ReadSite>& out) {
+  std::unordered_set<const Expr*> seen;
+  std::vector<const Expr*> stack{e.get()};
+  while (!stack.empty()) {
+    const Expr* node = stack.back();
+    stack.pop_back();
+    if (!seen.insert(node).second) continue;
+    if (node->kind() == ExprKind::kRead) {
+      out.push_back(ReadSite{node->array(), node->read_index()});
+      continue;
+    }
+    for (std::size_t i = 0; i < node->num_kids(); ++i)
+      stack.push_back(node->kid(i).get());
+  }
+  return seen.size();
+}
+
+TEST(Expr, CollectReadsReusesItsScratch) {
+  // On a fresh thread, so the walk's per-thread visited set starts at its
+  // first capacity (1024 slots, grown past 512 nodes).
+  std::thread([] {
+    auto array = make_array(700);
+    // A checksum over 2000 bytes of 700: about 3,400 nodes, reads repeated.
+    std::vector<ExprRef> sums{mk_const(0, 32)};
+    for (std::uint32_t i = 0; i < 2000; ++i)
+      sums.push_back(mk_add(mk_xor(sums.back(), mk_const(i, 32)),
+                            mk_zext(mk_read(array, (i * 7) % 700), 32)));
+    const ExprRef large = sums.back();
+    const ExprRef small = sums[40];  // shares every node with `large`
+    ASSERT_GT(expr_dag_size(large), 3000u);
+    for (const ExprRef& e : {large, small, large, small, large}) {
+      std::vector<ReadSite> got, want;
+      const std::size_t size = collect_reads(e, got);
+      EXPECT_EQ(size, reference_reads(e, want));
+      EXPECT_EQ(size, expr_dag_size(e));
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].array, want[i].array);
+        EXPECT_EQ(got[i].index, want[i].index) << "read " << i;
+      }
+    }
+  }).join();
+}
+
+TEST(Expr, HandlesOutliveTheirThread) {
+  auto array = make_array();
+  const auto build = [&array] {
+    return mk_add(mk_zext(mk_read(array, 3), 32), mk_const(17, 32));
+  };
+  ExprRef first, second;
+  std::size_t hash = 0;
+  std::string text;
+  std::thread([&] {
+    first = build();
+    hash = first->hash();
+    text = first->to_string();
+  }).join();
+  std::thread([&] { second = build(); }).join();
+  // Both threads have exited; their nodes are still readable.
+  for (const ExprRef& e : {first, second}) {
+    EXPECT_EQ(e->to_string(), text);
+    EXPECT_EQ(e->hash(), hash);
+    ASSERT_EQ(e->num_kids(), 2u);
+    EXPECT_EQ(e->kid(0)->kind(), ExprKind::kZExt);
+    EXPECT_EQ(e->kid(0)->kid(0)->array(), array);
+    EXPECT_EQ(e->kid(0)->kid(0)->read_index(), 3u);
+    EXPECT_EQ(e->kid(1)->constant_value(), 17u);
+  }
+  // Each thread interns its own nodes: the same content built on another
+  // thread is another node.
+  const ExprRef here = build();
+  EXPECT_NE(first, second);
+  EXPECT_NE(first.get(), here.get());
+  EXPECT_NE(second.get(), here.get());
+  EXPECT_NE(first->kid(0), second->kid(0));
+  EXPECT_EQ(here->hash(), hash);
 }
 
 // Property: evaluating a built expression equals computing the same

@@ -2,6 +2,11 @@
 // k selection, ordering, and the tick->phase mapping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+#include <string>
+
 #include "phase/kmeans.h"
 #include "phase/phase_analysis.h"
 
@@ -53,6 +58,133 @@ TEST(KMeans, ReportsWork) {
   const auto points = blobs(10, 2, 1.0, 5);
   Rng rng(1);
   EXPECT_GT(kmeans(points, 2, rng).work, 0u);
+}
+
+/// Lloyd's loop as kmeans() is specified, one squared_distance() call per
+/// point and centroid: the reference kmeans() must match bit for bit.
+KMeansResult reference_kmeans(const std::vector<std::vector<double>>& points,
+                              std::uint32_t k, Rng& rng) {
+  KMeansResult out;
+  k = std::min<std::uint32_t>(k, static_cast<std::uint32_t>(points.size()));
+  const std::size_t dims = points[0].size();
+  std::vector<std::vector<double>> centroids{points[rng.below(points.size())]};
+  std::vector<double> min_d2(points.size(),
+                             std::numeric_limits<double>::infinity());
+  while (centroids.size() < k) {
+    double total = 0;
+    out.work += points.size();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      min_d2[i] = std::min(min_d2[i],
+                           squared_distance(points[i], centroids.back()));
+      total += min_d2[i];
+    }
+    if (total <= 0) break;
+    double pick = rng.uniform() * total;
+    std::size_t chosen = points.size() - 1;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      pick -= min_d2[i];
+      if (pick <= 0) {
+        chosen = i;
+        break;
+      }
+    }
+    centroids.push_back(points[chosen]);
+  }
+  std::vector<std::uint32_t> assignment(points.size(), 0);
+  for (std::uint32_t iter = 0; iter < 64; ++iter) {  // kmeans()'s max_iters
+    bool changed = false;
+    out.work += points.size() * centroids.size();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      double best = std::numeric_limits<double>::infinity();
+      std::uint32_t best_c = 0;
+      for (std::uint32_t c = 0; c < centroids.size(); ++c) {
+        const double d = squared_distance(points[i], centroids[c]);
+        if (d < best) {
+          best = d;
+          best_c = c;
+        }
+      }
+      changed |= assignment[i] != best_c;
+      assignment[i] = best_c;
+    }
+    if (!changed && iter > 0) break;
+    std::vector<std::vector<double>> sums(centroids.size(),
+                                          std::vector<double>(dims, 0.0));
+    std::vector<std::uint32_t> counts(centroids.size(), 0);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      ++counts[assignment[i]];
+      for (std::size_t d = 0; d < dims; ++d)
+        sums[assignment[i]][d] += points[i][d];
+    }
+    for (std::uint32_t c = 0; c < centroids.size(); ++c)
+      if (counts[c] > 0)
+        for (std::size_t d = 0; d < dims; ++d)
+          centroids[c][d] = sums[c][d] / counts[c];
+  }
+  std::vector<bool> used(centroids.size(), false);
+  for (std::uint32_t c : assignment) used[c] = true;
+  std::vector<std::uint32_t> remap(centroids.size(), 0);
+  for (std::uint32_t c = 0; c < centroids.size(); ++c)
+    if (used[c]) {
+      remap[c] = static_cast<std::uint32_t>(out.centroids.size());
+      out.centroids.push_back(centroids[c]);
+    }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    out.assignment.push_back(remap[assignment[i]]);
+    out.inertia +=
+        squared_distance(points[i], out.centroids[out.assignment.back()]);
+  }
+  return out;
+}
+
+/// BBV-shaped points: a few visited blocks each, at frequencies from a
+/// small set, as intervals of the same loops repeat them, and a quarter of
+/// them equal to their predecessor. Few distinct values make many
+/// distances ties in exact arithmetic whose floating-point sums differ only
+/// by the order of their terms, so a kernel that adds the terms of a
+/// distance in another order than squared_distance() moves assignments on
+/// these points.
+std::vector<std::vector<double>> bbv_points(std::size_t n, std::size_t dims,
+                                            std::uint64_t seed) {
+  constexpr double kFrequencies[] = {0.1, 0.3, 0.7};
+  Rng rng(seed);
+  std::vector<std::vector<double>> points;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!points.empty() && rng.below(4) == 0) {
+      points.push_back(points.back());
+      continue;
+    }
+    std::vector<double> p(dims, 0.0);
+    for (int v = 0; v < 4; ++v) p[rng.below(dims)] = kFrequencies[rng.below(3)];
+    points.push_back(std::move(p));
+  }
+  return points;
+}
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(KMeans, MatchesReferenceBitForBit) {
+  for (const std::size_t dims : {1, 2, 5, 33, 128, 300}) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      const auto points = bbv_points(96, dims, 31 * seed + dims);
+      for (std::uint32_t k = 1; k <= 20; ++k) {
+        SCOPED_TRACE("dims " + std::to_string(dims) + ", seed " +
+                     std::to_string(seed) + ", k " + std::to_string(k));
+        Rng rng_a(100 + k), rng_b(100 + k);
+        const KMeansResult got = kmeans(points, k, rng_a);
+        const KMeansResult want = reference_kmeans(points, k, rng_b);
+        ASSERT_EQ(got.assignment, want.assignment);
+        ASSERT_EQ(got.centroids.size(), want.centroids.size());
+        for (std::size_t c = 0; c < want.centroids.size(); ++c)
+          for (std::size_t d = 0; d < dims; ++d)
+            ASSERT_EQ(bits_of(got.centroids[c][d]),
+                      bits_of(want.centroids[c][d]))
+                << "centroid " << c << ", dimension " << d;
+        EXPECT_EQ(bits_of(got.inertia), bits_of(want.inertia));
+        EXPECT_EQ(got.work, want.work);
+      }
+    }
+  }
 }
 
 concolic::BBV make_bbv(std::uint64_t start, std::uint64_t end,
