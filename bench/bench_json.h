@@ -1,7 +1,9 @@
-// Machine-readable bench output: every table bench writes BENCH_pbse.json
-// (overwriting; the "bench" field says which harness produced it) so the
-// perf trajectory — wall-clock, coverage, solver-cache hit-rate — can be
-// tracked across PRs without scraping the text tables.
+// Machine-readable bench output: each table bench writes its own file in
+// the working directory (table1 BENCH_pbse.json, table2 BENCH_table2.json,
+// table3 BENCH_table3.json; the "bench" field says which harness produced
+// it), so the perf trajectory — wall-clock, coverage, solver-cache
+// hit-rate — can be tracked across changes without scraping the text
+// tables, and scripts/check.sh can pin table1 and table2 side by side.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +50,7 @@ inline constexpr SolverCacheRow kSolverCacheRows[] = {
     {"queries", "solver.queries"},
 };
 
-/// Writes the canonical BENCH_pbse.json for one bench run.
+/// Writes the canonical bench JSON for one bench run to `path`.
 inline void write_bench_json(const std::string& path, const std::string& bench,
                              unsigned jobs, bool share_cache,
                              const core::ParallelCampaignRunner& runner,

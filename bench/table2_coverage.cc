@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.render().c_str());
 
-  write_bench_json("BENCH_pbse.json", "table2_coverage", config.jobs,
+  write_bench_json("BENCH_table2.json", "table2_coverage", config.jobs,
                    config.share_cache, runner, outcomes);
   return 0;
 }

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   std::printf("%s", table.render().c_str());
   std::printf("total unique bug sites found: %u  (paper: 21)\n", total);
 
-  write_bench_json("BENCH_pbse.json", "table3_bugs", config.jobs,
+  write_bench_json("BENCH_table3.json", "table3_bugs", config.jobs,
                    config.share_cache, runner, outcomes);
   return 0;
 }

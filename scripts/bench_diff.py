@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compares two BENCH_pbse.json files on their deterministic fields.
+"""Compares two bench JSON files (BENCH_pbse.json, BENCH_table2.json, ...)
+on their deterministic fields.
 
 Wall-clock fields (wall_seconds) vary run to run and are ignored; coverage,
 ticks, bug counts, and every solver_cache counter (the hit classes, kill
@@ -71,11 +72,14 @@ def main():
     for key in golden:
         if golden[key] != fresh[key]:
             report_drift(key, golden[key], fresh[key])
-    print("If the change is intended, regenerate the golden with:\n"
+    print("If the change is intended, regenerate the golden with the bench "
+          "that wrote it:\n"
           "  ./build/bench/table1_readelf_searchers --quick --jobs=2 "
           "--no-share-cache\n"
           "  bash scripts/multiproc_smoke.sh   # refills the multiproc "
-          "section", file=sys.stderr)
+          "section\n"
+          "  ./build/bench/table2_coverage --quick --jobs=2 "
+          "--no-share-cache   # BENCH_table2.json", file=sys.stderr)
     return 1
 
 

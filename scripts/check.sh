@@ -150,6 +150,16 @@ cp BENCH_ablation_subsumption.json "$BUILD_DIR/BENCH_abl_golden.json"
 python3 scripts/bench_diff.py "$BUILD_DIR/BENCH_abl_golden.json" BENCH_ablation_subsumption.json
 mv "$BUILD_DIR/BENCH_abl_golden.json" BENCH_ablation_subsumption.json
 
+# Table II golden: the 36 table2-quick campaigns on all four targets
+# (readelf, gif2tiff, pngtest, dwarfdump), pinned tick for tick. The two
+# gates above run readelf only, so without this one a solver or search
+# change that altered a campaign on another target would still pass.
+cp BENCH_table2.json "$BUILD_DIR/BENCH_table2_golden.json"
+"./$BUILD_DIR/bench/table2_coverage" --quick --jobs=2 --no-share-cache 2>&1 \
+  | tee "$BUILD_DIR/table2.log"
+python3 scripts/bench_diff.py "$BUILD_DIR/BENCH_table2_golden.json" BENCH_table2.json
+mv "$BUILD_DIR/BENCH_table2_golden.json" BENCH_table2.json
+
 # Server smoke (DESIGN.md §11): daemon up, job over the socket, kill -9
 # mid-job, restart, and the recovered job's final coverage must match the
 # uninterrupted reference run of the same spec.

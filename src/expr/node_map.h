@@ -1,11 +1,11 @@
 // Flat hash map keyed by an expression node or another one-word key: the
 // memos of DAG walks (evaluation, interval analysis, tape compilation, read
-// collection) and ConstraintSet's member set and site table. Entries live
-// in one array with linear probing, so an insert is a hash and a short
-// probe instead of a heap node per entry as in std::unordered_map, and a
-// copy is one allocation and a memcpy. Pointer keys are meaningful only
-// within the thread that interned them (expr.h); nothing iterates a
-// NodeMap, so its layout never reaches a result.
+// collection), ConstraintSet's member set and site table, and the snapshot
+// codec's id tables. Entries live in one array with linear probing, so an
+// insert is a hash and a short probe instead of a heap node per entry as in
+// std::unordered_map, and a copy is one allocation and a memcpy. Pointer
+// keys are meaningful only within the thread that interned them (expr.h);
+// nothing iterates a NodeMap, so its layout never reaches a result.
 #pragma once
 
 #include <cassert>

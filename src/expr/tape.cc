@@ -50,24 +50,57 @@ Tape::Tape(const Expr* root) {
   imms_.shrink_to_fit();
 }
 
+namespace {
+
+/// Kids a step of `kind` reads from the slots. A Read's kid[0] is its read
+/// number and a Constant's indexes imms_; unused kids hold 0.
+unsigned slot_kids(ExprKind kind) {
+  switch (kind) {
+    case ExprKind::kConstant:
+    case ExprKind::kRead:
+      return 0;
+    case ExprKind::kExtract:
+    case ExprKind::kZExt:
+    case ExprKind::kSExt:
+    case ExprKind::kNot:
+      return 1;
+    case ExprKind::kSelect:
+      return 3;
+    default:
+      return 2;
+  }
+}
+
+}  // namespace
+
+template <typename T, typename Bind>
+[[gnu::always_inline]] inline void Tape::run_step(std::size_t i, Bind bind,
+                                                  T* slots) const {
+  const Step& s = steps_[i];
+  NodeOp op;
+  op.kind = s.kind;
+  op.width = s.width;
+  op.param = s.param;
+  op.const_rhs = s.const_rhs;
+  if (s.kind == ExprKind::kConstant) op.imm = imms_[s.kid[0]];
+  // A Constant's kid[0] indexes imms_, not a slot, but is below size(),
+  // so the unused load stays inside the slot array.
+  const T x = s.kind == ExprKind::kRead ? bind(s.kid[0]) : slots[s.kid[0]];
+  if constexpr (std::is_same_v<T, URange>)
+    slots[i] = op_interval(op, x, slots[s.kid[1]]);
+  else
+    slots[i] = op_value(op, x, slots[s.kid[1]], slots[s.kid[2]]);
+}
+
 template <typename T, typename Bind>
 T Tape::run(Bind bind, T* slots) const {
-  for (std::size_t i = 0; i < steps_.size(); ++i) {
-    const Step& s = steps_[i];
-    NodeOp op;
-    op.kind = s.kind;
-    op.width = s.width;
-    op.param = s.param;
-    op.const_rhs = s.const_rhs;
-    if (s.kind == ExprKind::kConstant) op.imm = imms_[s.kid[0]];
-    // A Constant's kid[0] indexes imms_, not a slot, but is below size(),
-    // so the unused load stays inside the slot array.
-    const T x = s.kind == ExprKind::kRead ? bind(s.kid[0]) : slots[s.kid[0]];
-    if constexpr (std::is_same_v<T, URange>)
-      slots[i] = op_interval(op, x, slots[s.kid[1]]);
-    else
-      slots[i] = op_value(op, x, slots[s.kid[1]], slots[s.kid[2]]);
-  }
+  for (std::size_t i = 0; i < steps_.size(); ++i) run_step(i, bind, slots);
+  return slots[steps_.size() - 1];
+}
+
+template <typename T, typename Bind>
+T Tape::run(Bind bind, T* slots, std::span<const std::uint32_t> steps) const {
+  for (const std::uint32_t i : steps) run_step(i, bind, slots);
   return slots[steps_.size() - 1];
 }
 
@@ -89,6 +122,35 @@ URange Tape::interval(const URange* vars, URange* slots) const {
 URange Tape::interval(const URange* vars, const std::uint32_t* var_of_read,
                       URange* slots) const {
   return run([=](std::uint32_t r) { return vars[var_of_read[r]]; }, slots);
+}
+
+void Tape::dependents(const std::uint32_t* var_of_read, std::uint32_t var,
+                      std::vector<std::uint32_t>& out) const {
+  std::vector<bool> depends(steps_.size());
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    const Step& s = steps_[i];
+    bool d = s.kind == ExprKind::kRead && var_of_read[s.kid[0]] == var;
+    for (unsigned k = 0; !d && k < slot_kids(s.kind); ++k)
+      d = depends[s.kid[k]];
+    if (!d) continue;
+    depends[i] = true;
+    out.push_back(static_cast<std::uint32_t>(i));
+  }
+}
+
+std::uint64_t Tape::value(const std::uint64_t* vars,
+                          const std::uint32_t* var_of_read,
+                          std::uint64_t* slots,
+                          std::span<const std::uint32_t> steps) const {
+  return run([=](std::uint32_t r) { return vars[var_of_read[r]]; }, slots,
+             steps);
+}
+
+URange Tape::interval(const URange* vars, const std::uint32_t* var_of_read,
+                      URange* slots,
+                      std::span<const std::uint32_t> steps) const {
+  return run([=](std::uint32_t r) { return vars[var_of_read[r]]; }, slots,
+             steps);
 }
 
 // --- The per-thread cache ----------------------------------------------------

@@ -6,7 +6,9 @@
 // intervals — with no hashing and no allocation, which is what the
 // solver's backtracking search needs when it re-checks the same few
 // constraints hundreds of thousands of times under different byte values
-// (DESIGN.md §9, "Evaluation kernel").
+// (DESIGN.md §9, "Evaluation kernel"). When only one variable changed
+// since a run, re-running the steps that depend on it over the same slots
+// gives the same result as a full run.
 //
 // Every node is compiled exactly once, so size() equals expr_dag_size() of
 // the root, the work expr_cost() charges for one evaluation.
@@ -18,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "expr/expr.h"
@@ -54,6 +57,23 @@ class Tape {
   URange interval(const URange* vars, const std::uint32_t* var_of_read,
                   URange* slots) const;
 
+  /// Appends to `out`, ascending, the steps that depend on variable `var`
+  /// when Read i is bound to var_of_read[i]: the Reads bound to it and
+  /// every step that has such a step among its kids. The root comes last
+  /// whenever the tape reads `var`.
+  void dependents(const std::uint32_t* var_of_read, std::uint32_t var,
+                  std::vector<std::uint32_t>& out) const;
+
+  /// value() and interval() over only `steps`, ascending, on slots that an
+  /// earlier run with the same read map filled. The result is exact when
+  /// `steps` holds the dependents() of every variable that changed since
+  /// that run.
+  std::uint64_t value(const std::uint64_t* vars,
+                      const std::uint32_t* var_of_read, std::uint64_t* slots,
+                      std::span<const std::uint32_t> steps) const;
+  URange interval(const URange* vars, const std::uint32_t* var_of_read,
+                  URange* slots, std::span<const std::uint32_t> steps) const;
+
  private:
   /// A NodeOp without its constant, in 16 bytes.
   struct Step {
@@ -66,7 +86,11 @@ class Tape {
     std::uint32_t kid[3] = {0, 0, 0};
   };
   template <typename T, typename Bind>
+  void run_step(std::size_t i, Bind bind, T* slots) const;
+  template <typename T, typename Bind>
   T run(Bind bind, T* slots) const;
+  template <typename T, typename Bind>
+  T run(Bind bind, T* slots, std::span<const std::uint32_t> steps) const;
 
   std::vector<Step> steps_;
   std::vector<std::uint64_t> imms_;  // the Constants' values

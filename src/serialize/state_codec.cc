@@ -102,14 +102,13 @@ std::uint32_t StateCodec::array_id(Encoder& enc, const ArrayRef& array) {
     enc.u8(0);
     return kNullId;
   }
-  auto it = array_ids_.find(array.get());
-  if (it != array_ids_.end()) {
+  if (const std::uint32_t* id = array_ids_.find(array.get())) {
     enc.u8(1);
-    enc.u32(it->second);
-    return it->second;
+    enc.u32(*id);
+    return *id;
   }
   const auto id = static_cast<std::uint32_t>(array_ids_.size());
-  array_ids_.emplace(array.get(), id);
+  array_ids_.insert(array.get(), id);
   enc.u8(2);
   enc.str(array->name());
   enc.u32(array->size());
@@ -149,9 +148,9 @@ void StateCodec::encode_expr(Encoder& enc, const ExprRef& e) {
     enc.u32(kNullId);    // null root
     return;
   }
-  if (auto it = expr_ids_.find(e.get()); it != expr_ids_.end()) {
+  if (const std::uint32_t* id = expr_ids_.find(e.get())) {
     enc.u32(0);  // zero new definitions
-    enc.u32(it->second);
+    enc.u32(*id);
     return;
   }
   // Iterative post-order over the not-yet-emitted portion of the DAG. A
@@ -163,13 +162,13 @@ void StateCodec::encode_expr(Encoder& enc, const ExprRef& e) {
   while (!stack.empty()) {
     auto& [node, next_kid] = stack.back();
     if (next_kid == node->num_kids()) {
-      expr_ids_.emplace(node, static_cast<std::uint32_t>(expr_ids_.size()));
+      expr_ids_.insert(node, static_cast<std::uint32_t>(expr_ids_.size()));
       order.push_back(node);
       stack.pop_back();
       continue;
     }
     const Expr* kid = node->kid(next_kid++).get();
-    if (!expr_ids_.count(kid)) stack.emplace_back(kid, 0);
+    if (!expr_ids_.contains(kid)) stack.emplace_back(kid, 0);
   }
 
   enc.u32(static_cast<std::uint32_t>(order.size()));
@@ -184,9 +183,9 @@ void StateCodec::encode_expr(Encoder& enc, const ExprRef& e) {
     array_id(enc, node->array());
     enc.u32(static_cast<std::uint32_t>(node->num_kids()));
     for (std::size_t k = 0; k < node->num_kids(); ++k)
-      enc.u32(expr_ids_.at(node->kid(k).get()));
+      enc.u32(*expr_ids_.find(node->kid(k).get()));
   }
-  enc.u32(expr_ids_.at(e.get()));
+  enc.u32(*expr_ids_.find(e.get()));
 }
 
 ExprRef StateCodec::decode_expr(Decoder& dec) {
@@ -230,14 +229,13 @@ void StateCodec::encode_assignment(
     enc.u8(0);
     return;
   }
-  auto it = assignment_ids_.find(a.get());
-  if (it != assignment_ids_.end()) {
+  if (const std::uint32_t* id = assignment_ids_.find(a.get())) {
     enc.u8(1);
-    enc.u32(it->second);
+    enc.u32(*id);
     return;
   }
-  assignment_ids_.emplace(a.get(),
-                          static_cast<std::uint32_t>(assignment_ids_.size()));
+  assignment_ids_.insert(a.get(),
+                         static_cast<std::uint32_t>(assignment_ids_.size()));
   enc.u8(2);
   std::vector<const Array*> keys;
   for (const auto& [array, bytes] : a->all()) keys.push_back(array);
@@ -311,14 +309,13 @@ ModelBytes StateCodec::decode_model_bytes(Decoder& dec) {
 
 void StateCodec::encode_mem_object(Encoder& enc,
                                    const std::shared_ptr<vm::MemObject>& obj) {
-  auto it = mem_object_ids_.find(obj.get());
-  if (it != mem_object_ids_.end()) {
+  if (const std::uint32_t* id = mem_object_ids_.find(obj.get())) {
     enc.u8(1);
-    enc.u32(it->second);
+    enc.u32(*id);
     return;
   }
-  mem_object_ids_.emplace(obj.get(),
-                          static_cast<std::uint32_t>(mem_object_ids_.size()));
+  mem_object_ids_.insert(obj.get(),
+                         static_cast<std::uint32_t>(mem_object_ids_.size()));
   enc.u8(2);
   enc.u64(obj->size);
   enc.u8(obj->writable ? 1 : 0);

@@ -21,11 +21,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "expr/evaluator.h"
 #include "expr/expr.h"
+#include "expr/node_map.h"
 #include "serialize/pbss.h"
 #include "solver/cache.h"
 #include "solver/constraint_set.h"
@@ -97,11 +97,12 @@ class StateCodec {
   void encode_pointer(Encoder& enc, const vm::Pointer& p);
   vm::Pointer decode_pointer(Decoder& dec);
 
-  // Encode-side tables: node -> id, in emission order.
-  std::unordered_map<const Expr*, std::uint32_t> expr_ids_;
-  std::unordered_map<const Array*, std::uint32_t> array_ids_;
-  std::unordered_map<const Assignment*, std::uint32_t> assignment_ids_;
-  std::unordered_map<const vm::MemObject*, std::uint32_t> mem_object_ids_;
+  // Encode-side tables: node -> id, in emission order. Never null keys:
+  // the encoders return before a lookup on null.
+  NodeMap<std::uint32_t, const Expr*> expr_ids_;
+  NodeMap<std::uint32_t, const Array*> array_ids_;
+  NodeMap<std::uint32_t, const Assignment*> assignment_ids_;
+  NodeMap<std::uint32_t, const vm::MemObject*> mem_object_ids_;
 
   // Decode-side tables: id -> reconstructed node.
   std::vector<ExprRef> exprs_;

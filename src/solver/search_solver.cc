@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <span>
+#include <utility>
 
 #include "expr/node_map.h"
 
@@ -25,6 +27,8 @@ SearchSpace::SearchSpace(const std::vector<ExprRef>& constraints,
   tapes_.reserve(constraints.size());
   read_at_.reserve(constraints.size() + 1);
   read_at_.push_back(0);
+  slot_at_.reserve(constraints.size() + 1);
+  slot_at_.push_back(0);
   for (const ExprRef& c : constraints) {
     CompiledExpr& cc = compiled(c);
     assert(!cc.reads().empty() && "constant constraints must be folded away");
@@ -47,6 +51,7 @@ SearchSpace::SearchSpace(const std::vector<ExprRef>& constraints,
     read_at_.push_back(var_of_read_.size());
     tapes_.push_back(&cc.tape());
     longest_ = std::max(longest_, tapes_.back()->size());
+    slot_at_.push_back(slot_at_.back() + tapes_.back()->size());
   }
 
   // Order variables: smallest domain first (most constrained). Stable so
@@ -70,14 +75,16 @@ SearchSpace::SearchSpace(const std::vector<ExprRef>& constraints,
   // every variable additionally forward-checks the constraints it appears
   // in via interval evaluation.
   for (std::uint32_t ci = 0; ci < constraints.size(); ++ci) {
-    std::size_t deepest = 0;
+    Use deepest{ci, static_cast<std::uint32_t>(read_at_[ci])};
     for (std::size_t r = read_at_[ci]; r < read_at_[ci + 1]; ++r) {
       const std::uint32_t vi = var_of_read_[r];
-      deepest = std::max(deepest, pos_of_var[vi]);
+      const Use use{ci, static_cast<std::uint32_t>(r)};
+      if (pos_of_var[vi] > pos_of_var[var_of_read_[deepest.read]])
+        deepest = use;
       auto& inv = vars_[vi].involved;
-      if (inv.empty() || inv.back() != ci) inv.push_back(ci);
+      if (inv.empty() || inv.back().constraint != ci) inv.push_back(use);
     }
-    if (!vars_.empty()) vars_[order_[deepest]].closing.push_back(ci);
+    vars_[var_of_read_[deepest.read]].closing.push_back(deepest);
   }
 }
 
@@ -139,23 +146,10 @@ SolverResult SearchSpace::search(const Assignment* hint, bool hint_first,
 
   // bytes[vi]: variable vi's value under the current probe or DFS path.
   // ranges[vi]: its interval — a pinned point once the DFS assigns it.
-  std::vector<std::uint64_t> bytes(vars_.size(), 0), slots(longest_, 0);
-  std::vector<URange> ranges(vars_.size()), range_slots(longest_);
+  std::vector<std::uint64_t> bytes(vars_.size(), 0);
+  std::vector<URange> ranges(vars_.size());
   for (std::size_t vi = 0; vi < vars_.size(); ++vi)
     ranges[vi] = vars_[vi].range;
-  // Each check is charged its tape length, which is expr_cost().
-  auto holds = [&](std::size_t ci) {
-    cost_out += tapes_[ci]->size();
-    return tapes_[ci]->value(bytes.data(), var_of_read_.data() + read_at_[ci],
-                             slots.data()) != 0;
-  };
-  auto refuted = [&](std::size_t ci) {
-    cost_out += tapes_[ci]->size();
-    return tapes_[ci]
-               ->interval(ranges.data(), var_of_read_.data() + read_at_[ci],
-                          range_slots.data())
-               .hi == 0;
-  };
   auto write_model = [&] {
     for (std::size_t vi = 0; vi < vars_.size(); ++vi)
       model_out.mutable_bytes(vars_[vi].array)[vars_[vi].index] =
@@ -167,6 +161,14 @@ SolverResult SearchSpace::search(const Assignment* hint, bool hint_first,
   // constraints at once. Catches "make it huge" (overflow) and "make it
   // tiny" queries in O(#constraints).
   {
+    std::vector<std::uint64_t> slots(longest_, 0);
+    // Each check is charged its tape length, which is expr_cost().
+    auto holds = [&](std::size_t ci) {
+      cost_out += tapes_[ci]->size();
+      return tapes_[ci]->value(bytes.data(),
+                               var_of_read_.data() + read_at_[ci],
+                               slots.data()) != 0;
+    };
     auto try_probe = [&](auto pick) -> bool {
       for (std::size_t vi = 0; vi < vars_.size(); ++vi) bytes[vi] = pick(vi);
       for (std::size_t ci = 0; ci < tapes_.size(); ++ci)
@@ -197,10 +199,69 @@ SolverResult SearchSpace::search(const Assignment* hint, bool hint_first,
   // SHALLOW value immediately instead of at the deepest variable. A
   // variable's range is only ever changed at its own depth, so leaving
   // that depth restores its domain's range.
+  //
+  // Incremental checks: a depth entry starts each time the DFS arrives at
+  // a depth with choice 0. Within one entry only that depth's variable
+  // changes: shallower ones stay fixed, deeper ones hold their domain's
+  // range (restored when their depth was exhausted), and an exact check of
+  // a closing constraint reads no deeper byte. So each constraint keeps
+  // its slots from its last exact and its last interval run, stamped with
+  // the entry of that run. A check stamped with the current entry re-runs
+  // only the steps that depend on the entered variable; any other runs the
+  // whole tape and takes the stamp. Each check is still charged its whole
+  // tape, so ticks do not depend on how much of it ran.
+  std::vector<std::uint64_t> value_slots(slot_at_.back());
+  std::vector<URange> range_slots(slot_at_.back());
+  std::vector<std::uint64_t> value_stamp(tapes_.size(), 0);
+  std::vector<std::uint64_t> range_stamp(tapes_.size(), 0);
+  // A (variable, constraint) pair's dependent steps, numbered by its
+  // Use::read: [begin, end) in `dependent`, built at its first partial run.
+  std::vector<std::pair<std::size_t, std::size_t>> dependent_at(
+      var_of_read_.size());
+  std::vector<std::uint32_t> dependent;
+  auto dependents = [&](std::size_t vi, const Use& u) {
+    auto& [begin, end] = dependent_at[u.read];
+    if (begin == end) {
+      begin = dependent.size();
+      tapes_[u.constraint]->dependents(
+          var_of_read_.data() + read_at_[u.constraint],
+          static_cast<std::uint32_t>(vi), dependent);
+      end = dependent.size();
+    }
+    return std::span<const std::uint32_t>(dependent.data() + begin,
+                                          end - begin);
+  };
+  auto holds = [&](std::size_t vi, const Use& u, std::uint64_t now) {
+    const Tape& tape = *tapes_[u.constraint];
+    cost_out += tape.size();
+    const std::uint32_t* var_of_read =
+        var_of_read_.data() + read_at_[u.constraint];
+    std::uint64_t* slots = value_slots.data() + slot_at_[u.constraint];
+    if (std::exchange(value_stamp[u.constraint], now) == now)
+      return tape.value(bytes.data(), var_of_read, slots,
+                        dependents(vi, u)) != 0;
+    return tape.value(bytes.data(), var_of_read, slots) != 0;
+  };
+  auto refuted = [&](std::size_t vi, const Use& u, std::uint64_t now) {
+    const Tape& tape = *tapes_[u.constraint];
+    cost_out += tape.size();
+    const std::uint32_t* var_of_read =
+        var_of_read_.data() + read_at_[u.constraint];
+    URange* slots = range_slots.data() + slot_at_[u.constraint];
+    if (std::exchange(range_stamp[u.constraint], now) == now)
+      return tape.interval(ranges.data(), var_of_read, slots,
+                           dependents(vi, u)).hi == 0;
+    return tape.interval(ranges.data(), var_of_read, slots).hi == 0;
+  };
+
   std::uint64_t nodes = 0;
-  // Iterative DFS with an explicit choice stack.
+  // Iterative DFS with an explicit choice stack; entry[d] numbers the
+  // current entry at depth d (stamps start at 0, before every entry).
   std::vector<std::size_t> choice(order_.size(), 0);
+  std::vector<std::uint64_t> entry(order_.size(), 0);
+  std::uint64_t entries = 0;
   std::size_t depth = 0;
+  entry[0] = ++entries;
   while (true) {
     if (depth == order_.size()) {
       // Full assignment found and verified incrementally.
@@ -209,6 +270,7 @@ SolverResult SearchSpace::search(const Assignment* hint, bool hint_first,
     }
     const std::size_t vi = order_[depth];
     const Var& v = vars_[vi];
+    const std::uint64_t now = entry[depth];
     bool advanced = false;
     while (choice[depth] < num_candidates(vi)) {
       if (++nodes > max_nodes || cost_out > eval_limit)
@@ -219,16 +281,16 @@ SolverResult SearchSpace::search(const Assignment* hint, bool hint_first,
       ranges[vi] = URange{val, val};
       bool ok = true;
       // Exact check of constraints whose variables are all assigned.
-      for (std::uint32_t ci : v.closing) {
-        if (!holds(ci)) {
+      for (const Use& u : v.closing) {
+        if (!holds(vi, u, now)) {
           ok = false;
           break;
         }
       }
       // Interval forward-check of the other constraints this var touches.
       if (ok) {
-        for (std::uint32_t ci : v.involved) {
-          if (refuted(ci)) {
+        for (const Use& u : v.involved) {
+          if (refuted(vi, u, now)) {
             ok = false;
             break;
           }
@@ -236,7 +298,10 @@ SolverResult SearchSpace::search(const Assignment* hint, bool hint_first,
       }
       if (ok) {
         ++depth;
-        if (depth < choice.size()) choice[depth] = 0;
+        if (depth < choice.size()) {
+          choice[depth] = 0;
+          entry[depth] = ++entries;
+        }
         advanced = true;
         break;
       }

@@ -29,7 +29,10 @@ class SearchSpace {
               const DomainMap& domains);
 
   /// DFS over byte assignments with most-constrained-variable-first
-  /// ordering and hint-value-first value ordering.
+  /// ordering and hint-value-first value ordering. Within one depth entry a
+  /// re-check runs only the tape steps that depend on the variable being
+  /// assigned, yet is charged its whole tape (DESIGN.md §9, "Evaluation
+  /// kernel").
   ///
   /// `hint`         optional assignment tried first for every byte (the
   ///                state's last known model / the concolic seed).
@@ -52,13 +55,20 @@ class SearchSpace {
                       Assignment& model_out) const;
 
  private:
+  /// A constraint that mentions a variable, and the first of the
+  /// constraint's reads bound to it: a position in var_of_read_, which
+  /// numbers the (variable, constraint) pair.
+  struct Use {
+    std::uint32_t constraint = 0;
+    std::uint32_t read = 0;
+  };
   struct Var {
     ArrayRef array;
     std::uint32_t index = 0;
-    ByteDomain domain;               // full when the byte has none
-    URange range;                    // the domain's [min, max]
-    std::vector<std::uint32_t> closing;   // constraints fully assigned here
-    std::vector<std::uint32_t> involved;  // constraints mentioning this var
+    ByteDomain domain;           // full when the byte has none
+    URange range;                // the domain's [min, max]
+    std::vector<Use> closing;    // constraints fully assigned here
+    std::vector<Use> involved;   // constraints mentioning this var
   };
 
   /// Appends variable `v`'s value order for one pass to `out`: the hint
@@ -76,6 +86,8 @@ class SearchSpace {
   /// Constraint ci's Read i is variable var_of_read_[read_at_[ci] + i].
   std::vector<std::uint32_t> var_of_read_;
   std::vector<std::size_t> read_at_;
+  /// Constraint ci's slots in the DFS's slot arrays start at slot_at_[ci].
+  std::vector<std::size_t> slot_at_;
   std::vector<Var> vars_;
   std::vector<std::uint32_t> order_;  // assignment order of the variables
   std::size_t longest_ = 0;           // longest tape

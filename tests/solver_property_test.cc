@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
 #include <set>
 
 #include "core/driver.h"
@@ -16,6 +17,7 @@
 #include "expr/tape.h"
 #include "solver/interpolant.h"
 #include "solver/interval.h"
+#include "solver/search_solver.h"
 #include "solver/solver.h"
 #include "support/rng.h"
 #include "targets/targets.h"
@@ -197,7 +199,8 @@ class TapeEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 // tape cannot agree with them by construction. Both a freshly compiled
 // tape and the thread's cached one are checked, with each Read bound
 // through a read map as the search binds it: byte i of the array is
-// variable var_of_byte[i], a permutation that changes every trial.
+// variable var_of_byte[i], a permutation that changes every trial. A re-run
+// of one variable's dependent steps must leave the slots a full run would.
 TEST_P(TapeEquivalence, MatchesEvaluatorAndIntervalOf) {
   Rng rng(GetParam());
   auto array = std::make_shared<Array>("tape" + std::to_string(GetParam()), 6);
@@ -294,6 +297,48 @@ TEST_P(TapeEquivalence, MatchesEvaluatorAndIntervalOf) {
         ranged.domain(array, static_cast<std::uint32_t>(rng.below(n)));
     for (unsigned v = 0; v < 256; ++v) emptied.remove(static_cast<std::uint8_t>(v));
     check_interval(ranged, "empty");
+
+    // Incremental re-runs, for every variable the DAG reads: after a full
+    // run, change that variable's byte (or range) and re-run only its
+    // dependents() over the same slots. Every slot, the root's included,
+    // must equal a fresh full run's.
+    auto random_range = [&] {
+      const std::uint8_t lo = random_byte(rng);
+      return URange{lo, lo + rng.below(256u - lo)};
+    };
+    for (std::size_t k = 0; k < reads.size(); ++k) {
+      const std::uint32_t var = read_map[k];
+      std::vector<std::uint32_t> steps;
+      cached.tape().dependents(read_map.data(), var, steps);
+      ASSERT_FALSE(steps.empty()) << e->to_string();
+      EXPECT_TRUE(std::is_sorted(steps.begin(), steps.end()));
+      EXPECT_EQ(steps.back(), fresh.size() - 1) << "the root reads every var";
+
+      std::vector<std::uint64_t> vars(n), full(fresh.size());
+      for (std::uint64_t& b : vars) b = random_byte(rng);
+      fresh.value(vars.data(), read_map.data(), slots.data());
+      vars[var] = random_byte(rng);
+      const std::uint64_t partial =
+          fresh.value(vars.data(), read_map.data(), slots.data(), steps);
+      EXPECT_EQ(partial, fresh.value(vars.data(), read_map.data(), full.data()))
+          << "var " << var << ": " << e->to_string();
+      EXPECT_EQ(slots, full) << "var " << var << ": " << e->to_string();
+
+      std::vector<URange> ranges(n), full_ranges(fresh.size());
+      for (URange& r : ranges) r = random_range();
+      fresh.interval(ranges.data(), read_map.data(), range_slots.data());
+      ranges[var] = rng.below(2) == 0 ? random_range()
+                                      : URange{vars[var], vars[var]};
+      fresh.interval(ranges.data(), read_map.data(), range_slots.data(),
+                     steps);
+      fresh.interval(ranges.data(), read_map.data(), full_ranges.data());
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_EQ(range_slots[i].lo, full_ranges[i].lo)
+            << "var " << var << ", step " << i << ": " << e->to_string();
+        EXPECT_EQ(range_slots[i].hi, full_ranges[i].hi)
+            << "var " << var << ", step " << i << ": " << e->to_string();
+      }
+    }
   }
   // Non-vacuity: the generator reached all 26 kinds.
   EXPECT_EQ(kinds.size(), 26u);
@@ -301,6 +346,237 @@ TEST_P(TapeEquivalence, MatchesEvaluatorAndIntervalOf) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TapeEquivalence,
                          ::testing::Values(5ull, 15ull, 25ull, 35ull));
+
+// --- Search kernel ------------------------------------------------------------
+
+/// SearchSpace::search() with every check a full run of its tape: the same
+/// variables, order, closing and involved lists, candidates, probes and
+/// budget tests, rebuilt here from the compiled forms.
+SolverResult reference_search(const std::vector<ExprRef>& constraints,
+                              const DomainMap& domains,
+                              const Assignment* hint, bool hint_first,
+                              std::size_t cap, std::uint64_t max_nodes,
+                              std::uint64_t max_evals,
+                              std::uint64_t& cost_out,
+                              Assignment& model_out) {
+  struct Var {
+    ArrayRef array;
+    std::uint32_t index = 0;
+    ByteDomain domain;
+    URange range;
+    std::vector<std::size_t> closing, involved;
+    std::vector<std::uint8_t> candidates;
+  };
+  const std::uint64_t eval_limit = cost_out + max_evals;
+  const CompiledPin pin;
+  std::vector<Var> vars;
+  std::vector<const Tape*> tapes;
+  std::vector<std::vector<std::uint32_t>> var_of_read;
+  for (const ExprRef& c : constraints) {
+    CompiledExpr& cc = compiled(c);
+    var_of_read.emplace_back();
+    for (const ReadSite& r : cc.reads()) {
+      std::size_t vi = 0;
+      while (vi < vars.size() && (vars[vi].array != r.array ||
+                                  vars[vi].index != r.index))
+        ++vi;
+      if (vi == vars.size()) {
+        Var v;
+        v.array = r.array;
+        v.index = r.index;
+        if (const ByteDomain* d = domains.find(r.array.get(), r.index))
+          v.domain = *d;
+        v.range = read_range(domains, r.array.get(), r.index);
+        vars.push_back(std::move(v));
+      }
+      var_of_read.back().push_back(static_cast<std::uint32_t>(vi));
+    }
+    tapes.push_back(&cc.tape());
+  }
+  if (vars.empty()) return SolverResult::kSat;
+  for (const Var& v : vars)
+    if (v.domain.empty()) return SolverResult::kUnsat;
+
+  std::vector<std::size_t> order(vars.size()), pos(vars.size());
+  for (std::size_t vi = 0; vi < vars.size(); ++vi) order[vi] = vi;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return vars[a].domain.size() < vars[b].domain.size();
+                   });
+  for (std::size_t p = 0; p < order.size(); ++p) pos[order[p]] = p;
+  for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
+    std::size_t deepest = 0;
+    for (const std::uint32_t vi : var_of_read[ci]) {
+      deepest = std::max(deepest, pos[vi]);
+      vars[vi].involved.push_back(ci);
+    }
+    vars[order[deepest]].closing.push_back(ci);
+  }
+  for (Var& v : vars) {
+    const std::size_t limit = cap > 0 ? cap : 256;
+    ByteDomain left = v.domain;
+    auto push = [&](std::uint8_t val) {
+      if (v.candidates.size() >= limit || !left.allows(val)) return;
+      v.candidates.push_back(val);
+      left.remove(val);
+    };
+    const std::uint8_t hinted =
+        hint != nullptr ? hint->byte(v.array.get(), v.index) : 0;
+    if (hint_first && hint != nullptr) push(hinted);
+    for (const std::uint8_t b : {0x00, 0xff, 0x01, 0x80, 0x7f}) push(b);
+    if (!hint_first && hint != nullptr) push(hinted);
+    for (unsigned val = 0; val < 256; ++val)
+      push(static_cast<std::uint8_t>(val));
+  }
+
+  std::vector<std::uint64_t> bytes(vars.size());
+  std::vector<URange> ranges(vars.size());
+  for (std::size_t vi = 0; vi < vars.size(); ++vi) ranges[vi] = vars[vi].range;
+  std::vector<std::uint64_t> slots(1024);
+  std::vector<URange> range_slots(1024);
+  auto holds = [&](std::size_t ci) {
+    cost_out += tapes[ci]->size();
+    slots.resize(std::max(slots.size(), tapes[ci]->size()));
+    return tapes[ci]->value(bytes.data(), var_of_read[ci].data(),
+                            slots.data()) != 0;
+  };
+  auto refuted = [&](std::size_t ci) {
+    cost_out += tapes[ci]->size();
+    range_slots.resize(std::max(range_slots.size(), tapes[ci]->size()));
+    return tapes[ci]->interval(ranges.data(), var_of_read[ci].data(),
+                               range_slots.data()).hi == 0;
+  };
+  auto write_model = [&] {
+    for (std::size_t vi = 0; vi < vars.size(); ++vi)
+      model_out.mutable_bytes(vars[vi].array)[vars[vi].index] =
+          static_cast<std::uint8_t>(bytes[vi]);
+  };
+
+  auto probe = [&](auto pick) {
+    for (std::size_t vi = 0; vi < vars.size(); ++vi) bytes[vi] = pick(vars[vi]);
+    for (std::size_t ci = 0; ci < tapes.size(); ++ci)
+      if (!holds(ci)) return false;
+    write_model();
+    return true;
+  };
+  auto low = [](const Var& v) { return v.candidates[0]; };
+  auto high = [](const Var& v) {
+    return *std::max_element(v.candidates.begin(), v.candidates.end());
+  };
+  auto zeroish = [](const Var& v) {
+    return std::find(v.candidates.begin(), v.candidates.end(), 0) !=
+                   v.candidates.end()
+               ? std::uint8_t{0}
+               : v.candidates[0];
+  };
+  if (probe(low) || probe(high) || probe(zeroish)) return SolverResult::kSat;
+
+  std::uint64_t nodes = 0;
+  std::vector<std::size_t> choice(order.size(), 0);
+  std::size_t depth = 0;
+  while (true) {
+    if (depth == order.size()) {
+      write_model();
+      return SolverResult::kSat;
+    }
+    const std::size_t vi = order[depth];
+    const Var& v = vars[vi];
+    bool advanced = false;
+    while (choice[depth] < v.candidates.size()) {
+      if (++nodes > max_nodes || cost_out > eval_limit)
+        return SolverResult::kUnknown;
+      const std::uint8_t val = v.candidates[choice[depth]++];
+      bytes[vi] = val;
+      ranges[vi] = URange{val, val};
+      bool ok = std::all_of(v.closing.begin(), v.closing.end(), holds);
+      ok = ok && std::none_of(v.involved.begin(), v.involved.end(), refuted);
+      if (ok) {
+        if (++depth < choice.size()) choice[depth] = 0;
+        advanced = true;
+        break;
+      }
+    }
+    if (advanced) continue;
+    ranges[vi] = v.range;
+    if (depth == 0) return SolverResult::kUnsat;
+    --depth;
+  }
+}
+
+// The DFS re-runs only the steps that depend on the variable it assigns
+// (DESIGN.md §9, "Evaluation kernel"), which is exact only if the slots it
+// reuses were filled in the same depth entry. Against a reference that
+// re-runs whole tapes, every pass setting of the solver must give the same
+// result, model and charge, on random constraints of both grammars over
+// 3-8 bytes with narrowed domains, under budgets that cut some searches
+// short in the middle of the DFS.
+TEST(SearchKernel, MatchesFullEvaluationReference) {
+  Rng rng(4099);
+  std::map<SolverResult, int> results;
+  int dfs_searches = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    const auto n = static_cast<std::uint32_t>(3 + rng.below(6));
+    auto array =
+        std::make_shared<Array>("search" + std::to_string(trial), n);
+    std::vector<ExprRef> constraints;
+    const std::size_t count = 2 + rng.below(7);
+    while (constraints.size() < count) {
+      const auto i0 = static_cast<std::uint32_t>(rng.below(n));
+      const auto i1 = static_cast<std::uint32_t>((i0 + 1 + rng.below(n - 1)) % n);
+      const ExprRef c =
+          rng.below(2) == 0
+              ? random_constraint_on(array, i0, i1, rng)
+              : random_term(array, 1, static_cast<unsigned>(1 + rng.below(4)),
+                            rng);
+      if (!c->is_constant()) constraints.push_back(c);
+    }
+    DomainMap domains;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (rng.below(2) == 0) continue;
+      ByteDomain& d = domains.domain(array, i);
+      const std::uint8_t lo = random_byte(rng);
+      d.remove_above(static_cast<std::uint8_t>(lo + rng.below(256u - lo)));
+      for (unsigned v = 0; v < lo; ++v) d.remove(static_cast<std::uint8_t>(v));
+      for (int k = rng.below(40); k > 0; --k) d.remove(random_byte(rng));
+    }
+    Assignment hint;
+    for (std::uint8_t& b : hint.mutable_bytes(array)) b = random_byte(rng);
+    const Assignment* hint_or_null = rng.below(4) == 0 ? nullptr : &hint;
+
+    const SearchSpace space(constraints, domains);
+    struct Pass {
+      bool hint_first;
+      std::size_t cap;
+    };
+    for (const Pass pass : {Pass{true, 6}, Pass{true, 0}, Pass{false, 0}}) {
+      const std::uint64_t max_nodes = 1 + rng.below(3000);
+      const std::uint64_t max_evals = 1 + rng.below(60000);
+      const std::uint64_t start = rng.below(1000);
+      std::uint64_t cost = start, want_cost = start;
+      Assignment model, want_model;
+      const SolverResult got =
+          space.search(hint_or_null, pass.hint_first, pass.cap, max_nodes,
+                       max_evals, cost, model);
+      const SolverResult want = reference_search(
+          constraints, domains, hint_or_null, pass.hint_first, pass.cap,
+          max_nodes, max_evals, want_cost, want_model);
+      ASSERT_EQ(got, want) << "trial " << trial << ", cap " << pass.cap;
+      ASSERT_EQ(cost, want_cost) << "trial " << trial << ", cap " << pass.cap;
+      ASSERT_EQ(model.mutable_bytes(array), want_model.mutable_bytes(array))
+          << "trial " << trial << ", cap " << pass.cap;
+      ++results[got];
+      std::uint64_t probes = 0;
+      for (const ExprRef& c : constraints) probes += 3 * expr_cost(c);
+      dfs_searches += cost - start > probes;
+    }
+  }
+  // Non-vacuity: the DFS ran, and searches ended in all three ways, some
+  // cut short by a budget.
+  EXPECT_GT(dfs_searches, 500);
+  EXPECT_GT(results[SolverResult::kSat], 200);
+  EXPECT_GT(results[SolverResult::kUnsat], 200);
+  EXPECT_GT(results[SolverResult::kUnknown], 200);
+}
 
 class SolverSoundness : public ::testing::TestWithParam<std::uint64_t> {};
 
