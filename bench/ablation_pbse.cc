@@ -5,13 +5,12 @@
 //   3. phase scheduling TimePeriod: coverage after a fixed budget for
 //      several period settings;
 //   4. seed scale: phase count and coverage as the seed grows.
-//   5. interpolant subsumption (DESIGN.md §10): pbSE and KLEE with
-//      pruning on vs off; fails (exit 1) if pruning loses coverage.
-//      Writes BENCH_ablation_subsumption.json so check.sh can pin both
-//      modes against a committed golden. --only=subsumption runs just
-//      this section.
+// --only=SECTION runs one of them (coverage-element, trap-threshold,
+// time-period, seed-scale); an unknown section is a usage error (exit 2).
+#include <functional>
+#include <utility>
+
 #include "bench_common.h"
-#include "bench_json.h"
 #include "concolic/concolic_executor.h"
 #include "phase/phase_analysis.h"
 
@@ -107,109 +106,26 @@ void ablation_seed_scale(const BenchConfig& config) {
   std::printf("%s", table.render().c_str());
 }
 
-int ablation_subsumption(const BenchConfig& config) {
-  print_header("Ablation 5: interpolant subsumption");
-  // (pbSE, KLEE-default) campaign pairs on readelf, pruning on vs off. An
-  // off campaign IS the pre-subsumption engine (no probes, zero tick
-  // deltas), so pinning its covered/ticks numbers
-  // against a committed golden proves the off path didn't drift; each on
-  // campaign must cover at least as much as its off twin — pruning may
-  // trade explored states for ticks but never covered blocks.
-  const auto seed = targets::make_melf_seed(6);
-  std::vector<core::Campaign> campaigns;
-  for (const bool pruning : {true, false}) {
-    const char* suffix = pruning ? "on" : "off";
-    campaigns.push_back(
-        {std::string("pbse-") + suffix,
-         [pruning, &seed, &config](const core::CampaignContext& ctx) {
-           ir::Module module = build_by_driver("readelf");
-           core::PbseOptions options = config.pbse_options(ctx);
-           options.executor.use_subsumption = pruning && config.subsumption;
-           core::PbseDriver driver(module, "main", options);
-           core::CampaignOutcome out;
-           if (!driver.prepare(seed)) return out;
-           driver.run(config.hour10 - driver.clock().now());
-           out.covered = driver.executor().num_covered();
-           out.ticks = driver.clock().now();
-           out.bugs = driver.executor().bugs().size();
-           out.stats = driver.stats();
-           return out;
-         }});
-    // A plain KLEE campaign alongside pbSE: barren subsumption mostly bites
-    // in long searcher-driven symbolic runs, so the gate should watch one.
-    campaigns.push_back(
-        {std::string("klee-default-") + suffix,
-         [pruning, &config](const core::CampaignContext& ctx) {
-           ir::Module module = build_by_driver("readelf");
-           core::KleeRunOptions options = config.klee_options(ctx);
-           options.sym_file_size = 100;
-           options.executor.use_subsumption = pruning && config.subsumption;
-           core::KleeRun run(module, "main", options);
-           run.run(config.hour10);
-           core::CampaignOutcome out;
-           out.covered = run.executor().num_covered();
-           out.ticks = run.clock().now();
-           out.bugs = run.executor().bugs().size();
-           out.stats = run.stats();
-           return out;
-         }});
-  }
-  core::ParallelCampaignRunner runner(config.parallel());
-  const auto outcomes = runner.run(campaigns);
-
-  std::uint64_t kills = 0, explored = 0;
-  TextTable table;
-  table.header({"campaign", "covered BBs", "ticks", "pruned", "explored"});
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const core::CampaignOutcome& o = outcomes[i];
-    const std::uint64_t k = o.stats.get("executor.subsumed_barren");
-    const std::uint64_t e =
-        o.stats.get("executor.forks") + o.stats.get("concolic.seed_states");
-    if (o.name.size() > 3 && o.name.rfind("-on") == o.name.size() - 3) {
-      kills += k;
-      explored += e;
-    }
-    table.row({o.name, std::to_string(o.covered), std::to_string(o.ticks),
-               std::to_string(k), std::to_string(e)});
-  }
-  std::printf("%s", table.render().c_str());
-  std::printf("pruned fraction: %.1f%% of explored states (on campaigns)\n",
-              explored > 0 ? 100.0 * static_cast<double>(kills) /
-                                 static_cast<double>(explored)
-                           : 0.0);
-
-  write_bench_json("BENCH_ablation_subsumption.json", "ablation_subsumption",
-                   config.jobs, config.share_cache, runner, outcomes);
-
-  // Campaigns come in (on, off) pairs per driver: pruning may never lose
-  // covered blocks on the gate workload.
-  int rc = 0;
-  for (std::size_t i = 0; i + 2 < outcomes.size(); i += 1) {
-    if (outcomes[i].name.rfind("-on") == outcomes[i].name.size() - 3) {
-      const core::CampaignOutcome& off = outcomes[i + 2];
-      if (outcomes[i].covered < off.covered) {
-        std::fprintf(stderr, "FAIL: %s covered %llu < %s %llu\n",
-                     outcomes[i].name.c_str(),
-                     static_cast<unsigned long long>(outcomes[i].covered),
-                     off.name.c_str(),
-                     static_cast<unsigned long long>(off.covered));
-        rc = 1;
-      }
-    }
-  }
-  return rc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const BenchConfig config = parse_args(argc, argv);
-  const auto want = [&config](const char* section) {
-    return config.only.empty() || config.only == section;
+  const std::pair<const char*, std::function<void()>> sections[] = {
+      {"coverage-element", ablation_coverage_element},
+      {"trap-threshold", ablation_trap_threshold},
+      {"time-period", [&config] { ablation_time_period(config); }},
+      {"seed-scale", [&config] { ablation_seed_scale(config); }},
   };
-  if (want("coverage-element")) ablation_coverage_element();
-  if (want("trap-threshold")) ablation_trap_threshold();
-  if (want("time-period")) ablation_time_period(config);
-  if (want("seed-scale")) ablation_seed_scale(config);
-  return want("subsumption") ? ablation_subsumption(config) : 0;
+  bool known = config.only.empty();
+  for (const auto& [name, run] : sections) known |= config.only == name;
+  if (!known) {
+    std::fprintf(stderr, "%s: unknown --only=%s; sections:", argv[0],
+                 config.only.c_str());
+    for (const auto& [name, run] : sections) std::fprintf(stderr, " %s", name);
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
+  for (const auto& [name, run] : sections)
+    if (config.only.empty() || config.only == name) run();
+  return 0;
 }

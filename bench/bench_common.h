@@ -31,9 +31,6 @@ struct BenchConfig {
   bool quick = false;
   unsigned jobs = 1;
   bool share_cache = true;
-  /// Interpolant-based state subsumption (--no-subsumption turns it off;
-  /// off reproduces the pre-subsumption engine tick-for-tick).
-  bool subsumption = true;
   /// When non-empty, run only the section with this name (ablation
   /// harnesses; other benches ignore it).
   std::string only;
@@ -47,13 +44,11 @@ struct BenchConfig {
   }
 
   /// Options every KLEE campaign body starts from: the campaign's shared
-  /// solver cache (none outside a runner, or with --no-share-cache) and the
-  /// --no-subsumption flag.
+  /// solver cache (none outside a runner, or with --no-share-cache).
   core::KleeRunOptions klee_options(
       const core::CampaignContext& ctx = {}) const {
     core::KleeRunOptions options;
     options.solver.shared_cache = ctx.shared_cache;
-    options.executor.use_subsumption = subsumption;
     return options;
   }
 
@@ -61,7 +56,6 @@ struct BenchConfig {
   core::PbseOptions pbse_options(const core::CampaignContext& ctx = {}) const {
     core::PbseOptions options;
     options.solver.shared_cache = ctx.shared_cache;
-    options.executor.use_subsumption = subsumption;
     return options;
   }
 };
@@ -82,8 +76,6 @@ inline BenchConfig parse_args(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--no-share-cache") == 0) {
       config.share_cache = false;
-    } else if (std::strcmp(argv[i], "--no-subsumption") == 0) {
-      config.subsumption = false;
     } else if (std::strncmp(argv[i], "--only=", 7) == 0) {
       config.only = argv[i] + 7;
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
@@ -91,7 +83,7 @@ inline BenchConfig parse_args(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--jobs=N] [--no-share-cache] "
-                   "[--no-subsumption] [--only=SECTION] [--trace=PATH]\n",
+                   "[--only=SECTION] [--trace=PATH]\n",
                    argv[0]);
       std::exit(2);
     }

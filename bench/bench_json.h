@@ -42,10 +42,7 @@ inline constexpr SolverCacheRow kSolverCacheRows[] = {
     // directions the executor dropped because of one.
     {"search_unknown", "solver.search_unknown"},
     {"fork_unknown", "executor.fork_unknown"},
-    // Subsumption kill class (executor.cc, DESIGN.md §10): states
-    // terminated at block entry without solver work.
-    {"subsumed_barren", "executor.subsumed_barren"},
-    // Denominator (forked states) the pruning fraction is measured against.
+    // States forked, and queries asked: the denominators of the rows above.
     {"states_forked", "executor.forks"},
     {"queries", "solver.queries"},
 };

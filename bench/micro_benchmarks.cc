@@ -3,8 +3,6 @@
 // independence on/off), k-means clustering, and raw interpretation speed.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-
 #include "concolic/concolic_executor.h"
 #include "core/driver.h"
 #include "core/pbse.h"
@@ -17,7 +15,6 @@
 #include "serialize/pbss.h"
 #include "server/job.h"
 #include "serialize/state_codec.h"
-#include "solver/interpolant.h"
 #include "solver/interval.h"
 #include "solver/search_solver.h"
 #include "solver/solver.h"
@@ -271,36 +268,6 @@ void BM_SearchKernel(benchmark::State& state) {
       static_cast<double>(evals), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SearchKernel)->ArgName("warm")->Arg(0)->Arg(1);
-
-// --- Subsumption-layer micro-benchmarks (DESIGN.md §10) ---------------------
-
-// Interpolant-table probe at a populated location: the per-block-entry
-// cost paid by every symbolic state when subsumption is on. Arg is the
-// probing state's constraint count; the table holds kMaxPerKey summaries
-// at the location. Worst case (all summaries scanned, no hit) — a real
-// probe exits early on the first subsuming summary.
-void BM_InterpolantLookup(benchmark::State& state) {
-  InterpolantTable table;
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  // Summaries that share a prefix with the probe but each contain one
-  // hash the probe lacks, forcing std::includes to scan.
-  for (std::size_t c = 0; c < InterpolantTable::kMaxPerKey; ++c) {
-    std::vector<std::uint64_t> core;
-    for (std::size_t i = 0; i < 8; ++i)
-      core.push_back(mix_constraint_hash(i * 3 + c * 101 + 1));
-    std::sort(core.begin(), core.end());
-    table.add_barren(/*location=*/7, core);
-  }
-  std::vector<std::uint64_t> hashes;
-  for (std::size_t i = 0; i < n; ++i)
-    hashes.push_back(mix_constraint_hash(i + 1));
-  std::sort(hashes.begin(), hashes.end());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.barren_subsumes(7, hashes));
-    benchmark::DoNotOptimize(table.barren_subsumes(8, hashes));  // empty loc
-  }
-}
-BENCHMARK(BM_InterpolantLookup)->Arg(16)->Arg(256);
 
 // The disabled-path cost of an instrumentation site: one relaxed atomic
 // load and a branch, with no argument evaluation. Compare against

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Compares two bench JSON files (BENCH_pbse.json, BENCH_table2.json, ...)
-on their deterministic fields.
+"""Compares two bench JSON files (the BENCH_pbse.json or BENCH_table2.json
+golden and a fresh run) on their deterministic fields.
 
 Wall-clock fields (wall_seconds) vary run to run and are ignored; coverage,
-ticks, bug counts, and every solver_cache counter (the hit classes, kill
-classes and pruning counters bench/bench_json.h writes from its
-kSolverCacheRows table) are virtual-clock-deterministic for a fixed bench
-configuration, so any drift is a real behaviour change and fails the check.
+ticks, bug counts, and every solver_cache counter (the cache hit classes,
+the Unknown counters and their denominators, which bench/bench_json.h writes
+from its kSolverCacheRows table) are virtual-clock-deterministic for a fixed
+bench configuration, so any drift is a real behaviour change and fails the
+check.
 Usage: bench_diff.py <golden.json> <fresh.json>
 """
 import json
@@ -75,8 +76,8 @@ def main():
     print("If the change is intended, regenerate the golden with the bench "
           "that wrote it:\n"
           "  ./build/bench/table1_readelf_searchers --quick --jobs=2 "
-          "--no-share-cache\n"
-          "  bash scripts/multiproc_smoke.sh   # refills the multiproc "
+          "--no-share-cache   # BENCH_pbse.json\n"
+          "  bash scripts/multiproc_smoke.sh   # refills its multiproc "
           "section\n"
           "  ./build/bench/table2_coverage --quick --jobs=2 "
           "--no-share-cache   # BENCH_table2.json", file=sys.stderr)

@@ -140,20 +140,10 @@ python3 scripts/bench_diff.py "$BUILD_DIR/BENCH_golden.json" BENCH_pbse.json
 # passing run leaves behind is nothing at all (wall_seconds would churn).
 mv "$BUILD_DIR/BENCH_golden.json" BENCH_pbse.json
 
-# Subsumption ablation gate (DESIGN.md §10): runs pbSE with pruning on and
-# off side by side. The binary itself exits nonzero if the pruned run loses
-# coverage; the diff then pins both modes' deterministic numbers (the off
-# campaign IS the pre-subsumption engine) against the committed golden.
-cp BENCH_ablation_subsumption.json "$BUILD_DIR/BENCH_abl_golden.json"
-"./$BUILD_DIR/bench/ablation_pbse" --quick --only=subsumption --jobs=2 --no-share-cache 2>&1 \
-  | tee "$BUILD_DIR/ablation.log"
-python3 scripts/bench_diff.py "$BUILD_DIR/BENCH_abl_golden.json" BENCH_ablation_subsumption.json
-mv "$BUILD_DIR/BENCH_abl_golden.json" BENCH_ablation_subsumption.json
-
 # Table II golden: the 36 table2-quick campaigns on all four targets
-# (readelf, gif2tiff, pngtest, dwarfdump), pinned tick for tick. The two
-# gates above run readelf only, so without this one a solver or search
-# change that altered a campaign on another target would still pass.
+# (readelf, gif2tiff, pngtest, dwarfdump), pinned tick for tick. The gate
+# above runs readelf only, so without this one a solver or search change
+# that altered a campaign on another target would still pass.
 cp BENCH_table2.json "$BUILD_DIR/BENCH_table2_golden.json"
 "./$BUILD_DIR/bench/table2_coverage" --quick --jobs=2 --no-share-cache 2>&1 \
   | tee "$BUILD_DIR/table2.log"

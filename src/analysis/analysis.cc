@@ -99,24 +99,22 @@ std::vector<std::uint32_t> ModuleAnalysis::sink_blocks() const {
   return blocks;
 }
 
-void PassManager::run(const ir::Module& module, const AnalysisOptions& options,
-                      ModuleAnalysis& out) const {
+void PassManager::run(const ir::Module& module, ModuleAnalysis& out) const {
   for (const auto& pass : passes_) {
-    const std::uint64_t work = pass->run(module, options, out);
+    const std::uint64_t work = pass->run(module, out);
     out.pass_log.emplace_back(pass->name(), work);
   }
 }
 
-std::unique_ptr<ModuleAnalysis> analyze_module(const ir::Module& module,
-                                               const AnalysisOptions& options) {
+std::unique_ptr<ModuleAnalysis> analyze_module(const ir::Module& module) {
   assert(module.finalized() && "finalize the module before analysis");
   auto result = std::make_unique<ModuleAnalysis>();
   PassManager pm;
   pm.add(make_callgraph_pass());
   pm.add(make_dominator_pass());
   pm.add(make_sccp_pass());
-  if (options.lint) pm.add(make_lint_pass());
-  pm.run(module, options, *result);
+  pm.add(make_lint_pass());
+  pm.run(module, *result);
   return result;
 }
 

@@ -148,15 +148,6 @@ const char* severity_name(Severity severity);
 
 // --- Module-level result ----------------------------------------------------
 
-struct AnalysisOptions {
-  std::string entry = "main";
-  /// Joins at the same point beyond this count widen straight to top
-  /// (guarantees termination on loops without a narrowing pass).
-  std::uint32_t widen_after_joins = 4;
-  /// Disables the sink lint (facts/edges only).
-  bool lint = true;
-};
-
 class ModuleAnalysis {
  public:
   CallGraph callgraph;
@@ -213,15 +204,13 @@ class Pass {
   virtual ~Pass() = default;
   virtual const char* name() const = 0;
   virtual std::uint64_t run(const ir::Module& module,
-                            const AnalysisOptions& options,
                             ModuleAnalysis& out) = 0;
 };
 
 class PassManager {
  public:
   void add(std::unique_ptr<Pass> pass) { passes_.push_back(std::move(pass)); }
-  void run(const ir::Module& module, const AnalysisOptions& options,
-           ModuleAnalysis& out) const;
+  void run(const ir::Module& module, ModuleAnalysis& out) const;
 
  private:
   std::vector<std::unique_ptr<Pass>> passes_;
@@ -235,8 +224,8 @@ std::unique_ptr<Pass> make_dominator_pass();
 std::unique_ptr<Pass> make_sccp_pass();
 std::unique_ptr<Pass> make_lint_pass();
 
-/// Runs the standard pipeline. The module must be finalized.
-std::unique_ptr<ModuleAnalysis> analyze_module(const ir::Module& module,
-                                               const AnalysisOptions& options = {});
+/// Runs the standard pipeline from the module's `main`. The module must be
+/// finalized.
+std::unique_ptr<ModuleAnalysis> analyze_module(const ir::Module& module);
 
 }  // namespace pbse::analysis

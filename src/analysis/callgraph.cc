@@ -13,8 +13,7 @@ class CallGraphPass final : public Pass {
  public:
   const char* name() const override { return "callgraph"; }
 
-  std::uint64_t run(const ir::Module& module, const AnalysisOptions& options,
-                    ModuleAnalysis& out) override {
+  std::uint64_t run(const ir::Module& module, ModuleAnalysis& out) override {
     const std::uint32_t n = static_cast<std::uint32_t>(module.num_functions());
     CallGraph& cg = out.callgraph;
     cg.callees.assign(n, {});
@@ -42,7 +41,7 @@ class CallGraphPass final : public Pass {
       list.erase(std::unique(list.begin(), list.end()), list.end());
     }
 
-    const ir::Function* entry = module.function_by_name(options.entry);
+    const ir::Function* entry = module.function_by_name("main");
     if (entry == nullptr) return work;
     cg.entry = entry->index();
     std::deque<std::uint32_t> queue{cg.entry};

@@ -85,8 +85,7 @@ class DominatorPass final : public Pass {
  public:
   const char* name() const override { return "dominators"; }
 
-  std::uint64_t run(const ir::Module& module, const AnalysisOptions&,
-                    ModuleAnalysis& out) override {
+  std::uint64_t run(const ir::Module& module, ModuleAnalysis& out) override {
     std::uint64_t work = 0;
     out.dominators.clear();
     out.post_dominators.clear();

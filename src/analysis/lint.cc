@@ -38,8 +38,7 @@ class LintPass final : public Pass {
  public:
   const char* name() const override { return "sink-lint"; }
 
-  std::uint64_t run(const ir::Module& module, const AnalysisOptions&,
-                    ModuleAnalysis& out) override {
+  std::uint64_t run(const ir::Module& module, ModuleAnalysis& out) override {
     module_ = &module;
     out_ = &out;
     std::uint64_t work = 0;

@@ -20,7 +20,7 @@
 //     are direct in this IR, so no indirect-call approximation is needed.
 //
 // Joins at accumulation points (cells, params, returns) widen to top after
-// AnalysisOptions::widen_after_joins growth steps, bounding the fixpoint.
+// kWidenAfterJoins growth steps, bounding the fixpoint.
 // After convergence a final sweep derives the infeasible-edge set and the
 // statically-unreachable block set.
 #include <algorithm>
@@ -214,17 +214,21 @@ ValueFact transfer_cast(CastOp op, const ValueFact& v, unsigned from_w,
 
 // --- Join points with widening ----------------------------------------------
 
+/// Joins at the same point beyond this count widen straight to top
+/// (guarantees termination on loops without a narrowing pass).
+constexpr std::uint32_t kWidenAfterJoins = 4;
+
 /// A fact accumulated by joins (cell / parameter / return). Widens to top
-/// once it has grown more than `widen_after` times.
+/// once it has grown more than kWidenAfterJoins times.
 struct JoinedFact {
   ValueFact fact;  // starts bottom
   std::uint32_t grows = 0;
 
   /// Joins `v` in; returns true if the fact changed.
-  bool join(const ValueFact& v, unsigned width, std::uint32_t widen_after) {
+  bool join(const ValueFact& v, unsigned width) {
     const ValueFact next = ValueFact::join(fact, v);
     if (next == fact) return false;
-    if (++grows > widen_after) {
+    if (++grows > kWidenAfterJoins) {
       const ValueFact top = ValueFact::top(width);
       if (fact == top) return false;
       fact = top;
@@ -241,10 +245,8 @@ class SccpPass final : public Pass {
  public:
   const char* name() const override { return "sccp-intervals"; }
 
-  std::uint64_t run(const ir::Module& module, const AnalysisOptions& options,
-                    ModuleAnalysis& out) override {
+  std::uint64_t run(const ir::Module& module, ModuleAnalysis& out) override {
     module_ = &module;
-    options_ = &options;
     out_ = &out;
     work_ = 0;
 
@@ -489,8 +491,7 @@ class SccpPass final : public Pass {
             }
             const ValueFact v = operand_fact(fi, inst.ops[1]);
             if (!cell.poisoned &&
-                cell.joined.join(v.is_bottom() ? ValueFact::top(64) : v, 64,
-                                 options_->widen_after_joins))
+                cell.joined.join(v.is_bottom() ? ValueFact::top(64) : v, 64))
               changed = true;
           }
           break;
@@ -504,8 +505,7 @@ class SccpPass final : public Pass {
         case Opcode::kRet:
           if (!inst.ops.empty() && inst.ops[0].type.is_int()) {
             const ValueFact v = operand_fact(fi, inst.ops[0]);
-            if (fs.ret.join(v.is_bottom() ? ValueFact::top(64) : v, 64,
-                            options_->widen_after_joins)) {
+            if (fs.ret.join(v.is_bottom() ? ValueFact::top(64) : v, 64)) {
               changed = true;
               for (std::uint32_t caller : out_->callgraph.callers[fi])
                 enqueue_function(caller);
@@ -579,7 +579,7 @@ class SccpPass final : public Pass {
       // Clamp to the parameter's width (calls are type-checked, but stay
       // defensive about wider literals).
       if (arg.hi > ValueFact::width_max(t.width)) arg = ValueFact::top(t.width);
-      if (callee.params[p].join(arg, t.width, options_->widen_after_joins))
+      if (callee.params[p].join(arg, t.width))
         param_changed = true;
     }
     if (param_changed || !callee.evaluated) enqueue_function(inst.callee);
@@ -630,7 +630,6 @@ class SccpPass final : public Pass {
   }
 
   const ir::Module* module_ = nullptr;
-  const AnalysisOptions* options_ = nullptr;
   ModuleAnalysis* out_ = nullptr;
   std::vector<FuncState> funcs_;
   std::deque<std::uint32_t> func_queue_;

@@ -11,8 +11,7 @@ KleeRun::KleeRun(const ir::Module& module, const std::string& entry,
   executor_ = std::make_unique<vm::Executor>(module, *solver_, clock_, stats_,
                                              options_.executor);
   searcher_ = search::make_searcher(options_.searcher, *executor_, rng_);
-  engine_ = std::make_unique<search::SymbolicEngine>(*executor_, *searcher_,
-                                                     options_.engine);
+  engine_ = std::make_unique<search::SymbolicEngine>(*executor_, *searcher_);
   auto input = std::make_shared<Array>("file", options_.sym_file_size);
   engine_->add_state(executor_->make_initial_state(entry, input, {}));
 }

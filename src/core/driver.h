@@ -22,7 +22,6 @@ struct KleeRunOptions {
   std::uint64_t rng_seed = 1;
   SolverOptions solver;
   vm::ExecutorOptions executor;
-  search::EngineOptions engine;
 };
 
 /// A resumable KLEE-style run: call run() repeatedly to extend the budget

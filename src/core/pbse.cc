@@ -112,8 +112,8 @@ bool PbseDriver::prepare(const std::vector<std::uint8_t>& seed) {
     rt.phase_id = p.id;
     rt.searcher = search::make_searcher(options_.phase_searcher, *executor_,
                                         rng_);
-    rt.engine = std::make_unique<search::SymbolicEngine>(
-        *executor_, *rt.searcher, options_.engine);
+    rt.engine =
+        std::make_unique<search::SymbolicEngine>(*executor_, *rt.searcher);
     rt.pending = std::move(phase_seed_states_[p.id]);
     phase_seed_states_[p.id] = {};  // moved out; keep sizes via runtimes
     runtimes_.push_back(std::move(rt));

@@ -44,7 +44,6 @@ struct PbseOptions {
   std::uint64_t no_new_cover_window = 8'000;
   /// Searcher used inside each phase.
   search::SearcherKind phase_searcher = search::SearcherKind::kDefault;
-  search::EngineOptions engine;
   vm::ExecutorOptions executor;
   SolverOptions solver;
   std::uint64_t rng_seed = 1;

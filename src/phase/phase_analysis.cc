@@ -10,6 +10,11 @@ namespace pbse::phase {
 
 namespace {
 
+/// The k-means sweep tries every k in [kMinK, kMaxK] (capped by the number
+/// of BBVs).
+constexpr std::uint32_t kMinK = 1;
+constexpr std::uint32_t kMaxK = 20;
+
 struct PhaseIds {
   obs::MetricId ev_cluster = obs::intern_metric("phase_cluster");
   obs::MetricId ev_trap = obs::intern_metric("trap_detected");
@@ -78,14 +83,14 @@ PhaseAnalysisResult analyze_phases(const std::vector<concolic::BBV>& bbvs,
   const auto trap_threshold = static_cast<std::uint32_t>(std::max<double>(
       2.0, std::ceil(options.trap_run_fraction * double(bbvs.size()))));
 
-  // Try k = k_min .. k_max; keep the k with the most trap phases
+  // Try k = kMinK .. kMaxK; keep the k with the most trap phases
   // (ties -> smallest k). The Rng restarts per k so results are stable
   // regardless of the sweep order.
   Clustering best;
   std::uint32_t best_k = 0;
-  const std::uint32_t k_hi = std::min<std::uint32_t>(
-      options.k_max, static_cast<std::uint32_t>(bbvs.size()));
-  for (std::uint32_t k = options.k_min; k <= k_hi; ++k) {
+  const std::uint32_t k_hi =
+      std::min<std::uint32_t>(kMaxK, static_cast<std::uint32_t>(bbvs.size()));
+  for (std::uint32_t k = kMinK; k <= k_hi; ++k) {
     Rng rng(options.kmeans_seed + k);
     Clustering c = cluster_with_k(points, k, trap_threshold, rng);
     result.work += c.work;

@@ -18,8 +18,6 @@ struct PhaseOptions {
   /// containing >= max(2, fraction * #BBVs) CONTIGUOUS intervals is a trap
   /// phase (the paper sets this to 0.05).
   double trap_run_fraction = 0.05;
-  std::uint32_t k_min = 1;
-  std::uint32_t k_max = 20;
   /// Weight of the appended code-coverage element; 0 reproduces the
   /// BBV-only ablation of Fig 4(a).
   double coverage_weight = 4.0;

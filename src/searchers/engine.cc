@@ -4,6 +4,14 @@
 
 namespace pbse::search {
 
+namespace {
+
+/// Instructions run per select() before consulting the searcher again
+/// (forks and terminations re-consult immediately).
+constexpr std::uint64_t kBatchInstructions = 32;
+
+}  // namespace
+
 std::vector<const vm::ExecutionState*> SymbolicEngine::states() const {
   std::vector<const vm::ExecutionState*> out;
   out.reserve(states_.size());
@@ -47,7 +55,7 @@ std::uint64_t SymbolicEngine::run(const Deadline& deadline,
     added.clear();
     removed.clear();
 
-    for (std::uint64_t i = 0; i < options_.batch_instructions; ++i) {
+    for (std::uint64_t i = 0; i < kBatchInstructions; ++i) {
       executor_.step(*state, forked);
       ++executed;
       after_step(*state);

@@ -18,17 +18,10 @@ class CampaignCodec;
 
 namespace pbse::search {
 
-struct EngineOptions {
-  /// Instructions run per select() before consulting the searcher again
-  /// (forks and terminations re-consult immediately).
-  std::uint64_t batch_instructions = 32;
-};
-
 class SymbolicEngine {
  public:
-  SymbolicEngine(vm::Executor& executor, Searcher& searcher,
-                 EngineOptions options = {})
-      : executor_(executor), searcher_(searcher), options_(options) {}
+  SymbolicEngine(vm::Executor& executor, Searcher& searcher)
+      : executor_(executor), searcher_(searcher) {}
 
   /// Transfers a state into the engine (and announces it to the searcher).
   void add_state(std::unique_ptr<vm::ExecutionState> state);
@@ -56,7 +49,6 @@ class SymbolicEngine {
 
   vm::Executor& executor_;
   Searcher& searcher_;
-  EngineOptions options_;
   std::unordered_map<std::uint64_t, std::unique_ptr<vm::ExecutionState>>
       states_;
 };

@@ -46,39 +46,6 @@ std::unordered_set<std::uint64_t> decode_u64_set(Decoder& dec) {
   return set;
 }
 
-/// Per-key summary lists of an InterpolantTable, sorted by key, lists
-/// verbatim (list order is eviction state).
-void encode_interpolants(Encoder& enc, const InterpolantTable& table) {
-  const auto& map = table.raw_barren();
-  const auto keys = sorted_keys(map);
-  enc.u32(static_cast<std::uint32_t>(keys.size()));
-  for (std::uint64_t key : keys) {
-    enc.u64(key);
-    const auto& list = map.at(key);
-    enc.u32(static_cast<std::uint32_t>(list.size()));
-    for (const auto& core : list) {
-      enc.u32(static_cast<std::uint32_t>(core.size()));
-      for (std::uint64_t h : core) enc.u64(h);
-    }
-  }
-}
-
-void decode_interpolants(Decoder& dec, InterpolantTable& table) {
-  table.clear();
-  const std::uint32_t nkeys = dec.u32();
-  for (std::uint32_t i = 0; i < nkeys; ++i) {
-    auto& list = table.mutable_barren(dec.u64());
-    const std::uint32_t len = dec.u32();
-    // No reserve: an untrusted count must not size memory; a short
-    // payload throws from the decoder instead.
-    for (std::uint32_t j = 0; j < len; ++j) {
-      std::vector<std::uint64_t>& core = list.emplace_back();
-      const std::uint32_t n = dec.u32();
-      for (std::uint32_t k = 0; k < n; ++k) core.push_back(dec.u64());
-    }
-  }
-}
-
 void encode_rng_clock(Encoder& enc, const VClock& clock, const Rng& rng) {
   enc.u64(clock.now());
   for (std::uint64_t w : rng.state()) enc.u64(w);
@@ -212,7 +179,6 @@ void CampaignCodec::encode_executor(StateCodec& codec, Encoder& enc,
   enc.u64(ex.live_states_);
   enc.u32(ex.input_object_);
   encode_u64_set(enc, ex.concolic_seen_forks_);
-  encode_interpolants(enc, ex.interpolants_);
 }
 
 void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
@@ -286,7 +252,6 @@ void CampaignCodec::decode_executor(StateCodec& codec, Decoder& dec,
   ex.live_states_ = dec.u64();
   ex.input_object_ = dec.u32();
   ex.concolic_seen_forks_ = decode_u64_set(dec);
-  decode_interpolants(dec, ex.interpolants_);
 }
 
 // --- Solver L1 stores -----------------------------------------------------

@@ -5,7 +5,7 @@
 // the virtual clock, the RNG stream, the stats bag (counters and
 // histograms BY NAME — MetricId interning order differs across
 // processes), executor bookkeeping (coverage, bugs, test cases, id
-// counters, dedup sets, barren interpolants), the solver's L1 stores
+// counters, dedup sets), the solver's L1 stores
 // (exact cache and domain memo — they steer tick charging and control
 // flow), every live ExecutionState, and each searcher's position.
 // Restoring all of it makes the resumed run tick- and RNG-identical to one

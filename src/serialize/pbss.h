@@ -32,7 +32,7 @@ class SnapshotError : public std::runtime_error {
 
 /// Bumped on every payload layout change; no reader for older versions is
 /// kept, so a stale image fails the version check.
-inline constexpr std::uint32_t kPbssVersion = 4;
+inline constexpr std::uint32_t kPbssVersion = 5;
 
 /// What kind of campaign the payload holds.
 enum class SnapshotFlavor : std::uint32_t {

@@ -459,9 +459,6 @@ void StateCodec::encode_state(Encoder& enc, const vm::ExecutionState& s) {
   enc.u32(s.fork_inst);
   enc.u8(s.covered_new ? 1 : 0);
   enc.u64(s.insts_since_cov_new);
-  enc.u32(s.num_entry_snapshots);
-  for (std::uint32_t i = 0; i < s.num_entry_snapshots; ++i)
-    enc.u64(s.entry_snapshots[i]);
 }
 
 std::unique_ptr<vm::ExecutionState> StateCodec::decode_state(
@@ -545,7 +542,8 @@ std::unique_ptr<vm::ExecutionState> StateCodec::decode_state(
   s->model_eval = nullptr;
 
   const std::uint8_t termination = dec.u8();
-  if (termination > static_cast<std::uint8_t>(vm::TerminationReason::kSubsumed))
+  if (termination >
+      static_cast<std::uint8_t>(vm::TerminationReason::kStepLimit))
     throw SnapshotError("pbss: termination reason out of range");
   s->termination = static_cast<vm::TerminationReason>(termination);
   s->instructions = dec.u64();
@@ -555,11 +553,6 @@ std::unique_ptr<vm::ExecutionState> StateCodec::decode_state(
   s->fork_inst = dec.u32();
   s->covered_new = dec.u8() != 0;
   s->insts_since_cov_new = dec.u64();
-  s->num_entry_snapshots = dec.u32();
-  if (s->num_entry_snapshots > vm::ExecutionState::kMaxEntrySnapshots)
-    throw SnapshotError("pbss: entry-snapshot count out of range");
-  for (std::uint32_t i = 0; i < s->num_entry_snapshots; ++i)
-    s->entry_snapshots[i] = dec.u64();
   return s;
 }
 

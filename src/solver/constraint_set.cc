@@ -57,11 +57,7 @@ bool ConstraintSet::add(const ExprRef& c) {
   constraints_.push_back(c);
   // XOR-combining keeps the hash order-insensitive; multiply-mix first so
   // equal-hash constraints don't cancel.
-  const std::uint64_t mixed = mix_constraint_hash(c->hash());
-  hash_ ^= mixed;
-  sorted_hashes_.insert(
-      std::lower_bound(sorted_hashes_.begin(), sorted_hashes_.end(), mixed),
-      mixed);
+  hash_ ^= mix_constraint_hash(c->hash());
 
   // Union every site the constraint reads into one partition. A width-1
   // non-constant expression always contains at least one read, but guard

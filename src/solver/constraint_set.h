@@ -25,9 +25,9 @@
 namespace pbse {
 
 /// Multiply-mix applied to a constraint's structural hash before any
-/// order-insensitive XOR combination. Shared by the set hash, the solver's
-/// cache keys and the interpolant summaries so they stay algebraically
-/// consistent (prefix-hash = list-hash XOR mixed(query)).
+/// order-insensitive XOR combination. Shared by the set hash and the
+/// solver's cache keys so they stay algebraically consistent (prefix-hash =
+/// list-hash XOR mixed(query)).
 inline std::uint64_t mix_constraint_hash(std::uint64_t h) {
   h *= 0x9e3779b97f4a7c15ULL;
   h ^= h >> 29;
@@ -51,14 +51,6 @@ class ConstraintSet {
   /// Order-insensitive hash over the contained constraints, usable as a
   /// cache key together with a query hash.
   std::uint64_t hash() const { return hash_; }
-
-  /// The contained constraints' mixed hashes in ascending order, maintained
-  /// incrementally on add(). This is the representation interpolants are
-  /// expressed in: "summary s subsumes this set" is one std::includes over
-  /// the two sorted vectors, with no per-probe sorting.
-  const std::vector<std::uint64_t>& sorted_hashes() const {
-    return sorted_hashes_;
-  }
 
   /// True if `c` is syntactically present.
   bool contains(const ExprRef& c) const;
@@ -96,9 +88,6 @@ class ConstraintSet {
   /// checks are a pointer-set lookup.
   NodeMap<Member> present_;
   std::uint64_t hash_ = 0x243f6a8885a308d3ULL;
-  /// Mixed constraint hashes, kept sorted (sorted-insert on add; adds are
-  /// far rarer than the block-entry subsumption probes that read this).
-  std::vector<std::uint64_t> sorted_hashes_;
 
   // --- Persistent independence partition ---------------------------------
   /// (array pointer, index) site key -> union-find node.

@@ -43,7 +43,6 @@ struct Args {
   unsigned seed_scale = 6;
   unsigned jobs = 1;
   bool share_cache = true;
-  bool subsumption = true;
   std::string trace_path;
 };
 
@@ -58,7 +57,6 @@ int usage() {
                "  --seed-scale=K seed generator scale (default 6)\n"
                "  --jobs=N       worker threads for multi-target campaigns\n"
                "  --no-share-cache  per-campaign private solver caches\n"
-               "  --no-subsumption  disable interpolant state subsumption\n"
                "  --target=NAME  alternative to the positional <target>\n"
                "  --trace=PATH   capture a trace (.json -> Chrome "
                "trace_event,\n"
@@ -109,8 +107,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.trace_path = v;
     } else if (arg == "--no-share-cache") {
       args.share_cache = false;
-    } else if (arg == "--no-subsumption") {
-      args.subsumption = false;
     } else {
       return false;
     }
@@ -217,7 +213,6 @@ int cmd_klee(const Args& args) {
       options.searcher = args.searcher;
       options.sym_file_size = args.sym_size;
       options.solver.shared_cache = ctx.shared_cache;
-      options.executor.use_subsumption = args.subsumption;
       core::KleeRun run(module, "main", options);
       run.run(args.budget);
       core::CampaignOutcome out;
@@ -252,7 +247,6 @@ int cmd_run(const Args& args) {
       const auto seed = info->seed(args.seed_scale);
       core::PbseOptions options;
       options.solver.shared_cache = ctx.shared_cache;
-      options.executor.use_subsumption = args.subsumption;
       core::PbseDriver driver(module, "main", options);
       core::CampaignOutcome out;
       if (!driver.prepare(seed)) {

@@ -1,6 +1,5 @@
 #include "vm/executor.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "obs/trace.h"
@@ -11,6 +10,14 @@ namespace pbse::vm {
 namespace {
 
 ir::BinOp bin_of(const ir::Instruction& inst) { return inst.bin; }
+
+/// Virtual ticks charged for each executed instruction.
+constexpr std::uint64_t kTicksPerInstruction = 1;
+/// Above this many live states the executor stops forking and follows the
+/// model direction only (memory cap; KLEE's --max-forks analog).
+constexpr std::uint64_t kMaxLiveStates = 50000;
+/// Cap on stored test cases (bug reports are always kept).
+constexpr std::size_t kMaxTestCases = 4096;
 
 /// Interned counter / trace-event names for the VM hot loop (see stats.h).
 struct VmIds {
@@ -47,14 +54,6 @@ struct VmIds {
       obs::intern_metric("executor.seedstate_repaired");
   obs::MetricId out_calls = obs::intern_metric("executor.out_calls");
   obs::MetricId unreachable = obs::intern_metric("executor.unreachable");
-  // Subsumption hit classes (DESIGN.md §10).
-  obs::MetricId term_subsumed = obs::intern_metric("executor.term_subsumed");
-  /// States killed at block entry by a barren-death interpolant.
-  obs::MetricId subsumed_barren =
-      obs::intern_metric("executor.subsumed_barren");
-  /// Barren interpolant entries filed (dead states x ring snapshots).
-  obs::MetricId barren_recorded =
-      obs::intern_metric("executor.barren_recorded");
   // Trace event / argument names.
   obs::MetricId ev_new_cover = obs::intern_metric("new_cover");
   obs::MetricId ev_bug = obs::intern_metric("bug");
@@ -133,7 +132,6 @@ std::unique_ptr<ExecutionState> Executor::make_initial_state(
       Value::from_int(mk_const(input->size(), fn->params()[1].width));
   state->stack.push_back(std::move(frame));
 
-  symbolic_mode_ = false;  // the birth entry below is never probed
   enter_block(*state, 0);
   return state;
 }
@@ -172,52 +170,16 @@ void Executor::enter_block(ExecutionState& state, std::uint32_t block_id) {
 
 void Executor::record_coverage(ExecutionState& state) {
   const std::uint32_t gid = state.current_global_bb();
-  bool newly_covered = false;
   if (!covered_[gid]) {
     covered_[gid] = true;
     ++num_covered_;
     ++coverage_epoch_;
     coverage_log_.push_back(CoverEvent{clock_.now(), gid});
     state.covered_new = true;
-    newly_covered = true;
     obs::trace_instant(obs::Category::kVm, ids().ev_new_cover, clock_.now(),
                        gid, ids().arg_bb, num_covered_, ids().arg_total);
   }
   if (on_block_entered) on_block_entered(state, gid);
-  // Pruning applies to symbolic exploration only: the concolic seed walk
-  // and initial-state construction must run to completion unconditionally.
-  if (symbolic_mode_ && options_.use_subsumption && !state.done())
-    probe_subsumption(state, gid, /*may_kill=*/!newly_covered);
-}
-
-// --- Subsumption (DESIGN.md §10) --------------------------------------------
-
-void Executor::probe_subsumption(ExecutionState& state, std::uint32_t gid,
-                                 bool may_kill) {
-  // Snapshot the state's FIRST kMaxEntrySnapshots block entries since its
-  // birth fork — (block id, constraint count at entry), packed. The counts
-  // so close to birth make the filed prefixes (terminate) nearly the
-  // state's birth path condition, which every descendant of the state
-  // still carries — so one barren death marks the whole coasting subtree
-  // killable at these blocks. Snapshot BEFORE the kill check: a state
-  // dying right here files under this entry too.
-  if (state.num_entry_snapshots < ExecutionState::kMaxEntrySnapshots) {
-    state.entry_snapshots[state.num_entry_snapshots++] =
-        (std::uint64_t{gid} << 32) |
-        std::uint64_t{static_cast<std::uint32_t>(state.constraints.size())};
-  }
-
-  // Barren interpolants are heuristic (entry-prefix weakening, not a
-  // weakest precondition), so the kill is gated on the state itself having
-  // stalled: a state still covering new code is never pruned by this
-  // class, bounding the worst case to paths that were already coasting
-  // through covered territory.
-  if (may_kill && state.insts_since_cov_new >= options_.subsumption_min_stall &&
-      interpolants_.barren_subsumes(
-          gid, state.constraints.sorted_hashes())) {
-    stats_.add(ids().subsumed_barren);
-    terminate(state, TerminationReason::kSubsumed);
-  }
 }
 
 // --- Bug reporting ------------------------------------------------------------
@@ -264,47 +226,7 @@ void Executor::terminate(ExecutionState& state, TerminationReason reason) {
     case TerminationReason::kRecursionLimit:
       stats_.add(ids().term_recursion);
       break;
-    case TerminationReason::kSubsumed:
-      stats_.add(ids().term_subsumed);
-      break;
     default: break;
-  }
-  // Barren recording (the TracerX "half interpolation" move, DESIGN.md
-  // §10): this state ran its suffix to completion through already-covered
-  // territory — weaken the path condition it held on entry to each ringed
-  // block (the first `count` constraints of its append-only list) into a
-  // barren interpolant for that block. A later state that still carries
-  // all of those constraints (hash superset ⇒ syntactic implication) is
-  // attempting a restriction of the same suffix; if it is also coasting
-  // (see probe_subsumption) it is terminated. Recorded ONLY from states
-  // that (a) exhausted their path (kExit, kRecursionLimit — not kBug,
-  // which must stay diverse; not kInfeasible, which never ran its suffix
-  // to completion; not kSubsumed, whose re-filing would cascade a
-  // heuristic kill into ever-wider interpolants) and (b) were themselves
-  // coverage-stalled at death — a state that was still finding blocks is
-  // evidence its window was productive, not barren. The ring is only
-  // populated in symbolic mode, so concolic deaths are naturally excluded.
-  if (options_.use_subsumption && state.num_entry_snapshots > 0 &&
-      state.insts_since_cov_new >= options_.subsumption_min_stall &&
-      (reason == TerminationReason::kExit ||
-       reason == TerminationReason::kRecursionLimit)) {
-    const auto& ordered = state.constraints.constraints();
-    std::vector<std::uint64_t> prefix;
-    for (std::uint32_t i = 0; i < state.num_entry_snapshots; ++i) {
-      const std::uint64_t packed = state.entry_snapshots[i];
-      const std::uint32_t gid = static_cast<std::uint32_t>(packed >> 32);
-      const std::size_t count = std::min<std::size_t>(
-          static_cast<std::uint32_t>(packed), ordered.size());
-      // An empty prefix would subsume every state at the block; skip it.
-      if (count == 0) continue;
-      prefix.clear();
-      prefix.reserve(count);
-      for (std::size_t c = 0; c < count; ++c)
-        prefix.push_back(mix_constraint_hash(ordered[c]->hash()));
-      std::sort(prefix.begin(), prefix.end());
-      interpolants_.add_barren(gid, prefix);
-      stats_.add(ids().barren_recorded);
-    }
   }
   stats_.add(ids().term_insts, state.instructions);
   obs::trace_instant(obs::Category::kVm, ids().ev_terminate, clock_.now(),
@@ -315,7 +237,7 @@ void Executor::terminate(ExecutionState& state, TerminationReason reason) {
 
 void Executor::record_test_case(const ExecutionState& state,
                                 const std::string& why) {
-  if (test_cases_.size() >= options_.max_test_cases) return;
+  if (test_cases_.size() >= kMaxTestCases) return;
   TestCase tc;
   tc.input = extract_input(*state.model);
   tc.state_id = state.id;
@@ -555,7 +477,7 @@ void Executor::execute_branch(
   const ExprRef taken = dir ? cond : mk_lnot(cond);
   const ExprRef other = mk_lnot(taken);
 
-  if (forked != nullptr && live_states_ < options_.max_live_states) {
+  if (forked != nullptr && live_states_ < kMaxLiveStates) {
     Assignment other_model(*state.model);
     const SolverResult r = solver_.check_sat(state.constraints, other,
                                              &other_model, state.model);
@@ -569,15 +491,10 @@ void Executor::execute_branch(
       obs::trace_instant(obs::Category::kVm, ids().ev_fork, clock_.now(),
                          state.current_global_bb(), ids().arg_bb, child->id,
                          ids().arg_state);
-      // Count the child live BEFORE its first block entry: the entry probe
-      // may subsume it on the spot, and terminate() decrements the count.
       ++live_states_;
       enter_block(*child, dir ? inst.bb_else : inst.bb_then);
       stats_.add(ids().forks);
-      // A child subsumed at birth is dropped here — searchers must only
-      // ever be told about states they were handed, so it never reaches
-      // the engine's `forked` list.
-      if (!child->done()) forked->push_back(std::move(child));
+      forked->push_back(std::move(child));
     } else if (r == SolverResult::kUnknown) {
       stats_.add(ids().fork_unknown);
       PBSE_LOG_DEBUG << "fork unknown in " << state.frame().fn->name()
@@ -597,7 +514,6 @@ void Executor::execute_branch(
 
 void Executor::step(ExecutionState& state,
                     std::vector<std::unique_ptr<ExecutionState>>& forked) {
-  symbolic_mode_ = true;
   execute(state, &forked, nullptr);
 }
 
@@ -608,7 +524,6 @@ void Executor::step_concolic(ExecutionState& state, const Assignment& seed,
   // The evaluator owns a shared reference to the seed assignment; reuse it
   // so feasibility queries get a cache-friendly hint.
   (void)seed;
-  symbolic_mode_ = false;
   ConcolicCtx ctx{seed_eval.assignment(), &seed_eval, &fork_records,
                   offpath_bug_checks};
   execute(state, nullptr, &ctx);
@@ -667,7 +582,7 @@ void Executor::execute(ExecutionState& state,
                        ConcolicCtx* ctx) {
   assert(!state.done() && !state.stack.empty());
   const ir::Instruction& inst = state.current_inst();
-  clock_.advance(options_.ticks_per_instruction);
+  clock_.advance(kTicksPerInstruction);
   ++state.instructions;
   StackFrame& f = state.frame();
 

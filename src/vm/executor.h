@@ -27,7 +27,6 @@
 #include <unordered_set>
 
 #include "ir/ir.h"
-#include "solver/interpolant.h"
 #include "solver/solver.h"
 #include "support/stats.h"
 #include "support/vclock.h"
@@ -42,29 +41,11 @@ class CampaignCodec;
 namespace pbse::vm {
 
 struct ExecutorOptions {
-  std::uint64_t ticks_per_instruction = 1;
   std::uint64_t max_call_depth = 128;
-  /// Above this many live states the executor stops forking and follows the
-  /// model direction only (memory cap; KLEE's --max-forks analog).
-  std::uint64_t max_live_states = 50000;
   /// When on, returned-from allocas are kept (dead) so accesses report
   /// use-after-return; when off they are erased, keeping the per-state
   /// object map — and therefore fork cost — proportional to live memory.
   bool detect_use_after_return = false;
-  /// Cap on stored test cases (bug reports are always kept).
-  std::uint64_t max_test_cases = 4096;
-  /// Interpolant-based state subsumption (DESIGN.md §10): live states
-  /// whose constraint set is subsumed by a barren-death interpolant die at
-  /// block entry, without solver work.
-  bool use_subsumption = true;
-  /// Coverage-stall gate on the heuristic barren-interpolant class, in
-  /// instructions without new coverage. A state is only KILLED by a barren
-  /// interpolant — and only RECORDS one at death — when it has run at
-  /// least this long without covering new code: states actively finding
-  /// blocks are untouchable by the heuristic class. 0 makes the class
-  /// unconditional (used by tests to exercise the mechanism
-  /// determinately).
-  std::uint64_t subsumption_min_stall = 16;
 };
 
 /// A seedState: the flipped (off-seed) fork recorded during concolic
@@ -150,9 +131,9 @@ class Executor {
 
  private:
   /// Snapshots/restores campaign progress (coverage, bugs, test cases, id
-  /// counters, dedup sets, barren interpolants). input_array_ is re-bound by the codec so that
+  /// counters, dedup sets). input_array_ is re-bound by the codec so that
   /// restored expressions intern against the canonical array of the
-  /// restoring process. symbolic_mode_ is transient (false between steps).
+  /// restoring process.
   friend class pbse::serialize::CampaignCodec;
 
   struct ConcolicCtx {
@@ -177,15 +158,6 @@ class Executor {
 
   void enter_block(ExecutionState& state, std::uint32_t block_id);
   void record_coverage(ExecutionState& state);
-
-  // Subsumption (DESIGN.md §10).
-  /// Block-entry probe: terminates the state with kSubsumed when a barren
-  /// interpolant at `gid` subsumes it. Takes the (block, constraint count)
-  /// ring snapshot used by barren recording. `may_kill` is false when this
-  /// entry just covered a new block — a state that is actively producing
-  /// coverage is never pruned.
-  void probe_subsumption(ExecutionState& state, std::uint32_t gid,
-                         bool may_kill);
 
   // Branch handling.
   void execute_branch(ExecutionState& state, const ir::Instruction& inst,
@@ -245,12 +217,6 @@ class Executor {
   /// Fork points already materialized as seedStates in concolic mode
   /// (record-time half of the paper's keep-earliest dedup).
   std::unordered_set<std::uint64_t> concolic_seen_forks_;
-  /// Barren interpolants filed by dead states, probed at block entry.
-  InterpolantTable interpolants_;
-  /// True while executing under step() — subsumption probes and barren
-  /// recording only apply to symbolic exploration; the concolic seed walk
-  /// and initial-state construction must never be pruned.
-  bool symbolic_mode_ = false;
   /// The evaluator validate_model() last bound to a state without one.
   /// A campaign's seedStates all carry the seed's model, so they share it
   /// and their common path prefix is evaluated once. Created on first use;

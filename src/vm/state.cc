@@ -9,10 +9,6 @@ std::unique_ptr<ExecutionState> ExecutionState::fork(
   child->parent_id = id;
   child->depth = depth + 1;
   child->covered_new = false;
-  // The entry ring records a state's OWN first block entries: a fresh fork
-  // starts a fresh ring, so a barren death files the path condition the
-  // subtree was born under, not the parent's (see executor.cc terminate).
-  child->num_entry_snapshots = 0;
   return child;
 }
 

@@ -1,7 +1,6 @@
 // ExecutionState: one path through the program — KLEE's ExecutionState.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -33,7 +32,6 @@ enum class TerminationReason : std::uint8_t {
   kInfeasible,    // both branch directions unsatisfiable / solver unknown
   kRecursionLimit,
   kStepLimit,
-  kSubsumed,      // pruned by an interpolant (DESIGN.md §10)
 };
 
 class ExecutionState {
@@ -73,17 +71,6 @@ class ExecutionState {
   /// Instructions executed since this state last covered new code
   /// (maintained by the engine loop; drives the covnew searcher).
   std::uint64_t insts_since_cov_new = 0;
-
-  // --- Subsumption bookkeeping (see DESIGN.md §10) -----------------------
-  /// The state's first kMaxEntrySnapshots block entries since its birth
-  /// fork (reset by fork()), each packed as (global block id << 32 |
-  /// constraint count at entry). When the state dies barren, the
-  /// entry-time PREFIX of its constraint list (the first `count`
-  /// constraints, which fork inheritance keeps append-only) is weakened
-  /// into a barren interpolant filed under the block id.
-  static constexpr std::size_t kMaxEntrySnapshots = 8;
-  std::array<std::uint64_t, kMaxEntrySnapshots> entry_snapshots{};
-  std::uint32_t num_entry_snapshots = 0;  // valid entries (<= capacity)
 
   StackFrame& frame() { return stack.back(); }
   const StackFrame& frame() const { return stack.back(); }

@@ -206,6 +206,28 @@ TEST(KleeRun, ResumableBudgets) {
   EXPECT_GT(c2, 0u);
 }
 
+// A KLEE baseline campaign on pngtest runs its whole budget: the first
+// exhausted paths must not end the campaign while forked states remain.
+// (A heuristic that pruned states by the entry prefixes of dead paths once
+// ended these runs after about 900 ticks, with no state left and 41 of 287
+// blocks covered.)
+TEST(KleeRun, CampaignsOffReadelfRunToTheirBudget) {
+  ir::Module module = targets::build_target(targets::pngtest_source());
+  for (const search::SearcherKind kind :
+       {search::SearcherKind::kDefault, search::SearcherKind::kRandomPath,
+        search::SearcherKind::kCovNew}) {
+    core::KleeRunOptions options;
+    options.searcher = kind;
+    options.sym_file_size = 100;
+    core::KleeRun run(module, "main", options);
+    run.run(100'000);
+    const char* name = search::searcher_kind_name(kind);
+    EXPECT_GE(run.clock().now(), 100'000u) << name;
+    EXPECT_GT(run.num_states(), 0u) << name;
+    EXPECT_GT(run.executor().num_covered(), 41u) << name;
+  }
+}
+
 TEST(PbseTesting, EndToEndEntryPoint) {
   ir::Module module = compile(kPipeline);
   std::vector<std::vector<std::uint8_t>> seeds = {pipeline_seed(),

@@ -32,21 +32,11 @@ u32 main(u8* f, u32 size) {
 }
 )";
 
-// Pruning heuristics deliberately kill coverage-redundant paths, and this
-// suite is about searcher ORDER over the full path tree — so the fixture
-// runs with subsumption off, the same engine the sweep's "every path"
-// expectations were written against.
-vm::ExecutorOptions no_pruning() {
-  vm::ExecutorOptions options;
-  options.use_subsumption = false;
-  return options;
-}
-
 struct EngineFixture {
   explicit EngineFixture(const std::string& source,
                          search::SearcherKind kind)
       : module(compile(source)),
-        executor(module, solver, clock, stats, no_pruning()),
+        executor(module, solver, clock, stats),
         searcher(search::make_searcher(kind, executor, rng)),
         engine(executor, *searcher) {
     auto input = std::make_shared<Array>("file", 8);

@@ -785,12 +785,10 @@ TEST(Serialize, RestoredConstraintSetsMatchRebuiltOnes) {
   for (std::size_t i = 0; i < restored.size(); ++i) {
     const ConstraintSet& set = restored[i]->constraints;
     ASSERT_EQ(set.size(), original[i]->constraints.size());
-    EXPECT_EQ(set.sorted_hashes(), original[i]->constraints.sorted_hashes());
     ConstraintSet rebuilt;
     for (const ExprRef& c : set.constraints()) rebuilt.add(c);
     ASSERT_EQ(set.constraints(), rebuilt.constraints());
     EXPECT_EQ(set.hash(), rebuilt.hash());
-    EXPECT_EQ(set.sorted_hashes(), rebuilt.sorted_hashes());
     EXPECT_EQ(set.num_partitions(), rebuilt.num_partitions());
     for (const ExprRef& c : set.constraints())
       ASSERT_EQ(set.slice(c).constraints, rebuilt.slice(c).constraints);

@@ -1,10 +1,6 @@
 // Solver soundness properties, checked against exhaustive enumeration on
 // small domains: kSat answers must come with genuinely satisfying models,
-// kUnsat answers must have no solution at all — plus the subsumption
-// layer's contracts (DESIGN.md §10): an interpolant kill may only hit
-// genuinely infeasible constraint sets, pruning may never change WHICH
-// blocks get covered on an exhaustively-explored program, and the
-// --no-subsumption path must be bit-identical to the pre-change engine.
+// and kUnsat answers must have no solution at all.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,15 +8,12 @@
 #include <map>
 #include <set>
 
-#include "core/driver.h"
 #include "expr/evaluator.h"
 #include "expr/tape.h"
-#include "solver/interpolant.h"
 #include "solver/interval.h"
 #include "solver/search_solver.h"
 #include "solver/solver.h"
 #include "support/rng.h"
-#include "targets/targets.h"
 
 namespace pbse {
 namespace {
@@ -865,100 +858,6 @@ TEST(SolverDeferredEquality, SharedBytesAreNotDeferred) {
   EXPECT_EQ(stats.get("solver.deferred_eqs"), 0u);
   EXPECT_EQ(evaluate(data, model), evaluate(stored, model));
   EXPECT_GT(evaluate(stored, model), 0x1234u);
-}
-
-// --- Interpolant subsumption (DESIGN.md §10) --------------------------------
-
-// Bounded-table mechanics: per-key entries are capped and deduplicated,
-// the key count is capped by a wholesale clear, and subset matching is
-// exact (no false positive on a disjoint set).
-TEST(InterpolantTable, BoundedAndExact) {
-  InterpolantTable table;
-  table.add_barren(7, {10, 20, 30});
-  EXPECT_TRUE(table.barren_subsumes(7, {10, 20, 30, 40}));
-  EXPECT_FALSE(table.barren_subsumes(7, {10, 20}));       // smaller than core
-  EXPECT_FALSE(table.barren_subsumes(7, {11, 21, 31, 41}));  // disjoint
-  EXPECT_FALSE(table.barren_subsumes(8, {10, 20, 30}));   // other location
-  table.add_barren(7, {10, 20, 30});  // duplicate: not filed twice
-  EXPECT_EQ(table.raw_barren().at(7).size(), 1u);
-  for (std::uint64_t i = 0; i < 100; ++i)
-    table.add_barren(7, {i, i + 1, i + 2, i + 3});
-  // kMaxPerKey bounds the per-location list, which stays sorted by size;
-  // the first (smallest) core must survive the bounded insertion policy.
-  EXPECT_TRUE(table.barren_subsumes(7, {10, 20, 30, 99}));
-  EXPECT_EQ(table.num_barren_keys(), 1u);
-  const auto& list = table.raw_barren().at(7);
-  EXPECT_EQ(list.size(), InterpolantTable::kMaxPerKey);
-  EXPECT_EQ(list.front().size(), 3u);
-  for (std::size_t i = 1; i < list.size(); ++i)
-    EXPECT_LE(list[i - 1].size(), list[i].size());
-}
-
-// The tentpole property, end to end: subsumption-killed states never cover
-// a block their subsumer could not reach. Operational form: on this
-// workload the pruned engine EXHAUSTS the state space (hundreds of barren
-// kills, run ends well inside the budget) while the unpruned engine is
-// still coasting at the full budget — and the two runs cover the IDENTICAL
-// block set. Every kill therefore discarded only work whose coverage the
-// surviving states delivered anyway. The stall gate is set conservatively
-// here (256) because that is the regime where the heuristic class provably
-// preserves the covered set on an exhausted space; the shipping default
-// (16) trades kill aggressiveness against coverage and is gated
-// empirically by the subsumption ablation, not by this test.
-TEST(Subsumption, PrunedExhaustionCoversEverythingTheFullSearchFinds) {
-  // Sized to the readelf module: at sym-32 the pruned space drains at
-  // ~9.6M ticks with ~146 barren kills and the covered sets match. (The
-  // §12 symbol_visibility guard grew the target; at the old sym-40 the
-  // stall-256 regime now sacrifices one late decode_section_flags block,
-  // so the conservative-regime claim is pinned at sym-32 instead.)
-  constexpr std::uint64_t kBudget = 12'000'000;
-  auto run = [&](bool pruning) {
-    ir::Module module = targets::build_target(targets::readelf_source());
-    core::KleeRunOptions options;
-    options.sym_file_size = 32;
-    options.executor.use_subsumption = pruning;
-    options.executor.subsumption_min_stall = 256;
-    core::KleeRun run(module, "main", options);
-    run.run(kBudget);
-    if (pruning) {
-      // Non-vacuity: the kill path must actually fire, and firing must be
-      // what lets the run drain the space inside the budget.
-      EXPECT_LT(run.clock().now(), kBudget)
-          << "pruned exploration must exhaust inside the budget";
-      EXPECT_GT(run.stats().get("executor.subsumed_barren"), 100u);
-    }
-    return run.executor().covered();
-  };
-  EXPECT_EQ(run(true), run(false))
-      << "pruning lost a block the unpruned search covered";
-}
-
-// Off-mode parity: with the flag off the engine must not merely be
-// deterministic, it must do ZERO subsumption work (no counters, no barren
-// recording) — the committed golden then pins it to the pre-change engine
-// tick for tick. And with subsumption ON but no kill ever firing
-// (stall gate at infinity; a KLEE run has no seedStates), the probes
-// themselves must be tick-free: identical coverage, ticks and bugs.
-TEST(Subsumption, NoSubsumptionRunsAreTickIdenticalToProbeOnlyRuns) {
-  ir::Module module_a = targets::build_target(targets::readelf_source());
-  ir::Module module_b = targets::build_target(targets::readelf_source());
-  auto run = [](const ir::Module& module, bool subsumption) {
-    core::KleeRunOptions options;
-    options.sym_file_size = 200;
-    options.executor.use_subsumption = subsumption;
-    options.executor.subsumption_min_stall = ~std::uint64_t{0};
-    core::KleeRun run(module, "main", options);
-    run.run(400'000);
-    EXPECT_EQ(run.stats().get("executor.term_subsumed"), 0u);
-    if (!subsumption) {
-      EXPECT_EQ(run.stats().get("executor.barren_recorded"), 0u);
-    }
-    return std::make_tuple(run.executor().num_covered(), run.clock().now(),
-                           run.executor().bugs().size(),
-                           run.executor().test_cases().size());
-  };
-  EXPECT_EQ(run(module_a, false), run(module_b, true))
-      << "block-entry probes must never consume virtual time";
 }
 
 }  // namespace
