@@ -81,6 +81,7 @@ inline BenchConfig parse_args(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       config.trace_path = argv[i] + 8;
     } else {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
       std::fprintf(stderr,
                    "usage: %s [--quick] [--jobs=N] [--no-share-cache] "
                    "[--only=SECTION] [--trace=PATH]\n",

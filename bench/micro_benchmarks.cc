@@ -253,7 +253,7 @@ void BM_SearchKernel(benchmark::State& state) {
     std::uint64_t cost = 0;
     Assignment model;
     const SolverResult result = SearchSpace(constraints, domains).search(
-        /*hint=*/nullptr, /*hint_first=*/true, /*candidate_cap=*/0,
+        /*hint=*/nullptr, /*candidate_cap=*/0,
         /*max_nodes=*/40000, /*max_evals=*/1'000'000, cost, model);
     if (result != SolverResult::kSat || cost <= probe_cost)
       state.SkipWithError("the query no longer reaches a satisfying DFS");

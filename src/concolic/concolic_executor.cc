@@ -73,8 +73,8 @@ ConcolicResult run_concolic(vm::Executor& executor, const std::string& entry,
 
   obs::trace_begin(obs::Category::kConcolic, ids().ev_run, t0, seed.size());
   while (!state->done() && result.instructions < options.max_instructions) {
-    executor.step_concolic(*state, *seed_assignment, seed_eval,
-                           result.seed_states, options.offpath_bug_checks);
+    executor.step_concolic(*state, seed_eval, result.seed_states,
+                           options.offpath_bug_checks);
     ++result.instructions;
     const std::uint64_t now = executor.clock().now();
     if (now - interval_start >= options.interval_ticks)

@@ -1,8 +1,7 @@
 // Concrete evaluation of symbolic expressions under a byte assignment.
 //
 // Used by: the concolic executor (concrete half of the lockstep), the
-// solver's hint and all-zeros fast paths, seedState validation and
-// test-case replay. A CachingEvaluator is one model's memo: every state
+// solver's hint fast path, seedState validation and test-case replay. A CachingEvaluator is one model's memo: every state
 // that carries the same model may share it, as a campaign's seedStates do
 // when they are validated. The backtracking search's candidate checks and
 // domain propagation run on compiled tapes instead (expr/tape.h).

@@ -66,7 +66,7 @@ class ConstraintSet {
   /// all unconstrained yields an empty constraint list.
   Slice slice(const ExprRef& query) const;
 
-  /// Every constraint — what solve_all works on.
+  /// Every constraint: check_sat's list when independence slicing is off.
   Slice whole() const;
 
   /// Number of distinct independence partitions.

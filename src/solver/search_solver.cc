@@ -89,7 +89,7 @@ SearchSpace::SearchSpace(const std::vector<ExprRef>& constraints,
 }
 
 void SearchSpace::append_candidates(const Var& v, const Assignment* hint,
-                                    bool hint_first, std::size_t cap,
+                                    std::size_t cap,
                                     std::vector<std::uint8_t>& out) {
   const std::size_t start = out.size();
   const std::size_t limit = cap > 0 ? cap : 256;
@@ -99,14 +99,11 @@ void SearchSpace::append_candidates(const Var& v, const Assignment* hint,
     out.push_back(val);
     left.remove(val);
   };
-  if (hint_first && hint != nullptr)
-    push(hint->byte(v.array.get(), v.index));
+  if (hint != nullptr) push(hint->byte(v.array.get(), v.index));
   for (std::uint8_t boundary : {std::uint8_t{0}, std::uint8_t{0xff},
                                 std::uint8_t{1}, std::uint8_t{0x80},
                                 std::uint8_t{0x7f}})
     push(boundary);
-  if (!hint_first && hint != nullptr)
-    push(hint->byte(v.array.get(), v.index));
   const std::array<std::uint64_t, 4>& words = left.words();
   for (unsigned w = 0; w < 4; ++w) {
     for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
@@ -116,7 +113,7 @@ void SearchSpace::append_candidates(const Var& v, const Assignment* hint,
   }
 }
 
-SolverResult SearchSpace::search(const Assignment* hint, bool hint_first,
+SolverResult SearchSpace::search(const Assignment* hint,
                                  std::size_t candidate_cap,
                                  std::uint64_t max_nodes,
                                  std::uint64_t max_evals,
@@ -134,7 +131,7 @@ SolverResult SearchSpace::search(const Assignment* hint, bool hint_first,
   candidates.reserve(vars_.size() * (candidate_cap > 0 ? candidate_cap : 256));
   std::vector<std::size_t> cand_at(vars_.size() + 1, 0);
   for (std::size_t vi = 0; vi < vars_.size(); ++vi) {
-    append_candidates(vars_[vi], hint, hint_first, candidate_cap, candidates);
+    append_candidates(vars_[vi], hint, candidate_cap, candidates);
     cand_at[vi + 1] = candidates.size();
   }
   auto num_candidates = [&](std::size_t vi) {

@@ -16,7 +16,7 @@
 namespace pbse {
 
 /// One query's search problem, set up once and shared by the solver's
-/// staged passes: the variables (one per distinct read site, in order of
+/// two passes: the variables (one per distinct read site, in order of
 /// first appearance), their assignment order (smallest domain first), each
 /// constraint's compiled tape and read-to-variable map, and the closing
 /// and involved lists. It holds a CompiledPin, so its tapes stay valid.
@@ -36,23 +36,17 @@ class SearchSpace {
   ///
   /// `hint`         optional assignment tried first for every byte (the
   ///                state's last known model / the concolic seed).
-  /// `hint_first`   when true, each variable tries its hint value before
-  ///                the boundary values; when false the order is
-  ///                boundaries first. The solver facade runs both orders
-  ///                (split budget): hint-first converges near the current
-  ///                model, boundary-first escapes hint-poisoned subtrees.
   /// `candidate_cap` when nonzero, truncates every variable's candidate
   ///                list to its first N values (hint + boundaries). A
   ///                capped pass explores the "interesting corners" tree
-  ///                exhaustively and cheaply before any full-domain pass.
+  ///                exhaustively and cheaply before the full-domain pass.
   /// `max_nodes`    node budget; exhausting it yields kUnknown.
   /// `max_evals`    constraint-evaluation budget (same effect).
   /// `cost_out`     incremented by the number of constraint evaluations.
   /// `model_out`    filled with a satisfying assignment on kSat.
-  SolverResult search(const Assignment* hint, bool hint_first,
-                      std::size_t candidate_cap, std::uint64_t max_nodes,
-                      std::uint64_t max_evals, std::uint64_t& cost_out,
-                      Assignment& model_out) const;
+  SolverResult search(const Assignment* hint, std::size_t candidate_cap,
+                      std::uint64_t max_nodes, std::uint64_t max_evals,
+                      std::uint64_t& cost_out, Assignment& model_out) const;
 
  private:
   /// A constraint that mentions a variable, and the first of the
@@ -72,13 +66,12 @@ class SearchSpace {
   };
 
   /// Appends variable `v`'s value order for one pass to `out`: the hint
-  /// value first (when hint_first), then the boundary values 0, 0xff, 1,
-  /// 0x80, 0x7f, then the hint value (when not hint_first), then the rest
-  /// of the domain ascending; at most `cap` values when cap is nonzero.
-  /// Boundary-first ordering makes wraparound/overflow and
+  /// value first, then the boundary values 0, 0xff, 1, 0x80, 0x7f, then
+  /// the rest of the domain ascending; at most `cap` values when cap is
+  /// nonzero. The boundary values make wraparound/overflow and
   /// make-this-count-small queries cheap.
   static void append_candidates(const Var& v, const Assignment* hint,
-                                bool hint_first, std::size_t cap,
+                                std::size_t cap,
                                 std::vector<std::uint8_t>& out);
 
   CompiledPin pin_;

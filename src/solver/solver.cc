@@ -28,9 +28,7 @@ constexpr std::size_t kMaxDomainMemoEntries = 4096;
 /// never a string hash (see stats.h).
 struct SolverIds {
   obs::MetricId queries = obs::intern_metric("solver.queries");
-  obs::MetricId solve_all = obs::intern_metric("solver.solve_all");
   obs::MetricId hint_hits = obs::intern_metric("solver.hint_hits");
-  obs::MetricId zero_hits = obs::intern_metric("solver.zero_hits");
   obs::MetricId cache_hits = obs::intern_metric("solver.cache_hits");
   obs::MetricId shared_cache_hits =
       obs::intern_metric("solver.shared_cache_hits");
@@ -41,7 +39,6 @@ struct SolverIds {
       obs::intern_metric("solver.propagation_unsat");
   obs::MetricId search_full_pass =
       obs::intern_metric("solver.search_full_pass");
-  obs::MetricId search_restarts = obs::intern_metric("solver.search_restarts");
   obs::MetricId search_sat = obs::intern_metric("solver.search_sat");
   obs::MetricId search_unsat = obs::intern_metric("solver.search_unsat");
   obs::MetricId search_unknown = obs::intern_metric("solver.search_unknown");
@@ -52,7 +49,6 @@ struct SolverIds {
   obs::MetricId query_ticks = obs::intern_metric("solver.query_ticks");
   // Trace event / argument names.
   obs::MetricId ev_query = obs::intern_metric("query");
-  obs::MetricId ev_solve_all = obs::intern_metric("solve_all");
   obs::MetricId ev_cache_hit = obs::intern_metric("cache_hit");
   obs::MetricId ev_shared_cache_hit = obs::intern_metric("shared_cache_hit");
   obs::MetricId ev_domain_memo_hit = obs::intern_metric("domain_memo_hit");
@@ -82,15 +78,6 @@ bool satisfies_all(const std::vector<ExprRef>& constraints,
     if (!eval.evaluate_bool(c)) return false;
   }
   return true;
-}
-
-/// Shared evaluator over the all-zeros assignment; its memo persists for
-/// the thread (bounded by the thread-local interning table). Thread-local
-/// because the memo mutates on every evaluation.
-CachingEvaluator& zeros_evaluator() {
-  thread_local auto* eval =
-      new CachingEvaluator(std::make_shared<Assignment>());
-  return *eval;
 }
 
 void copy_into(const Assignment& from, Assignment* to,
@@ -253,22 +240,15 @@ SolverResult Solver::solve_core(const std::vector<ExprRef>& constraints,
 
   std::uint64_t evals = 0;
 
-  // Fast path 1: the hint assignment already satisfies everything — the
-  // concolic fast path that makes re-walking a seed path nearly free.
-  // Evaluations are memoized per hint across queries.
+  // Fast path: the hint assignment already satisfies everything. An
+  // executor query asks for a side its hint violates, so this succeeds
+  // when solve_list deferred the violated checksum equality and the hint
+  // satisfies what is left. Evaluations are memoized per hint across
+  // queries.
   if (hint != nullptr && satisfies_all(constraints, hint_evaluator(hint), evals)) {
     charge(evals);
     stats_.add(ids().hint_hits);
     copy_into(*hint, model, constraints);
-    return SolverResult::kSat;
-  }
-
-  // Fast path 2: the all-zeros assignment (memo shared process-wide).
-  if (satisfies_all(constraints, zeros_evaluator(), evals)) {
-    charge(evals);
-    Assignment zeros;
-    stats_.add(ids().zero_hits);
-    copy_into(zeros, model, constraints);
     return SolverResult::kSat;
   }
 
@@ -367,34 +347,26 @@ SolverResult Solver::solve_core(const std::vector<ExprRef>& constraints,
     memo_store(key, domains, memo_depth);
   }
 
-  // Bounded backtracking search, staged:
+  // Bounded backtracking search, two passes over one SearchSpace (its
+  // variables, their order, the constraints' tapes and read maps), with
+  // hint values tried first:
   //   A. candidates capped to hint+boundary values — exhaustively explores
   //      the small "interesting corners" tree (cheap, finds most models);
-  //   B. full domains, hint values first (stays close to the model);
-  //   C. full domains, boundary values first (escapes hint-poisoned
-  //      subtrees).
-  // A kUnsat from a CAPPED pass is not conclusive; only full passes may
+  //   B. full domains, with the rest of the query's budget.
+  // A kUnsat from the CAPPED pass is not conclusive; only the full pass may
   // report kUnsat.
-  // The three passes share one setup: variables, their order, the
-  // constraints' tapes and read maps.
   Assignment found;
   const Assignment* hint_raw = hint.get();
   const SearchSpace space(constraints, domains);
   SolverResult result =
-      space.search(hint_raw, /*hint_first=*/true, /*candidate_cap=*/6,
-                   kMaxSearchNodes / 4, kMaxSearchEvals / 4, evals, found);
+      space.search(hint_raw, /*candidate_cap=*/6, kMaxSearchNodes / 4,
+                   kMaxSearchEvals / 4, evals, found);
   if (result == SolverResult::kUnsat) result = SolverResult::kUnknown;
   if (result == SolverResult::kUnknown) {
     stats_.add(ids().search_full_pass);
-    result = space.search(hint_raw, /*hint_first=*/true, /*candidate_cap=*/0,
-                          kMaxSearchNodes / 2, kMaxSearchEvals / 2, evals,
-                          found);
-  }
-  if (result == SolverResult::kUnknown && hint != nullptr) {
-    stats_.add(ids().search_restarts);
-    result = space.search(hint_raw, /*hint_first=*/false, /*candidate_cap=*/0,
-                          kMaxSearchNodes / 4, kMaxSearchEvals / 4, evals,
-                          found);
+    result = space.search(hint_raw, /*candidate_cap=*/0,
+                          kMaxSearchNodes - kMaxSearchNodes / 4,
+                          kMaxSearchEvals - kMaxSearchEvals / 4, evals, found);
   }
   charge(evals);
 
@@ -469,22 +441,6 @@ SolverResult Solver::check_sat(const ConstraintSet& cs, const ExprRef& query,
   const std::uint64_t t1 = clock_.now();
   stats_.observe(ids().query_ticks, t1 - t0);
   obs::trace_end(obs::Category::kSolver, ids().ev_query, t1,
-                 static_cast<std::uint64_t>(result), ids().arg_result);
-  return result;
-}
-
-SolverResult Solver::solve_all(const ConstraintSet& cs, Assignment* model,
-                               const HintRef& hint) {
-  stats_.add(ids().solve_all);
-  const CompiledPin pin;
-  const std::vector<ExprRef>& constraints = cs.constraints();
-  const std::uint64_t t0 = clock_.now();
-  obs::trace_begin(obs::Category::kSolver, ids().ev_solve_all, t0,
-                   constraints.size(), ids().arg_constraints);
-  const SolverResult result = solve_list(constraints, nullptr, model, hint);
-  const std::uint64_t t1 = clock_.now();
-  stats_.observe(ids().query_ticks, t1 - t0);
-  obs::trace_end(obs::Category::kSolver, ids().ev_solve_all, t1,
                  static_cast<std::uint64_t>(result), ids().arg_result);
   return result;
 }

@@ -2,11 +2,12 @@
 // queries. Pipeline per query (incremental across the queries of one
 // path — see DESIGN.md §9):
 //
-//   fast path (hint / all-zeros evaluation)
-//     -> independence slicing (persistent partitions, ConstraintSet)
+//   independence slicing (persistent partitions, ConstraintSet)
+//     -> defined-by elimination (deferred checksum/CRC equalities)
+//     -> hint fast path (does the hint satisfy the whole list?)
 //     -> exact cache lookup (L1, then shared L2)
 //     -> byte-domain propagation (memoized per constraint-list prefix)
-//     -> bounded backtracking search
+//     -> bounded backtracking search (a capped pass, then a full pass)
 //     -> exact cache fill
 //
 // Every evaluation performed — including every memoized-domain delta
@@ -71,13 +72,6 @@ class Solver {
                          Assignment* model = nullptr,
                          const HintRef& hint = nullptr);
 
-  /// Satisfiability of the ENTIRE constraint set (no independence slicing
-  /// relative to a query). check_sat assumes the path invariant "cs is
-  /// already satisfiable" — use solve_all when that is not yet established,
-  /// e.g. when activating a concolic seedState.
-  SolverResult solve_all(const ConstraintSet& cs, Assignment* model,
-                         const HintRef& hint = nullptr);
-
   const SolverOptions& options() const { return options_; }
   QueryCache& cache() { return cache_; }
   std::size_t domain_memo_size() const { return domain_memo_.size(); }
@@ -92,10 +86,10 @@ class Solver {
 
   /// Shared pipeline over an already-assembled constraint list. `query` is
   /// the appended query constraint (the domain memo's prefix boundary);
-  /// null for solve_all-style lists. Runs the defined-by elimination first
+  /// null for a constant-true query. Runs the defined-by elimination first
   /// (checksum/CRC equalities whose stored bytes appear nowhere else are
-  /// deferred and back-computed), then the fast paths, caches, propagation
-  /// and search over the remainder.
+  /// deferred and back-computed), then the hint fast path, caches,
+  /// propagation and search over the remainder.
   SolverResult solve_list(const std::vector<ExprRef>& constraints,
                           const ExprRef& query, Assignment* model,
                           const HintRef& hint);

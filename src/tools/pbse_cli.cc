@@ -80,14 +80,18 @@ bool parse_args(int argc, char** argv, Args& args) {
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
     // Numeric flags are strict: garbage, a sign, trailing junk or zero is a
-    // usage error naming the flag, never a silently coerced value.
+    // usage error naming the flag, never a silently coerced value. An
+    // unknown argument or searcher is named the same way.
     std::string error;
     auto reject = [&error] {
       std::fprintf(stderr, "pbse: %s\n", error.c_str());
       return false;
     };
     if (const char* v = value_of("--searcher=")) {
-      if (!search::parse_searcher_kind(v, args.searcher)) return false;
+      if (!search::parse_searcher_kind(v, args.searcher)) {
+        error = "unknown searcher '" + std::string(v) + "'";
+        return reject();
+      }
     } else if (const char* v = value_of("--sym-size=")) {
       if (!support::parse_positive_count("--sym-size", v, args.sym_size, error))
         return reject();
@@ -108,7 +112,8 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (arg == "--no-share-cache") {
       args.share_cache = false;
     } else {
-      return false;
+      error = "unknown argument '" + arg + "'";
+      return reject();
     }
   }
   if (args.command != "list" && args.target.empty()) return false;

@@ -147,8 +147,8 @@ int cmd_summarize(const std::string& path) {
   // Reuse hit classes of the incremental pipeline, cheapest first (see
   // solver.h): exact cache -> domain memo. domain_memo_hits over
   // solver.queries is the reuse rate EXPERIMENTS.md tracks. Unknowns are
-  // the query/solve_all end events whose result arg is 2 (kUnknown): the
-  // search budget ran out and the engine treated the branch as infeasible.
+  // the query end events whose result arg is 2 (kUnknown): the search
+  // budget ran out and the engine treated the branch as infeasible.
   std::uint64_t cache_hits = 0, shared_hits = 0, domain_memo_hits = 0,
                 unknowns = 0;
   for (const auto& e : events) {
@@ -156,9 +156,7 @@ int cmd_summarize(const std::string& path) {
     if (e.name == "cache_hit") ++cache_hits;
     if (e.name == "shared_cache_hit") ++shared_hits;
     if (e.name == "domain_memo_hit") ++domain_memo_hits;
-    if (e.ph == 'E' && (e.name == "query" || e.name == "solve_all") &&
-        e.arg("result") == 2)
-      ++unknowns;
+    if (e.ph == 'E' && e.name == "query" && e.arg("result") == 2) ++unknowns;
   }
   std::printf("\nsolver breakdown:\n");
   for (const auto& [key, cnt_ticks] : durations) {

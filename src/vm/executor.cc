@@ -517,13 +517,12 @@ void Executor::step(ExecutionState& state,
   execute(state, &forked, nullptr);
 }
 
-void Executor::step_concolic(ExecutionState& state, const Assignment& seed,
+void Executor::step_concolic(ExecutionState& state,
                              CachingEvaluator& seed_eval,
                              std::vector<ForkRecord>& fork_records,
                              bool offpath_bug_checks) {
   // The evaluator owns a shared reference to the seed assignment; reuse it
   // so feasibility queries get a cache-friendly hint.
-  (void)seed;
   ConcolicCtx ctx{seed_eval.assignment(), &seed_eval, &fork_records,
                   offpath_bug_checks};
   execute(state, nullptr, &ctx);

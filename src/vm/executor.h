@@ -76,14 +76,12 @@ class Executor {
   void step(ExecutionState& state,
             std::vector<std::unique_ptr<ExecutionState>>& forked);
 
-  /// Executes one instruction in concolic lockstep along `seed`.
-  /// `seed_eval` must be a caching evaluator over the same seed assignment
-  /// (kept by the caller for the whole run). With `offpath_bug_checks`
-  /// guards also report feasible-but-off-seed violations of internal
-  /// buffers (solved witness input); without it only bugs the seed itself
-  /// triggers are reported — pure replay semantics.
-  void step_concolic(ExecutionState& state, const Assignment& seed,
-                     CachingEvaluator& seed_eval,
+  /// Executes one instruction in concolic lockstep along the seed that
+  /// `seed_eval` evaluates over (kept by the caller for the whole run).
+  /// With `offpath_bug_checks` guards also report feasible-but-off-seed
+  /// violations of internal buffers (solved witness input); without it only
+  /// bugs the seed itself triggers are reported — pure replay semantics.
+  void step_concolic(ExecutionState& state, CachingEvaluator& seed_eval,
                      std::vector<ForkRecord>& fork_records,
                      bool offpath_bug_checks = true);
 

@@ -1,6 +1,7 @@
 // The command-line tools at their process boundary: pbse validates numeric
-// flags strictly, campaigns on its default shared solver cache explore
-// independently of one another, and pbse-analyze --json is valid JSON.
+// flags strictly and names any argument it rejects, campaigns on its
+// default shared solver cache explore independently of one another, and
+// pbse-analyze --json is valid JSON.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -52,6 +53,21 @@ TEST(PbseCli, RejectsMalformedNumericFlags) {
   }
   const CliRun ok = run_pbse("klee readelf --sym-size=10 --budget=5000");
   EXPECT_EQ(ok.exit_code, 0) << ok.output;
+}
+
+// An argument pbse does not know, such as a removed flag, is named in the
+// error before the usage text.
+TEST(PbseCli, NamesTheRejectedArgument) {
+  const CliRun flag = run_pbse("klee readelf --no-subsumption");
+  EXPECT_EQ(flag.exit_code, 2) << flag.output;
+  EXPECT_NE(flag.output.find("pbse: unknown argument '--no-subsumption'"),
+            std::string::npos)
+      << flag.output;
+  const CliRun searcher = run_pbse("klee readelf --searcher=bogus");
+  EXPECT_EQ(searcher.exit_code, 2) << searcher.output;
+  EXPECT_NE(searcher.output.find("pbse: unknown searcher 'bogus'"),
+            std::string::npos)
+      << searcher.output;
 }
 
 // Two identical KLEE campaigns, one after the other on the shared solver

@@ -216,7 +216,7 @@ TEST(Scheduler, SlicedKleeJobMatchesMonolithicRun) {
   spec.target = "readelf";
   spec.budget_ticks = 120'000;
   spec.sym_size = 100;
-  spec.slice_ticks = 30'000;  // forces >= 4 slices
+  spec.slice_ticks = 10'000;  // forces >= 4 slices
 
   SchedulerOptions options;
   options.workers = 1;
@@ -697,7 +697,7 @@ JobSpec small_klee_spec() {
   spec.target = "readelf";
   spec.budget_ticks = 120'000;
   spec.sym_size = 100;
-  spec.slice_ticks = 30'000;
+  spec.slice_ticks = 10'000;
   return spec;
 }
 

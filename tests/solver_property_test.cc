@@ -347,8 +347,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TapeEquivalence,
 /// budget tests, rebuilt here from the compiled forms.
 SolverResult reference_search(const std::vector<ExprRef>& constraints,
                               const DomainMap& domains,
-                              const Assignment* hint, bool hint_first,
-                              std::size_t cap, std::uint64_t max_nodes,
+                              const Assignment* hint, std::size_t cap,
+                              std::uint64_t max_nodes,
                               std::uint64_t max_evals,
                               std::uint64_t& cost_out,
                               Assignment& model_out) {
@@ -415,9 +415,8 @@ SolverResult reference_search(const std::vector<ExprRef>& constraints,
     };
     const std::uint8_t hinted =
         hint != nullptr ? hint->byte(v.array.get(), v.index) : 0;
-    if (hint_first && hint != nullptr) push(hinted);
+    if (hint != nullptr) push(hinted);
     for (const std::uint8_t b : {0x00, 0xff, 0x01, 0x80, 0x7f}) push(b);
-    if (!hint_first && hint != nullptr) push(hinted);
     for (unsigned val = 0; val < 256; ++val)
       push(static_cast<std::uint8_t>(val));
   }
@@ -537,26 +536,21 @@ TEST(SearchKernel, MatchesFullEvaluationReference) {
     const Assignment* hint_or_null = rng.below(4) == 0 ? nullptr : &hint;
 
     const SearchSpace space(constraints, domains);
-    struct Pass {
-      bool hint_first;
-      std::size_t cap;
-    };
-    for (const Pass pass : {Pass{true, 6}, Pass{true, 0}, Pass{false, 0}}) {
+    for (const std::size_t cap : {6, 0}) {
       const std::uint64_t max_nodes = 1 + rng.below(3000);
       const std::uint64_t max_evals = 1 + rng.below(60000);
       const std::uint64_t start = rng.below(1000);
       std::uint64_t cost = start, want_cost = start;
       Assignment model, want_model;
-      const SolverResult got =
-          space.search(hint_or_null, pass.hint_first, pass.cap, max_nodes,
-                       max_evals, cost, model);
-      const SolverResult want = reference_search(
-          constraints, domains, hint_or_null, pass.hint_first, pass.cap,
-          max_nodes, max_evals, want_cost, want_model);
-      ASSERT_EQ(got, want) << "trial " << trial << ", cap " << pass.cap;
-      ASSERT_EQ(cost, want_cost) << "trial " << trial << ", cap " << pass.cap;
+      const SolverResult got = space.search(hint_or_null, cap, max_nodes,
+                                            max_evals, cost, model);
+      const SolverResult want =
+          reference_search(constraints, domains, hint_or_null, cap, max_nodes,
+                           max_evals, want_cost, want_model);
+      ASSERT_EQ(got, want) << "trial " << trial << ", cap " << cap;
+      ASSERT_EQ(cost, want_cost) << "trial " << trial << ", cap " << cap;
       ASSERT_EQ(model.mutable_bytes(array), want_model.mutable_bytes(array))
-          << "trial " << trial << ", cap " << pass.cap;
+          << "trial " << trial << ", cap " << cap;
       ++results[got];
       std::uint64_t probes = 0;
       for (const ExprRef& c : constraints) probes += 3 * expr_cost(c);

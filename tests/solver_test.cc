@@ -252,8 +252,8 @@ TEST(SolverIncremental, ReplaysCachedModelInsteadOfSearching) {
   ASSERT_EQ(f.solver.check_sat(cs, q1, &m1), SolverResult::kSat);
   cs.add(q1);
 
-  // Implied by c1, but not by the all-zeros fast path and not an exact
-  // cache hit: the model must still satisfy the whole path.
+  // Implied by c1, but not an exact cache hit: the model must still
+  // satisfy the whole path.
   const ExprRef q2 = mk_ult(mk_const(0x30, 8), b0);
   Assignment m2;
   ASSERT_EQ(f.solver.check_sat(cs, q2, &m2), SolverResult::kSat);
@@ -626,16 +626,31 @@ TEST(Solver, CacheHitsOnRepeatedQueries) {
   EXPECT_EQ(fx.stats.get("solver.cache_hits"), hits_before + 1);
 }
 
-TEST(Solver, SolveAllValidatesWholeSet) {
-  SolverFixture fx;
-  auto array = make_array();
-  ConstraintSet cs;
-  cs.add(mk_eq(mk_read(array, 0), mk_const(1, 8)));
-  cs.add(mk_eq(mk_read(array, 5), mk_const(2, 8)));
-  Assignment model;
-  EXPECT_EQ(fx.solver.solve_all(cs, &model), SolverResult::kSat);
-  EXPECT_EQ(model.byte(array.get(), 0), 1);
-  EXPECT_EQ(model.byte(array.get(), 5), 2);
+// The solver timeout: a query the search cannot decide spends its search
+// budget across the two passes (40,000 nodes or 1,000,000 evaluations,
+// about 31,250 ticks, whichever runs out first) and ends Unknown. A hash
+// preimage over four bytes is such a query at any number of mixing rounds.
+TEST(Solver, UndecidedQueryIsChargedOneSearchBudget) {
+  for (const int rounds : {1, 3, 6}) {
+    SolverFixture fx;
+    auto array = make_array(8);
+    ExprRef h = u32_at(array, 0);
+    for (int r = 0; r < rounds; ++r)
+      h = mk_xor(mk_mul(h, mk_const(0x9E3779B1, 32)),
+                 mk_lshr(h, mk_const(15, 32)));
+    auto hint = std::make_shared<Assignment>();
+    hint->set(array, {1, 2, 3, 4, 5, 6, 7, 8});
+    const std::uint64_t t0 = fx.clock.now();
+    EXPECT_EQ(fx.solver.check_sat(ConstraintSet{},
+                                  mk_eq(h, mk_const(0x12345678, 32)), nullptr,
+                                  hint),
+              SolverResult::kUnknown)
+        << rounds << " rounds";
+    EXPECT_EQ(fx.stats.get("solver.search_unknown"), 1u) << rounds << " rounds";
+    const std::uint64_t ticks = fx.clock.now() - t0;
+    EXPECT_GE(ticks, 20'000u) << rounds << " rounds";
+    EXPECT_LE(ticks, 32'000u) << rounds << " rounds";
+  }
 }
 
 TEST(Solver, ChargesVirtualTime) {
